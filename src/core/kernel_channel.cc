@@ -1,5 +1,12 @@
 #include "core/kernel_channel.h"
 
+#include <poll.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <vector>
+
 #include "core/region_guard.h"
 #include "obs/metrics.h"
 
@@ -20,6 +27,17 @@ obs::Counter& KernelBytesReceived() {
       "rr_channel_bytes_total", "Payload bytes moved through data channels",
       {{"mode", "kernel"}, {"direction", "received"}});
   return *counter;
+}
+
+bool WouldBlock(int err) {
+  return err == EAGAIN || err == EWOULDBLOCK || err == EINTR;
+}
+
+int PollTimeoutMs(Nanos timeout) {
+  if (timeout <= Nanos{0}) return -1;
+  const int64_t ms =
+      std::chrono::ceil<std::chrono::milliseconds>(timeout).count();
+  return static_cast<int>(std::min<int64_t>(ms, INT_MAX));
 }
 
 }  // namespace
@@ -63,42 +81,30 @@ Status KernelChannelSender::SendBytes(ByteSpan data) {
   return Status::Ok();
 }
 
-Status KernelChannelSender::SendBytes(const rr::BufferView& payload) {
-  timing_ = {};
-  const Stopwatch transfer_timer;
-  RR_RETURN_IF_ERROR(serde::WriteFrame(conn_, payload));
-  timing_.transfer = transfer_timer.Elapsed();
-  bytes_sent_ += payload.size();
-  KernelBytesSent().Inc(payload.size());
-  return Status::Ok();
-}
-
 Result<MemoryRegion> KernelChannelReceiver::ReceiveInto(Shim& target,
-                                                        CopyMode mode,
-                                                        const RegionPlacer* place) {
+                                                        CopyMode mode) {
   timing_ = {};
   const auto place_region = [&](uint64_t length) -> Result<MemoryRegion> {
     if (length > UINT32_MAX) {
       return InvalidArgumentError("frame exceeds 32-bit guest memory");
     }
-    if (place != nullptr) return (*place)(static_cast<uint32_t>(length));
     return target.PrepareInput(static_cast<uint32_t>(length));
   };
   MemoryRegion delivered;
-  // Reclaims a freshly placed region on any failure between placement and
+  // Reclaims the placed region on any failure between placement and
   // hand-off (a frame read dying mid-body, a rejected guest write) — the
   // target instance outlives the failed transfer, so the region must not
-  // stay allocated. Placer-provided regions (fan-in slices) belong to the
-  // caller and are never released here.
+  // stay allocated.
   RegionGuard guard;
   if (mode == CopyMode::kDirectGuest) {
     const Stopwatch transfer_timer;
     Nanos alloc_time{0};
+    // A placement failure returns after ReadFrameInto drained the body.
     RR_RETURN_IF_ERROR(serde::ReadFrameInto(
         conn_, [&](uint64_t length) -> Result<MutableByteSpan> {
           const Stopwatch alloc_timer;
           RR_ASSIGN_OR_RETURN(delivered, place_region(length));
-          if (place == nullptr) guard = RegionGuard(&target, delivered);
+          guard = RegionGuard(&target, delivered);
           auto span = target.InputSpan(delivered);
           alloc_time = alloc_timer.Elapsed();
           return span;
@@ -113,7 +119,7 @@ Result<MemoryRegion> KernelChannelReceiver::ReceiveInto(Shim& target,
     timing_.transfer = transfer_timer.Elapsed();
     const Stopwatch io_timer;
     RR_ASSIGN_OR_RETURN(delivered, place_region(staged.size()));
-    if (place == nullptr) guard = RegionGuard(&target, delivered);
+    guard = RegionGuard(&target, delivered);
     RR_RETURN_IF_ERROR(target.data().write_memory_host(staged, delivered.address));
     timing_.wasm_io = io_timer.Elapsed();
   }
@@ -151,6 +157,107 @@ MakeKernelChannelPair() {
   RR_ASSIGN_OR_RETURN(auto pair, osal::ConnectedPair());
   return std::make_pair(KernelChannelSender::FromConnection(std::move(pair.first)),
                         KernelChannelReceiver::FromConnection(std::move(pair.second)));
+}
+
+KernelChannelPump::KernelChannelPump(
+    std::pair<osal::Connection, osal::Connection> ends, Nanos idle_timeout)
+    : send_end_(std::move(ends.first)),
+      recv_end_(std::move(ends.second)),
+      poll_timeout_ms_(PollTimeoutMs(idle_timeout)) {}
+
+Status KernelChannelPump::Transfer(const rr::BufferView& source,
+                                   MutableByteSpan dest) {
+  if (!wire_ok()) return UnavailableError("kernel channel is shut down");
+  if (source.size() != dest.size()) {
+    return InvalidArgumentError("kernel frame: source carries " +
+                                std::to_string(source.size()) +
+                                " bytes for a " + std::to_string(dest.size()) +
+                                "-byte destination");
+  }
+  bool sent_any = false;
+  const Status status = Pump(source, dest, &sent_any);
+  if (!status.ok()) {
+    // Bytes of this frame may still sit in the socket: the next frame would
+    // be parsed from the middle of this one. Only a clean refusal (nothing
+    // sent) keeps the wire.
+    if (sent_any) Shutdown();
+    return status;
+  }
+  KernelBytesSent().Inc(dest.size());
+  KernelBytesReceived().Inc(dest.size());
+  return Status::Ok();
+}
+
+Status KernelChannelPump::Pump(const rr::BufferView& source,
+                               MutableByteSpan dest, bool* sent_any) {
+  uint8_t out_header[8];
+  StoreLE<uint64_t>(out_header, dest.size());
+  std::vector<iovec> out;
+  out.reserve(source.segment_count() + 1);
+  out.push_back({out_header, sizeof(out_header)});
+  for (size_t i = 0; i < source.segment_count(); ++i) {
+    const ByteSpan segment = source.segment(i);
+    if (segment.empty()) continue;
+    out.push_back({const_cast<uint8_t*>(segment.data()), segment.size()});
+  }
+  uint8_t in_header[8];
+  iovec in[2] = {{in_header, sizeof(in_header)}, {dest.data(), dest.size()}};
+  osal::IovCursor sending(out.data(), out.size());
+  osal::IovCursor receiving(in, dest.empty() ? 1 : 2);
+
+  uint64_t received = 0;
+  while (!receiving.done()) {
+    bool progressed = false;
+    if (!sending.done()) {
+      const msghdr msg = sending.Message();
+      const ssize_t n =
+          ::sendmsg(send_end_.fd(), &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) {
+        sending.Advance(static_cast<size_t>(n));
+        *sent_any = true;
+        progressed = true;
+      } else if (n < 0 && !WouldBlock(errno)) {
+        return ErrnoToStatus(errno, "kernel channel sendmsg");
+      }
+    }
+    msghdr msg = receiving.Message();
+    const ssize_t n = ::recvmsg(recv_end_.fd(), &msg, MSG_DONTWAIT);
+    if (n > 0) {
+      const bool header_done = received >= sizeof(in_header);
+      receiving.Advance(static_cast<size_t>(n));
+      received += static_cast<uint64_t>(n);
+      if (!header_done && received >= sizeof(in_header) &&
+          LoadLE<uint64_t>(in_header) != dest.size()) {
+        return DataLossError("kernel channel: frame header announces " +
+                             std::to_string(LoadLE<uint64_t>(in_header)) +
+                             " bytes, expected " + std::to_string(dest.size()));
+      }
+      progressed = true;
+    } else if (n == 0) {
+      return DataLossError("kernel channel closed after " +
+                           std::to_string(received) + " of " +
+                           std::to_string(dest.size() + sizeof(in_header)) +
+                           " frame bytes");
+    } else if (!WouldBlock(errno)) {
+      return ErrnoToStatus(errno, "kernel channel recvmsg");
+    }
+    if (progressed) continue;
+    pollfd fds[2] = {{recv_end_.fd(), POLLIN, 0},
+                     {send_end_.fd(), POLLOUT, 0}};
+    const int ready = ::poll(fds, sending.done() ? 1 : 2, poll_timeout_ms_);
+    if (ready == 0) {
+      return DeadlineExceededError("kernel channel made no progress for " +
+                                   std::to_string(poll_timeout_ms_) + " ms");
+    }
+    if (ready < 0 && errno != EINTR) return ErrnoToStatus(errno, "poll");
+  }
+  return Status::Ok();
+}
+
+void KernelChannelPump::Shutdown() {
+  wire_ok_.store(false, std::memory_order_relaxed);
+  send_end_.ShutdownBoth();
+  recv_end_.ShutdownBoth();
 }
 
 }  // namespace rr::core

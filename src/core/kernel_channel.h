@@ -3,7 +3,9 @@
 // their shims — kernel-buffered, serialization-free frames, no network.
 #pragma once
 
+#include <atomic>
 #include <string>
+#include <utility>
 
 #include "core/shim.h"
 #include "osal/socket.h"
@@ -26,11 +28,8 @@ class KernelChannelSender {
   Status Send(Shim& source, const MemoryRegion& region,
               CopyMode mode = CopyMode::kShimStaging);
 
-  // Raw-bytes variant used when the payload is already host-resident. The
-  // BufferView overload performs one vectored write over the payload's
-  // shared chunks — no staging copy, no assembly.
+  // Raw-bytes variant used when the payload is already host-resident.
   Status SendBytes(ByteSpan data);
-  Status SendBytes(const rr::BufferView& payload);
 
   // Arms SO_RCVTIMEO/SO_SNDTIMEO on the socket: a transfer whose peer makes
   // no progress for `timeout` fails with kDeadlineExceeded instead of
@@ -59,11 +58,10 @@ class KernelChannelReceiver {
   // target function, and deliver the payload into its linear memory.
   // kShimStaging receives into a shim buffer then write_memory_host copies
   // it in; kDirectGuest reads from the kernel straight into the guest pages.
-  // A non-null `place` overrides the allocation: the payload lands in the
-  // region it returns (a slice of a fan-in gather region).
+  // A placement failure consumes the frame body before it returns (bounded
+  // by the wire deadline), so the next receive starts at a frame boundary.
   Result<MemoryRegion> ReceiveInto(Shim& target,
-                                   CopyMode mode = CopyMode::kShimStaging,
-                                   const RegionPlacer* place = nullptr);
+                                   CopyMode mode = CopyMode::kShimStaging);
 
   // Receive + run the target function.
   Result<InvokeOutcome> ReceiveAndInvoke(Shim& target,
@@ -103,5 +101,45 @@ class KernelChannelListener {
 // still talk through a real AF_UNIX kernel buffer).
 Result<std::pair<KernelChannelSender, KernelChannelReceiver>>
 MakeKernelChannelPair();
+
+// Both ends of one in-process AF_UNIX pair, driven by the calling thread:
+// the runtime's kernel-space hop. Transfer alternates non-blocking sendmsg
+// (gathered from the source segments — guest pages or shared chunks) and
+// recvmsg (scattered straight into the destination span — guest pages),
+// so a frame larger than the socket buffer needs no second thread and no
+// staging buffer on either side. The wire format is the channel's frame:
+// an 8-byte length, checked on receipt, then the body.
+//
+// Transfers must be serialized by the caller. Shutdown and wire_ok are safe
+// from any thread.
+class KernelChannelPump {
+ public:
+  // `idle_timeout` bounds the wait when neither end can make progress: a
+  // poll over both descriptors that sees no readiness for that long fails
+  // the transfer with kDeadlineExceeded. Non-positive = unbounded.
+  KernelChannelPump(std::pair<osal::Connection, osal::Connection> ends,
+                    Nanos idle_timeout);
+
+  // Moves `source` through the kernel into `dest` (sizes must match). A
+  // failure before the first byte leaves the wire in sync; a failure after
+  // it kills the wire (wire_ok() turns false, later transfers fail with
+  // kUnavailable) because the stream position is then unknown.
+  Status Transfer(const rr::BufferView& source, MutableByteSpan dest);
+
+  bool wire_ok() const { return wire_ok_.load(std::memory_order_relaxed); }
+
+  // Shuts down both sockets (idempotent): a transfer in progress fails with
+  // EPIPE/EOF, and every later one with kUnavailable.
+  void Shutdown();
+
+ private:
+  Status Pump(const rr::BufferView& source, MutableByteSpan dest,
+              bool* sent_any);
+
+  osal::Connection send_end_;
+  osal::Connection recv_end_;
+  const int poll_timeout_ms_;  // -1 = unbounded
+  std::atomic<bool> wire_ok_{true};
+};
 
 }  // namespace rr::core

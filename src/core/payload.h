@@ -8,9 +8,9 @@
 // refcount bump; an N-way fan-out hands the same handle to N successors and
 // the plane performs exactly one egress copy, not N.
 //
-// Hops pick the cheapest access per transfer: a user-space hop forwards a
-// still-guest-resident payload with the classic single guest-to-guest copy
-// (no host buffer at all), while kernel/network hops and fan-outs
+// Hops pick the cheapest access per transfer: user-space and kernel-space
+// hops forward a still-guest-resident payload straight from the producer's
+// linear memory (no host buffer at all), while network hops and fan-outs
 // materialize once and then read the shared chunks with zero further copies.
 //
 // Concurrency: Materialize is internally synchronized and idempotent. The

@@ -35,11 +35,15 @@ struct InvokeOutcome {
 // kShimStaging is the paper's implementation: the shim copies data out of /
 // into linear memory through the Wasm runtime's memory API ("data must still
 // be copied in and out of the Wasm VM's linear memory due to Wasm's
-// isolation model", §7) — this copy is the measured "Wasm VM I/O".
+// isolation model", §7) — this copy is the measured "Wasm VM I/O". The
+// paper-figure drivers (workload/drivers.cc) measure channels in this mode.
 //
 // kDirectGuest is this library's extension: the channel references the
-// bounds-checked linear-memory pages directly (splice maps them into the
-// kernel), eliminating the staging copy. Benchmarked as an ablation.
+// bounds-checked linear-memory pages directly (sendmsg/recvmsg or splice
+// read and write them in the kernel), eliminating the staging copy. It is
+// the path the runtime's kernel-space hop always takes (KernelChannelPump:
+// guest pages -> socket -> guest pages); on standalone channels it is the
+// ablation the figure drivers compare against kShimStaging.
 enum class CopyMode { kShimStaging, kDirectGuest };
 
 // Wall-clock attribution of one channel operation, matching the latency

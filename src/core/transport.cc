@@ -34,24 +34,27 @@ class PairLock {
   MutexPairLock both_;
 };
 
-// Pins a fan-in gather slice as the receive destination: the frame length
+// Pins a fan-in gather slice as a transfer's destination: the payload length
 // must match the slice the executor carved out of the merged region.
-RegionPlacer SlicePlacer(const MemoryRegion into) {
-  return [into](uint32_t length) -> Result<MemoryRegion> {
-    if (length != into.length) {
-      return InternalError("fan-in slice length mismatch: frame carries " +
-                           std::to_string(length) + " bytes for a " +
-                           std::to_string(into.length) + "-byte slice");
-    }
-    return into;
-  };
+Result<MemoryRegion> CheckSlice(const MemoryRegion& into, uint64_t length) {
+  if (length != into.length) {
+    return InternalError("fan-in slice length mismatch: frame carries " +
+                         std::to_string(length) + " bytes for a " +
+                         std::to_string(into.length) + "-byte slice");
+  }
+  return into;
 }
 
-// Wire transfer of a host-resident payload: the sender streams the shared
-// chunks (no source shim involvement — egress already happened at
-// materialization) while the receiver delivers into the target's memory.
-// Send and receive run concurrently so a payload larger than the kernel
-// socket buffer cannot self-deadlock.
+RegionPlacer SlicePlacer(const MemoryRegion into) {
+  return [into](uint32_t length) { return CheckSlice(into, length); };
+}
+
+// Wire transfer of a host-resident payload over the network loopback hop:
+// the sender streams the shared chunks (no source shim involvement — egress
+// already happened at materialization) while the receiver delivers into the
+// target's memory. Send and receive run concurrently so a payload larger
+// than the socket buffers cannot self-deadlock. (The kernel hop needs no
+// such thread: one worker pumps both ends of its socketpair.)
 template <typename SendFn, typename Receiver>
 Result<MemoryRegion> WireTransfer(SendFn&& send, Receiver&& receive,
                                   TransferTiming* timing,
@@ -123,43 +126,79 @@ class UserSpaceTransport : public Transport {
 };
 
 // --- kernel space -----------------------------------------------------------
+// The calling worker drives both ends of the hop's socketpair itself
+// (KernelChannelPump): the frame moves from the producer's linear memory —
+// or a fan-out's shared chunks — through the kernel straight into the
+// target's linear memory, with no transfer thread and no host staging
+// buffer. The destination is placed before the first byte is sent, so a
+// placement failure never touches the wire.
 class KernelHop : public Hop {
  public:
-  KernelHop(KernelChannelSender sender, KernelChannelReceiver receiver)
-      : sender_(std::move(sender)), receiver_(std::move(receiver)) {}
+  KernelHop(std::pair<osal::Connection, osal::Connection> ends,
+            Nanos idle_timeout)
+      : pump_(std::move(ends), idle_timeout) {}
 
   TransferMode mode() const override { return TransferMode::kKernelSpace; }
+  bool healthy() const override { return pump_.wire_ok(); }
+
+  // Lock-free for the reason NetworkAgentHop::Close gives: eviction must not
+  // queue behind a transfer holding mutex_.
+  void Close() override { pump_.Shutdown(); }
 
   Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
                                TransferTiming* timing,
                                const MemoryRegion* into) override {
-    // Egress (or the free refcounted read) happens before the wire lock: the
-    // source instance serves other runs while this pair's wire is busy.
-    TransferTiming egress{};
-    RR_ASSIGN_OR_RETURN(const rr::Buffer buffer,
-                        payload.Materialize(&egress.wasm_io));
     MutexLock hop_lock(mutex_);
-    MutexLock target_lock(target.exec_mutex());
-    const RegionPlacer placer = into != nullptr ? SlicePlacer(*into) : nullptr;
-    const rr::BufferView view(buffer);
-    auto delivered = WireTransfer(
-        [&] { return sender_.SendBytes(view); },
-        [&] {
-          return receiver_.ReceiveInto(target, CopyMode::kShimStaging,
-                                       into != nullptr ? &placer : nullptr);
-        },
-        timing, egress);
-    if (delivered.ok() && timing != nullptr) {
-      *timing += sender_.last_timing();
-      *timing += receiver_.last_timing();
+    if (payload.guest_resident()) {
+      // Sent straight from the producer's registered region, as the
+      // user-space hop copies it: the payload is never materialized.
+      Shim& source = *payload.guest_shim();
+      PairLock lock(source, target);
+      RR_ASSIGN_OR_RETURN(const ByteSpan view,
+                          source.OutputView(*payload.guest_region()));
+      return Deliver(view, target, timing, into);
     }
-    return delivered;
+    // Host-resident (a fan-out's shared chunk): Materialize is a refcount
+    // bump, and the pump gathers the chunks as they are.
+    RR_ASSIGN_OR_RETURN(const rr::Buffer buffer, payload.Materialize());
+    MutexLock target_lock(target.exec_mutex());
+    return Deliver(buffer, target, timing, into);
   }
 
  private:
+  // Places the destination in `target` (whose exec mutex the caller holds),
+  // then pumps the frame into it.
+  Result<MemoryRegion> Deliver(const rr::BufferView& source, Shim& target,
+                               TransferTiming* timing,
+                               const MemoryRegion* into) {
+    const Stopwatch place_timer;
+    MemoryRegion dest;
+    RegionGuard guard;
+    if (into != nullptr) {
+      // Caller-owned fan-in slice: never released here.
+      RR_ASSIGN_OR_RETURN(dest, CheckSlice(*into, source.size()));
+    } else {
+      if (source.size() > UINT32_MAX) {
+        return InvalidArgumentError("payload exceeds 32-bit guest memory");
+      }
+      RR_ASSIGN_OR_RETURN(
+          dest, target.PrepareInput(static_cast<uint32_t>(source.size())));
+      guard = RegionGuard(&target, dest);
+    }
+    RR_ASSIGN_OR_RETURN(const MutableByteSpan span, target.InputSpan(dest));
+    const Nanos place_time = place_timer.Elapsed();
+    const Stopwatch transfer_timer;
+    RR_RETURN_IF_ERROR(pump_.Transfer(source, span));
+    if (timing != nullptr) {
+      timing->wasm_io += place_time;
+      timing->transfer += transfer_timer.Elapsed();
+    }
+    guard.Dismiss();
+    return dest;
+  }
+
   Mutex mutex_;  // serializes concurrent transfers over this pair's wire
-  KernelChannelSender sender_;
-  KernelChannelReceiver receiver_;
+  KernelChannelPump pump_;
 };
 
 class KernelTransport : public Transport {
@@ -169,11 +208,9 @@ class KernelTransport : public Transport {
   Result<std::unique_ptr<Hop>> Connect(Endpoint& /*source*/,
                                        const Endpoint& /*target*/,
                                        const TransportOptions& options) override {
-    RR_ASSIGN_OR_RETURN(auto pair, MakeKernelChannelPair());
-    RR_RETURN_IF_ERROR(pair.first.SetWireDeadline(options.transfer_deadline));
-    RR_RETURN_IF_ERROR(pair.second.SetWireDeadline(options.transfer_deadline));
+    RR_ASSIGN_OR_RETURN(auto ends, osal::ConnectedPair());
     return std::unique_ptr<Hop>(
-        new KernelHop(std::move(pair.first), std::move(pair.second)));
+        new KernelHop(std::move(ends), options.transfer_deadline));
   }
 };
 

@@ -6,11 +6,13 @@
 //
 // A Transport knows how to *establish* a channel for its mode; a Hop is one
 // established, cached channel between a (source, target) pair. Hops speak
-// the zero-copy payload plane (core/payload.h): a guest-resident payload
-// takes the mode's classic source-side path (the single user-space copy /
-// shim staging), while a host-resident payload — the shared chunk an N-way
-// fan-out hands to every successor — is read zero-copy from its ref-counted
-// storage, with network backends performing vectored writes over the chunks.
+// the zero-copy payload plane (core/payload.h): a guest-resident payload is
+// read in place from the producer's linear memory by the user-space and
+// kernel-space hops (the single user-space copy / one socket frame pumped
+// guest to guest), while a host-resident payload — the shared chunk an
+// N-way fan-out hands to every successor — is read zero-copy from its
+// ref-counted storage, with kernel and network backends performing vectored
+// writes over the chunks.
 //
 // Hops are internally synchronized: concurrent workflow invocations may
 // forward over the same hop (a hop's single wire is what they serialize
@@ -34,13 +36,13 @@ namespace rr::core {
 // them once for every channel of a workflow.
 struct TransportOptions {
   // Bound on one transfer's blocking waits (header/body/ack on the network
-  // plane; peer-idle timeout on the kernel plane). A dead or stalled peer
+  // plane; the no-progress poll on the kernel plane). A dead or stalled peer
   // surfaces as kDeadlineExceeded within this bound instead of hanging the
   // transfer. Non-positive = unbounded.
   //
   // On the network plane this is an ABSOLUTE per-transfer bound, armed at
-  // frame start — not a progress bound like the kernel plane's socket
-  // timeouts. Size it to the largest frame you expect over the slowest
+  // frame start — not an idle bound like the kernel hop's poll, which waits
+  // this long only when neither end of its socketpair can make progress. Size it to the largest frame you expect over the slowest
   // link (a multi-GiB frame over a slow WAN legitimately takes minutes);
   // the 30 s default comfortably covers paper-scale payloads on the
   // emulated 100 Mbps testbed.
@@ -119,7 +121,7 @@ class Hop {
   // transfer on a healthy hop (a typed in-sync refusal, e.g. the remote
   // pool was exhausted) leaves healthy() true: callers must NOT evict such
   // hops, or they collapse the other transfers sharing the channel.
-  // Wireless hops are always healthy.
+  // Wireless (user-space) hops are always healthy.
   virtual bool healthy() const { return true; }
 
   // Kills the underlying wire (idempotent) without invalidating the object:

@@ -224,9 +224,10 @@ Status DagExecutor::RunLocalNode(
   };
 
   // A Forward whose wire died (a deadline expiry without a decoded ack shut
-  // a network loopback hop's channel down) leaves the hop dead in the
-  // cache: evict so the next run re-establishes instead of failing forever.
-  // Wireless (user/kernel) hops and typed in-sync refusals stay cached.
+  // a network loopback hop's channel down; a kernel hop's frame failed after
+  // its first byte left) leaves the hop dead in the cache: evict so the next
+  // run re-establishes instead of failing forever. User-space hops and typed
+  // in-sync refusals stay cached.
   const auto evict_if_dead = [&](Hop& hop) {
     if (!hop.healthy()) manager_->hops().Evict(target.shim->name());
   };

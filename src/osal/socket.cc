@@ -49,12 +49,10 @@ Status Connection::SendParts(const ByteSpan* parts, size_t count,
     iov.push_back({const_cast<uint8_t*>(part.data()), part.size()});
   }
   const bool bounded = deadline != kNoDeadline;
-  size_t at = 0;
-  while (at < iov.size()) {
+  IovCursor cursor(iov.data(), iov.size());
+  while (!cursor.done()) {
     if (bounded) RR_RETURN_IF_ERROR(WaitWritable(fd_.get(), deadline));
-    msghdr msg{};
-    msg.msg_iov = iov.data() + at;
-    msg.msg_iovlen = iov.size() - at;
+    const msghdr msg = cursor.Message();
     const ssize_t n = ::sendmsg(fd_.get(), &msg,
                                 MSG_NOSIGNAL | (bounded ? MSG_DONTWAIT : 0));
     if (n < 0) {
@@ -67,16 +65,7 @@ Status Connection::SendParts(const ByteSpan* parts, size_t count,
       }
       return ErrnoToStatus(errno, "sendmsg");
     }
-    // Advance past fully-written iovecs; trim a partially-written one.
-    size_t written = static_cast<size_t>(n);
-    while (at < iov.size() && written >= iov[at].iov_len) {
-      written -= iov[at].iov_len;
-      ++at;
-    }
-    if (at < iov.size() && written > 0) {
-      iov[at].iov_base = static_cast<uint8_t*>(iov[at].iov_base) + written;
-      iov[at].iov_len -= written;
-    }
+    cursor.Advance(static_cast<size_t>(n));
   }
   return Status::Ok();
 }

@@ -5,6 +5,9 @@
 // with a uniform Connection interface.
 #pragma once
 
+#include <sys/socket.h>
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -132,6 +135,41 @@ Result<Connection> UnixConnect(const std::string& path);
 // Connected AF_UNIX stream pair — the in-process stand-in for two co-located
 // shims when tests do not need separate processes.
 Result<std::pair<Connection, Connection>> ConnectedPair();
+
+// The not-yet-moved tail of a gather (send) or scatter (receive) list,
+// advanced across partial sendmsg/recvmsg calls. Borrows the iovec array,
+// whose entries it trims in place.
+class IovCursor {
+ public:
+  IovCursor(iovec* iov, size_t count) : iov_(iov), count_(count) {}
+
+  bool done() const { return count_ == 0; }
+
+  // A msghdr over the remaining entries, for sendmsg/recvmsg.
+  msghdr Message() const {
+    msghdr msg{};
+    msg.msg_iov = iov_;
+    msg.msg_iovlen = count_;
+    return msg;
+  }
+
+  // Consumes `moved` bytes from the front.
+  void Advance(size_t moved) {
+    while (count_ > 0 && moved >= iov_->iov_len) {
+      moved -= iov_->iov_len;
+      ++iov_;
+      --count_;
+    }
+    if (moved > 0) {
+      iov_->iov_base = static_cast<uint8_t*>(iov_->iov_base) + moved;
+      iov_->iov_len -= moved;
+    }
+  }
+
+ private:
+  iovec* iov_;
+  size_t count_;
+};
 
 // Deadline-bounded whole-span I/O on a raw SOCKET descriptor (poll-gated,
 // MSG_DONTWAIT — these are recv/send, not read/write, so they only serve

@@ -1,24 +1,26 @@
 #include "serde/framing.h"
 
+#include <algorithm>
+
 namespace rr::serde {
+
+namespace {
+
+Status DrainBody(osal::Connection& conn, uint64_t length) {
+  uint8_t scratch[64 * 1024];
+  while (length > 0) {
+    const size_t want =
+        static_cast<size_t>(std::min<uint64_t>(sizeof(scratch), length));
+    RR_RETURN_IF_ERROR(conn.Receive(MutableByteSpan(scratch, want)));
+    length -= want;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Status WriteFrame(osal::Connection& conn, ByteSpan payload) {
   return WriteFrameParts(conn, {payload});
-}
-
-Status WriteFrame(osal::Connection& conn, const rr::BufferView& payload) {
-  if (payload.size() > kMaxFrameBytes) {
-    return InvalidArgumentError("frame exceeds maximum size");
-  }
-  uint8_t header[8];
-  StoreLE<uint64_t>(header, payload.size());
-  std::vector<ByteSpan> parts;
-  parts.reserve(payload.segment_count() + 1);
-  parts.push_back(ByteSpan(header, 8));
-  for (size_t i = 0; i < payload.segment_count(); ++i) {
-    parts.push_back(payload.segment(i));
-  }
-  return conn.SendParts(parts.data(), parts.size());
 }
 
 Status WriteFrameParts(osal::Connection& conn,
@@ -58,11 +60,18 @@ Status ReadFrameInto(
   if (length > kMaxFrameBytes) {
     return DataLossError("frame header announces implausible size");
   }
-  RR_ASSIGN_OR_RETURN(MutableByteSpan dest, place(length));
-  if (dest.size() != length) {
-    return InternalError("placement returned wrong-size destination");
+  Result<MutableByteSpan> dest = place(length);
+  if (dest.ok() && dest->size() != length) {
+    dest = InternalError("placement returned wrong-size destination");
   }
-  if (length > 0) RR_RETURN_IF_ERROR(conn.Receive(dest));
+  if (!dest.ok()) {
+    // The body is still on the wire: consume it so the stream stays at a
+    // frame boundary for the next read. A failed drain leaves the stream
+    // dead either way; the placement error is the cause worth reporting.
+    (void)DrainBody(conn, length);
+    return dest.status();
+  }
+  if (length > 0) RR_RETURN_IF_ERROR(conn.Receive(*dest));
   return Status::Ok();
 }
 

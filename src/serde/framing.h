@@ -8,7 +8,6 @@
 #include <functional>
 #include <initializer_list>
 
-#include "common/buffer.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "osal/socket.h"
@@ -20,11 +19,6 @@ inline constexpr uint64_t kMaxFrameBytes = uint64_t{4} * 1024 * 1024 * 1024;
 
 Status WriteFrame(osal::Connection& conn, ByteSpan payload);
 
-// Vectored frame write over a segmented payload view: header + every chunk
-// in one gathered send, no intermediate assembly (the zero-copy plane's wire
-// egress).
-Status WriteFrame(osal::Connection& conn, const rr::BufferView& payload);
-
 // Writes a frame whose payload is the concatenation of `parts` (scatter
 // write without assembling an intermediate buffer).
 Status WriteFrameParts(osal::Connection& conn, std::initializer_list<ByteSpan> parts);
@@ -32,8 +26,10 @@ Status WriteFrameParts(osal::Connection& conn, std::initializer_list<ByteSpan> p
 Result<Bytes> ReadFrame(osal::Connection& conn);
 
 // Reads a frame's length, then hands the caller the exact-size destination
-// decision (e.g. a guest memory region). `fill` receives the payload length
-// and must return a writable span of exactly that size, or fail.
+// decision (e.g. a guest memory region). `place` receives the payload length
+// and must return a writable span of exactly that size, or fail. On failure
+// the body is read and discarded before the error returns, so the stream
+// stays at a frame boundary.
 Status ReadFrameInto(
     osal::Connection& conn,
     const std::function<Result<MutableByteSpan>(uint64_t length)>& place);

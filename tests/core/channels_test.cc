@@ -7,6 +7,8 @@
 #include "common/rng.h"
 #include "core/kernel_channel.h"
 #include "core/network_channel.h"
+#include "core/payload.h"
+#include "core/transport.h"
 #include "core/user_channel.h"
 #include "runtime/function.h"
 
@@ -178,6 +180,42 @@ TEST_P(KernelChannelModes, TimingAttributionConsistent) {
     EXPECT_GT(send_timing.wasm_io.count(), 0);
     EXPECT_GT(recv_timing.wasm_io.count(), 0);
   }
+}
+
+TEST_P(KernelChannelModes, PlacementFailureDrainsTheFrameAndKeepsTheWire) {
+  // The target's guest memory cannot grow past 40 pages (2.5 MiB), so the
+  // 4 MiB first frame cannot be placed. Direct-guest placement happens
+  // before the body is read: the receiver must consume that body, or the
+  // healthy frame behind it is parsed from the middle of the refused one.
+  auto target = Shim::Create(Spec("small"),
+                             runtime::BuildFunctionModuleBinary(32, 40));
+  ASSERT_TRUE(target.ok()) << target.status();
+  auto pair = MakeKernelChannelPair();
+  ASSERT_TRUE(pair.ok());
+  // Bounds the sender if the receiver ever stops reading.
+  ASSERT_TRUE(pair->first.SetWireDeadline(std::chrono::seconds(2)).ok());
+  ASSERT_TRUE(pair->second.SetWireDeadline(std::chrono::seconds(2)).ok());
+  const size_t regions_before = (*target)->data().registered_region_count();
+
+  const Bytes oversized(4 * 1024 * 1024, 'x');
+  Status refused_send;
+  Status healthy_send;
+  std::thread send_thread([&] {
+    refused_send = pair->first.SendBytes(oversized);
+    healthy_send = pair->first.SendBytes(AsBytes("healthy"));
+  });
+  auto refused = pair->second.ReceiveInto(**target, GetParam());
+  EXPECT_FALSE(refused.ok());
+  EXPECT_EQ((*target)->data().registered_region_count(), regions_before);
+  auto delivered = pair->second.ReceiveInto(**target, GetParam());
+  send_thread.join();
+  EXPECT_TRUE(refused_send.ok()) << refused_send;
+  EXPECT_TRUE(healthy_send.ok()) << healthy_send;
+  ASSERT_TRUE(delivered.ok()) << delivered.status();
+  auto view = (*target)->data().read_memory_host(delivered->address,
+                                                 delivered->length);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(AsStringView(*view), "healthy");
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, KernelChannelModes,
@@ -379,48 +417,49 @@ TEST(NetworkChannelTest, SegmentedBufferLargerThanPipeTravelsAsOneFrame) {
 }
 
 TEST(KernelChannelTest, SegmentedBufferVectoredOverUnixSocket) {
-  auto pair = MakeKernelChannelPair();
-  ASSERT_TRUE(pair.ok());
+  // The pump gathers a multi-chunk buffer onto the AF_UNIX pair as it is and
+  // scatters the frame straight into the target's linear memory.
+  auto ends = osal::ConnectedPair();
+  ASSERT_TRUE(ends.ok()) << ends.status();
+  KernelChannelPump pump(std::move(*ends), std::chrono::seconds(2));
   auto target = MakeShim("sink");
 
   rr::Buffer payload = rr::Buffer::FromString("alpha|");
   payload.AppendCopy(AsBytes("beta|"));
   payload.AppendCopy(AsBytes("gamma"));
+  ASSERT_EQ(payload.chunk_count(), 3u);
 
-  Status send_status;
-  const rr::BufferView view(payload);
-  std::thread send_thread([&] { send_status = pair->first.SendBytes(view); });
-  auto delivered = pair->second.ReceiveInto(*target);
-  send_thread.join();
-  ASSERT_TRUE(send_status.ok()) << send_status;
-  ASSERT_TRUE(delivered.ok()) << delivered.status();
-  auto received = target->OutputView(*delivered);
+  auto region = target->PrepareInput(static_cast<uint32_t>(payload.size()));
+  ASSERT_TRUE(region.ok()) << region.status();
+  auto span = target->InputSpan(*region);
+  ASSERT_TRUE(span.ok()) << span.status();
+  const Status status = pump.Transfer(rr::BufferView(payload), *span);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_TRUE(pump.wire_ok());
+  auto received = target->OutputView(*region);
   ASSERT_TRUE(received.ok());
   EXPECT_EQ(AsStringView(*received), "alpha|beta|gamma");
 }
 
 TEST(KernelChannelTest, PlacerDeliversIntoProvidedSlice) {
-  // The fan-in gather path: the receiver lands the frame in a caller-chosen
+  // The fan-in gather path: the kernel hop lands the frame in a caller-chosen
   // slice of a larger pre-registered region instead of a fresh allocation.
-  auto pair = MakeKernelChannelPair();
-  ASSERT_TRUE(pair.ok());
+  auto source = MakeShim("a");
   auto target = MakeShim("join");
+  Endpoint from;
+  from.shim = source.get();
+  Endpoint to;
+  to.shim = target.get();
+  TransportOptions options;
+  options.transfer_deadline = std::chrono::seconds(2);
+  auto hop = MakeKernelTransport()->Connect(from, to, options);
+  ASSERT_TRUE(hop.ok()) << hop.status();
 
-  RegionPlacer slice_placer;
-  MemoryRegion gather = Stage(*target, AsBytes("0123456789"));
+  const MemoryRegion gather = Stage(*target, AsBytes("0123456789"));
   const MemoryRegion slice{gather.address + 2, 5};
-  slice_placer = [&slice](uint32_t length) -> Result<MemoryRegion> {
-    if (length != slice.length) return InternalError("length mismatch");
-    return slice;
-  };
-
-  Status send_status;
-  std::thread send_thread(
-      [&] { send_status = pair->first.SendBytes(AsBytes("SLICE")); });
-  auto delivered =
-      pair->second.ReceiveInto(*target, CopyMode::kShimStaging, &slice_placer);
-  send_thread.join();
-  ASSERT_TRUE(send_status.ok()) << send_status;
+  const Payload payload =
+      Payload::FromGuest(source.get(), Stage(*source, AsBytes("SLICE")));
+  auto delivered = (*hop)->Forward(payload, *target, nullptr, &slice);
   ASSERT_TRUE(delivered.ok()) << delivered.status();
   EXPECT_EQ(delivered->address, slice.address);
 

@@ -1,0 +1,250 @@
+// The runtime's kernel-space hop: one calling thread pumps both ends of the
+// hop's AF_UNIX pair, reading a guest-resident payload in place from the
+// producer's linear memory (or a host-resident payload's shared chunks) and
+// receiving straight into the target's linear memory. Covers frames larger
+// than the socket buffer, empty frames, segmented payloads landing in a
+// fan-in slice, placement refusals that must leave the wire usable, and the
+// Close/healthy() contract the executor's hop eviction relies on.
+#include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
+
+#include "common/buffer.h"
+#include "common/rng.h"
+#include "core/payload.h"
+#include "core/transport.h"
+#include "runtime/function.h"
+
+namespace rr::core {
+namespace {
+
+constexpr Nanos kDeadline = std::chrono::seconds(2);
+
+runtime::FunctionSpec Spec(const std::string& name) {
+  runtime::FunctionSpec spec;
+  spec.name = name;
+  spec.workflow = "wf";
+  spec.tenant = "default";
+  return spec;
+}
+
+std::unique_ptr<Shim> MakeShim(const std::string& name,
+                               uint32_t max_pages = 32768) {
+  auto shim =
+      Shim::Create(Spec(name), runtime::BuildFunctionModuleBinary(32, max_pages));
+  EXPECT_TRUE(shim.ok()) << shim.status();
+  return shim.ok() ? std::move(*shim) : nullptr;
+}
+
+// Stages bytes as a source function's registered output region.
+MemoryRegion Stage(Shim& shim, ByteSpan data) {
+  auto addr = shim.data().allocate_memory(
+      std::max<uint32_t>(1, static_cast<uint32_t>(data.size())));
+  EXPECT_TRUE(addr.ok());
+  EXPECT_TRUE(shim.data().write_memory_host(data, *addr).ok());
+  return {*addr, static_cast<uint32_t>(data.size())};
+}
+
+std::unique_ptr<Hop> ConnectKernelHop(Shim& source, Shim& target) {
+  Endpoint from;
+  from.shim = &source;
+  Endpoint to;
+  to.shim = &target;
+  TransportOptions options;
+  options.transfer_deadline = kDeadline;
+  auto hop = MakeKernelTransport()->Connect(from, to, options);
+  EXPECT_TRUE(hop.ok()) << hop.status();
+  return hop.ok() ? std::move(*hop) : nullptr;
+}
+
+std::string ReadRegion(Shim& shim, const MemoryRegion& region) {
+  auto view = shim.data().read_memory_host(region.address, region.length);
+  EXPECT_TRUE(view.ok()) << view.status();
+  return view.ok() ? std::string(AsStringView(*view)) : std::string();
+}
+
+TEST(KernelHopTest, EightMiBGuestResidentEdgeArrivesByteExact) {
+  // Far larger than the socket buffer: the single thread must interleave
+  // sends and receives. The payload is read in place — it stays
+  // guest-resident and the plane copies nothing.
+  auto source = MakeShim("a");
+  auto target = MakeShim("b");
+  auto hop = ConnectKernelHop(*source, *target);
+  ASSERT_NE(hop, nullptr);
+
+  Bytes bytes(8 * 1024 * 1024);
+  Rng rng(11);
+  rng.Fill(bytes);
+  const Payload payload =
+      Payload::FromGuest(source.get(), Stage(*source, bytes));
+
+  const uint64_t copied_before = rr::Buffer::TotalBytesCopied();
+  TransferTiming timing;
+  auto delivered = hop->Forward(payload, *target, &timing);
+  ASSERT_TRUE(delivered.ok()) << delivered.status();
+  EXPECT_EQ(rr::Buffer::TotalBytesCopied() - copied_before, 0u);
+  EXPECT_TRUE(payload.guest_resident()) << "the hop materialized the payload";
+  EXPECT_GT(timing.transfer.count(), 0);
+
+  ASSERT_EQ(delivered->length, bytes.size());
+  auto view = target->data().read_memory_host(delivered->address,
+                                              delivered->length);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(Fnv1a(*view), Fnv1a(bytes));
+  EXPECT_TRUE(hop->healthy());
+}
+
+TEST(KernelHopTest, ZeroLengthPayloadsCross) {
+  auto source = MakeShim("a");
+  auto target = MakeShim("b");
+  auto hop = ConnectKernelHop(*source, *target);
+  ASSERT_NE(hop, nullptr);
+
+  const Payload guest = Payload::FromGuest(source.get(), Stage(*source, {}));
+  auto from_guest = hop->Forward(guest, *target);
+  ASSERT_TRUE(from_guest.ok()) << from_guest.status();
+  EXPECT_EQ(from_guest->length, 0u);
+
+  const Payload host{rr::Buffer{}};
+  auto from_host = hop->Forward(host, *target);
+  ASSERT_TRUE(from_host.ok()) << from_host.status();
+  EXPECT_EQ(from_host->length, 0u);
+
+  // The header-only frames left the wire at a frame boundary.
+  const Payload next(rr::Buffer::FromString("after-empty"));
+  auto after = hop->Forward(next, *target);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(ReadRegion(*target, *after), "after-empty");
+}
+
+TEST(KernelHopTest, SegmentedHostPayloadLandsInFanInSlice) {
+  // The fan-in gather path: a fan-out's multi-chunk buffer is gathered onto
+  // the wire as it is, and lands in a caller-chosen slice of a larger
+  // registered region — the bytes around the slice stay untouched.
+  auto source = MakeShim("a");
+  auto target = MakeShim("join");
+  auto hop = ConnectKernelHop(*source, *target);
+  ASSERT_NE(hop, nullptr);
+
+  rr::Buffer chunks = rr::Buffer::FromString("alpha|");
+  chunks.AppendCopy(AsBytes("beta|"));
+  chunks.AppendCopy(AsBytes("gamma"));
+  ASSERT_EQ(chunks.chunk_count(), 3u);
+  const Payload payload(chunks);
+
+  const MemoryRegion gather =
+      Stage(*target, AsBytes("[--------------------]"));
+  const MemoryRegion slice{gather.address + 2, 16};
+  const size_t regions_before = target->data().registered_region_count();
+  auto delivered = hop->Forward(payload, *target, nullptr, &slice);
+  ASSERT_TRUE(delivered.ok()) << delivered.status();
+  EXPECT_EQ(delivered->address, slice.address);
+  EXPECT_EQ(delivered->length, slice.length);
+  EXPECT_EQ(ReadRegion(*target, gather), "[-alpha|beta|gamma---]");
+  // The slice belongs to the caller: nothing was allocated for it.
+  EXPECT_EQ(target->data().registered_region_count(), regions_before);
+}
+
+TEST(KernelHopTest, PlacementFailureIsTypedLeaksNothingAndKeepsTheHop) {
+  // The target's guest memory cannot grow past 40 pages (2.5 MiB), so a
+  // 4 MiB frame cannot be placed. The destination is placed before any byte
+  // is sent: the refusal leaves the wire untouched and the hop healthy.
+  auto source = MakeShim("a");
+  auto target = MakeShim("small", /*max_pages=*/40);
+  auto hop = ConnectKernelHop(*source, *target);
+  ASSERT_NE(hop, nullptr);
+  const size_t regions_before = target->data().registered_region_count();
+
+  const Payload oversized(rr::Buffer::Adopt(Bytes(4 * 1024 * 1024, 'x')));
+  auto refused = hop->Forward(oversized, *target);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(target->data().registered_region_count(), regions_before);
+  EXPECT_TRUE(hop->healthy());
+
+  // A fan-in slice of the wrong length is refused the same way.
+  const MemoryRegion gather = Stage(*target, AsBytes("0123456789"));
+  const MemoryRegion short_slice{gather.address, 3};
+  auto mismatched = hop->Forward(Payload(rr::Buffer::FromString("toolong")),
+                                 *target, nullptr, &short_slice);
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(ReadRegion(*target, gather), "0123456789");
+  EXPECT_TRUE(hop->healthy());
+
+  // The next transfer on the SAME hop parses from its own header.
+  const Payload healthy =
+      Payload::FromGuest(source.get(), Stage(*source, AsBytes("healthy")));
+  auto delivered = hop->Forward(healthy, *target);
+  ASSERT_TRUE(delivered.ok()) << delivered.status();
+  EXPECT_EQ(ReadRegion(*target, *delivered), "healthy");
+}
+
+TEST(KernelHopTest, CloseFailsTheNextForwardTypedAndMarksTheHopDead) {
+  auto source = MakeShim("a");
+  auto target = MakeShim("b");
+  auto hop = ConnectKernelHop(*source, *target);
+  ASSERT_NE(hop, nullptr);
+  ASSERT_TRUE(hop->Forward(Payload(rr::Buffer::FromString("before")), *target)
+                  .ok());
+
+  hop->Close();
+  EXPECT_FALSE(hop->healthy());
+  const size_t regions_before = target->data().registered_region_count();
+  const Stopwatch timer;
+  auto after = hop->Forward(Payload(rr::Buffer::FromString("after")), *target);
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kUnavailable) << after.status();
+  EXPECT_LT(timer.Elapsed(), kDeadline);
+  EXPECT_EQ(target->data().registered_region_count(), regions_before);
+  hop->Close();  // idempotent
+  EXPECT_FALSE(hop->healthy());
+}
+
+TEST(KernelHopTest, ConcurrentForwardsShareTheWire) {
+  // Two runs forward over one cached hop into distinct leased instances at
+  // once: the hop's mutex serializes them on the wire, and each reads its
+  // source instance's memory under that instance's exec mutex.
+  auto source = MakeShim("a");
+  std::vector<std::unique_ptr<Shim>> targets;
+  targets.push_back(MakeShim("b0"));
+  targets.push_back(MakeShim("b1"));
+  auto hop = ConnectKernelHop(*source, *targets[0]);
+  ASSERT_NE(hop, nullptr);
+
+  constexpr int kRounds = 10;
+  std::vector<std::thread> runs;
+  std::vector<int> failures(targets.size(), 0);
+  for (size_t t = 0; t < targets.size(); ++t) {
+    runs.emplace_back([&, t] {
+      Shim& target = *targets[t];
+      for (int round = 0; round < kRounds; ++round) {
+        const Bytes bytes(300 * 1024, static_cast<uint8_t>('A' + t * 16 + round));
+        MemoryRegion staged;
+        {
+          MutexLock lock(source->exec_mutex());
+          staged = Stage(*source, bytes);
+        }
+        const Payload payload = Payload::FromGuest(source.get(), staged);
+        auto delivered = hop->Forward(payload, target);
+        MutexLock lock(target.exec_mutex());
+        if (!delivered.ok()) {
+          ++failures[t];
+          continue;
+        }
+        auto view = target.data().read_memory_host(delivered->address,
+                                                   delivered->length);
+        if (!view.ok() || Fnv1a(*view) != Fnv1a(bytes)) ++failures[t];
+        (void)target.ReleaseRegion(*delivered);
+      }
+    });
+  }
+  for (std::thread& run : runs) run.join();
+  for (size_t t = 0; t < targets.size(); ++t) {
+    EXPECT_EQ(failures[t], 0) << "target " << t;
+  }
+  EXPECT_TRUE(hop->healthy());
+}
+
+}  // namespace
+}  // namespace rr::core

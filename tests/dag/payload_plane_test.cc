@@ -106,6 +106,29 @@ TEST_F(PayloadPlaneTest, UserSpaceFanOutPerformsO1PayloadCopies) {
   EXPECT_LT(width8, width2 + kPayload / 2);
 }
 
+TEST_F(PayloadPlaneTest, KernelChainCopiesOnlyTheSinkEgress) {
+  // a -> b over a kernel-space hop (same node, separate sandboxes): a's
+  // output is pumped from its linear memory straight into b's, so the run's
+  // only plane copy is b's output leaving the guest as the result — N bytes,
+  // not a second N for egressing a's output at the kernel edge.
+  constexpr size_t kPayload = 1 << 20;
+  api::Runtime rt("wf");
+  auto a = AddFunction(rt, "a", {"n1", ""}, ProduceBytes(kPayload));
+  auto b = AddFunction(rt, "b", {"n1", ""}, [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+
+  const rr::Buffer input = rr::Buffer::FromString("x");
+  const uint64_t copied_before = rr::Buffer::TotalBytesCopied();
+  auto invocation = rt.Submit(api::ChainSpec{{"a", "b"}}, input);
+  ASSERT_TRUE(invocation.ok()) << invocation.status();
+  const Result<rr::Buffer>& result = (*invocation)->Wait();
+  const uint64_t copied = rr::Buffer::TotalBytesCopied() - copied_before;
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->size(), kPayload);
+  EXPECT_EQ(copied, kPayload);
+}
+
 TEST_F(PayloadPlaneTest, ZeroLengthPayloadsCrossAllThreeModes) {
   // An empty function output must survive every transfer mechanism: the
   // user-space copy, the kernel-socket frame, and the network hose frame.
