@@ -22,10 +22,9 @@
 //
 // After the sweep: a leak audit (every pool instance's registered-region
 // count must return to its pre-load baseline — the agent self-releases
-// delivered outputs), and a sequential one-in-flight comparison of the two
-// wire dialects. Note the dialect asymmetry the delta deliberately absorbs:
-// a legacy ack confirms *delivery* (pre-invoke), a mux completion frame
-// carries the *invocation outcome* — the mux number buys strictly more.
+// delivered outputs), and the sequential one-in-flight per-transfer cost:
+// StartStream until the completion frame carrying the *invocation outcome*
+// arrives.
 //
 // Flags (on top of bench_common's --full/--reps=N/--csv):
 //   --json             machine-readable JSON on stdout (CI redirects to
@@ -36,8 +35,8 @@
 //   --pool=P           warm instances in the function pool (default 8)
 //   --shards=S         agent epoll shards (default 2)
 //   --workers=W        agent invoke workers (default 4)
-//   --seq=N            sequential transfers per dialect in the overhead
-//                      comparison (default 2000)
+//   --seq=N            sequential transfers in the per-transfer cost
+//                      measurement (default 2000)
 #include <dirent.h>
 #include <sys/resource.h>
 
@@ -270,7 +269,7 @@ LevelResult RunLevel(size_t target,
   return result;
 }
 
-// --- sequential dialect comparison -------------------------------------------
+// --- sequential per-transfer cost --------------------------------------------
 
 struct StreamDone {
   std::mutex mutex;
@@ -301,43 +300,22 @@ struct StreamDone {
 
 struct OverheadResult {
   uint64_t transfers = 0;
-  double legacy_us = 0;  // per transfer, ack = delivery (pre-invoke)
-  double mux_us = 0;     // per transfer, completion = invocation outcome
-  double delta_us = 0;
+  double mux_us = 0;  // per transfer, completion = invocation outcome
 };
 
-Result<OverheadResult> MeasureOverhead(uint16_t agent_port,
-                                       core::MuxClient& client,
+Result<OverheadResult> MeasureOverhead(core::MuxClient& client,
                                        const Buffer& payload, size_t count) {
   OverheadResult result;
   result.transfers = count;
-
-  Bytes legacy_payload(payload.size());
-  payload.CopyTo(MutableByteSpan(legacy_payload.data(), legacy_payload.size()));
-  RR_ASSIGN_OR_RETURN(
-      core::NetworkChannelSender sender,
-      core::ConnectToRemoteFunction("127.0.0.1", agent_port, "scale"));
-  sender.set_transfer_deadline(std::chrono::seconds(30));
-  {
-    Stopwatch timer;
-    for (size_t i = 0; i < count; ++i) {
-      RR_RETURN_IF_ERROR(sender.SendBytes(legacy_payload, /*token=*/i + 1));
-    }
-    result.legacy_us = timer.ElapsedSeconds() * 1e6 / count;
+  Stopwatch timer;
+  for (size_t i = 0; i < count; ++i) {
+    auto done = std::make_shared<StreamDone>();
+    RR_RETURN_IF_ERROR(client.StartStream("scale", payload, /*token=*/i + 1,
+                                          std::chrono::seconds(30),
+                                          done->Arm(done)));
+    RR_RETURN_IF_ERROR(done->Wait(std::chrono::seconds(30)));
   }
-
-  {
-    Stopwatch timer;
-    for (size_t i = 0; i < count; ++i) {
-      auto done = std::make_shared<StreamDone>();
-      RR_RETURN_IF_ERROR(client.StartStream("scale", payload, /*token=*/i + 1,
-                                            std::chrono::seconds(30),
-                                            done->Arm(done)));
-      RR_RETURN_IF_ERROR(done->Wait(std::chrono::seconds(30)));
-    }
-    result.mux_us = timer.ElapsedSeconds() * 1e6 / count;
-  }
-  result.delta_us = result.mux_us - result.legacy_us;
+  result.mux_us = timer.ElapsedSeconds() * 1e6 / count;
   return result;
 }
 
@@ -374,10 +352,10 @@ void PrintTable(const std::vector<LevelResult>& levels,
   if (csv) std::fputs(table.RenderCsv().c_str(), stdout);
   std::printf(
       "\nleaked regions after drain: %zu\n"
-      "sequential overhead (%llu transfers): legacy delivery ack %.2f us, "
-      "mux invocation completion %.2f us, delta %+.2f us\n",
+      "sequential per-transfer cost (%llu transfers, invocation completion): "
+      "%.2f us\n",
       leaked_regions, static_cast<unsigned long long>(overhead.transfers),
-      overhead.legacy_us, overhead.mux_us, overhead.delta_us);
+      overhead.mux_us);
 }
 
 void PrintJson(const std::vector<LevelResult>& levels,
@@ -413,10 +391,8 @@ void PrintJson(const std::vector<LevelResult>& levels,
   }
   std::printf("  ],\n");
   std::printf(
-      "  \"overhead\": {\"transfers\": %llu, \"legacy_us\": %.3f, "
-      "\"mux_us\": %.3f, \"delta_us\": %.3f}\n",
-      static_cast<unsigned long long>(overhead.transfers), overhead.legacy_us,
-      overhead.mux_us, overhead.delta_us);
+      "  \"overhead\": {\"transfers\": %llu, \"mux_us\": %.3f}\n",
+      static_cast<unsigned long long>(overhead.transfers), overhead.mux_us);
   std::printf("}\n");
 }
 
@@ -471,7 +447,6 @@ int main(int argc, char** argv) {
 
   core::NodeAgent::Options agent_options;
   agent_options.transfer_deadline = std::chrono::seconds(30);
-  agent_options.ingress = core::NodeAgent::Options::Ingress::kReactor;
   agent_options.shards = config.shards;
   agent_options.invoke_workers = config.workers;
   auto agent = core::NodeAgent::Start(0, agent_options);
@@ -513,8 +488,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto overhead =
-      MeasureOverhead((*agent)->port(), *clients[0], payload, config.seq);
+  auto overhead = MeasureOverhead(*clients[0], payload, config.seq);
   if (!overhead.ok()) {
     std::fprintf(stderr, "agent scale bench: overhead phase failed: %s\n",
                  overhead.status().ToString().c_str());

@@ -50,19 +50,6 @@ const Result<rr::Buffer>& Invocation::Wait() {
   return result_;
 }
 
-const Result<Bytes>& Invocation::WaitBytes() {
-  MutexLock lock(mutex_);
-  cv_.wait(lock, [this]() RR_REQUIRES(mutex_) { return done_; });
-  if (!bytes_result_.has_value()) {
-    if (result_.ok()) {
-      bytes_result_.emplace(result_->ToBytes());
-    } else {
-      bytes_result_.emplace(result_.status());
-    }
-  }
-  return *bytes_result_;
-}
-
 bool Invocation::WaitFor(Nanos timeout) {
   MutexLock lock(mutex_);
   return cv_.wait_for(lock, timeout,

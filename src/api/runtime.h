@@ -82,11 +82,6 @@ class Invocation {
   // lifetime.
   const Result<rr::Buffer>& Wait();
 
-  // DEPRECATED(one release): the Bytes compatibility shim. Materializes the
-  // buffer result into a contiguous vector (one copy, cached). New code
-  // should consume Wait()'s buffer.
-  const Result<Bytes>& WaitBytes();
-
   // Bounded wait; true when the run completed within `timeout`.
   bool WaitFor(Nanos timeout);
 
@@ -124,8 +119,6 @@ class Invocation {
   CondVar cv_;
   bool done_ RR_GUARDED_BY(mutex_) = false;
   Result<rr::Buffer> result_ RR_GUARDED_BY(mutex_){rr::Buffer{}};
-  // WaitBytes's lazy cache.
-  std::optional<Result<Bytes>> bytes_result_ RR_GUARDED_BY(mutex_);
   RunStats stats_ RR_GUARDED_BY(mutex_);
   std::vector<std::function<void()>> done_callbacks_ RR_GUARDED_BY(mutex_);
 };
@@ -144,7 +137,7 @@ class Runtime {
     // callback, including the remote invoke. On the default mux wire a
     // remote failure arrives as a completion frame and fails the edge
     // immediately — this deadline only fires when the far side goes fully
-    // silent (dead agent, lost frame, legacy-wire invoke failure).
+    // silent (dead agent, lost frame).
     Nanos remote_deadline = std::chrono::seconds(60);
     // Bound on one wire transfer's blocking waits (header/body/ack), applied
     // to every hop this runtime establishes (core::TransportOptions). A

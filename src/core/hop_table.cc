@@ -18,11 +18,6 @@ void HopTable::set_wire_options(TransportOptions options) {
   wire_options_ = options;
 }
 
-TransportOptions HopTable::wire_options() const {
-  MutexLock lock(mutex_);
-  return wire_options_;
-}
-
 void HopTable::set_breaker_options(resilience::BreakerOptions options) {
   MutexLock lock(mutex_);
   breaker_options_ = options;

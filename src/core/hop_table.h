@@ -44,7 +44,6 @@ class HopTable {
   // connected with — Evict the affected pairs to re-establish. api::Runtime
   // threads its Options here before any hop exists.
   void set_wire_options(TransportOptions options);
-  TransportOptions wire_options() const;
 
   // Installs `transport` as the backend for its mode, replacing the built-in.
   // Safe while transfers are in flight: an establishment already running on

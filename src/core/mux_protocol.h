@@ -1,16 +1,17 @@
 // The multiplexed agent wire protocol: many logical transfers, one TCP
 // connection.
 //
-// The legacy agent wire (network_channel.h) is strictly sequential: one
-// frame, one delivery ack, and the sender parks for the round trip — so a
-// connection carries one transfer at a time and a large frame head-of-line
-// blocks everything behind it. The mux protocol replaces that with streams:
+// A sequential wire (one frame, one delivery ack, the sender parked for the
+// round trip) carries one transfer at a time per connection, and a large
+// frame head-of-line blocks everything behind it. The mux protocol carries
+// streams instead:
 //
 //  * Every logical transfer is a *stream*, identified by a connection-local
 //    u32 id the sender allocates. A stream opens (kOpen, carrying the
-//    routing metadata the legacy preamble + frame header used to), moves its
-//    body as interleaved chunk frames (kData, at most kMuxMaxChunk each, so
-//    a 64 MiB transfer cannot monopolize the wire against a 4 KiB one), and
+//    routing metadata: function name, correlation token, body length),
+//    moves its body as interleaved chunk frames (kData, at most
+//    kMuxMaxChunk each, so a 64 MiB transfer cannot monopolize the wire
+//    against a 4 KiB one), and
 //    ends with the agent's kCompletion frame reporting the *invocation*
 //    outcome — not just delivery. A remote handler failure therefore fails
 //    the sender's edge immediately instead of waiting out a deadline.
@@ -22,9 +23,8 @@
 //
 // ## Connection preamble
 //
-// The legacy routing preamble starts with a u16 LE name length in 1..256. A
-// mux connection announces itself with the impossible length 0xFFFF, so one
-// agent ingress serves both dialects from the first two bytes:
+// Every connection to a NodeAgent opens with this fixed preamble; the agent
+// drops a connection whose first bytes are anything else:
 //
 //   [u16 LE 0xFFFF][u8 version = 1][u8 reserved = 0]
 //
@@ -58,7 +58,7 @@
 
 namespace rr::core {
 
-// Preamble magic: an impossible legacy name length.
+// Preamble magic: the first two bytes of every agent connection.
 inline constexpr uint16_t kMuxPreambleMagic = 0xFFFF;
 inline constexpr uint8_t kMuxVersion = 1;
 inline constexpr size_t kMuxPreambleBytes = 4;

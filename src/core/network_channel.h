@@ -9,10 +9,11 @@
 //
 // A fixed binary header (frame length + per-transfer correlation token)
 // precedes the payload; Roadrunner serializes O(metadata), never the body.
-// The token lets invoke-coupled receivers (NodeAgent) attribute each
-// completion to exactly the transfer that requested it — a late completion
-// from a timed-out run can no longer be mis-claimed by the next run. Token 0
-// means untracked (receive-coupled transfers that complete synchronously).
+// The token lets a receiver attribute each frame to exactly the transfer
+// that sent it. Token 0 means untracked (receive-coupled transfers that
+// complete synchronously). This is the format of the network loopback hop
+// and of the paper-figure benchmarks' hose; NodeAgent ingresses speak the
+// multiplexed wire instead (mux_protocol.h).
 //
 // Failure semantics (the hardened wire plane):
 //
@@ -30,8 +31,8 @@
 //    TransportOptions / api::Runtime::Options). A peer that dies or stalls
 //    mid-transfer surfaces as kDeadlineExceeded/kDataLoss within the bound.
 //  * A receiver that must fail a frame WITHOUT desyncing the channel drains
-//    the body first (RejectBody / the placement-failure paths), so one bad
-//    transfer does not kill the connection for the transfers behind it. Only
+//    the body first (the placement-failure paths), so one bad transfer
+//    does not kill the connection for the transfers behind it. Only
 //    an unrecoverable mid-body error (partial splice, implausible header)
 //    tears the channel down.
 //  * No error path leaks a placed guest region: receive-side placement is
@@ -104,8 +105,7 @@ class NetworkChannelSender {
   static Result<NetworkChannelSender> Connect(const std::string& host,
                                               uint16_t port);
 
-  // Wraps an already-connected socket (e.g. after a NodeAgent routing
-  // preamble has been exchanged).
+  // Wraps an already-connected socket.
   static Result<NetworkChannelSender> FromConnection(osal::Connection conn);
 
   // Algorithm 1, source side: read_memory_host on the region, then
@@ -170,23 +170,16 @@ class NetworkChannelSender {
 
 // Flag bit on the frame header's length field signalling a trace-context
 // extension. The length is validated to fit kMaxFrameBytes (< 2^32), so the
-// high bits of the wire field are guaranteed zero on legacy frames — a
-// legacy peer's frames parse unchanged, and a frame carrying the flag is
-// followed by 16 extra header bytes: [u64 trace id][u64 parent span id].
+// high bits of the wire field are guaranteed zero on untraced frames — a
+// peer that predates the extension parses unchanged, and a frame carrying
+// the flag is followed by 16 extra header bytes: [u64 trace id][u64 parent
+// span id].
 constexpr uint64_t kFrameTraceFlag = 1ull << 63;
-
-// The status-bearing delivery ack terminating every legacy transfer
-// (receiver -> sender): [u8 magic][u8 status code][u16 LE detail length]
-// [detail bytes]. Shared between NetworkChannelReceiver and the reactor
-// agent's legacy-dialect state machine. Detail strings are diagnostics, not
-// payload: truncated hard so a misbehaving receiver cannot balloon the ack.
-constexpr uint8_t kWireAckMagic = 0xA6;
-constexpr size_t kWireAckHeaderBytes = 4;
-constexpr size_t kWireMaxAckDetail = 512;
 
 // The frame header preceding every payload: 16 fixed bytes (length +
 // correlation token), plus the optional 16-byte trace-context extension
-// (kFrameTraceFlag). trace_id 0 = no context (legacy frame, or tracing off).
+// (kFrameTraceFlag). trace_id 0 = no context (untraced frame, or tracing
+// off).
 struct FrameInfo {
   uint64_t length = 0;
   uint64_t token = 0;
@@ -198,9 +191,9 @@ class NetworkChannelReceiver {
  public:
   static Result<NetworkChannelReceiver> FromConnection(osal::Connection conn);
 
-  // Two-phase receive: blocks for the next frame's header alone. Lets an
-  // agent park here without holding the target shim, then serialize the body
-  // delivery + invoke under the shim's lock (ReceiveBody). The default
+  // Two-phase receive: blocks for the next frame's header alone. Lets a
+  // receiver park here without holding the target shim, then serialize the
+  // body delivery + invoke under the shim's lock (ReceiveBody). The default
   // kNoDeadline is deliberate — an idle channel waits for its next frame
   // indefinitely; pass a deadline when the header is part of one bounded
   // transfer (ReceiveInto does).
@@ -218,14 +211,6 @@ class NetworkChannelReceiver {
                                    CopyMode mode = CopyMode::kShimStaging,
                                    const RegionPlacer* place = nullptr,
                                    bool* rejected_in_sync = nullptr);
-
-  // Refuses a frame WITHOUT desyncing the channel: drains the body into a
-  // scratch buffer (deadline-bounded) and sends `reason` as the error ack.
-  // The sender's pending transfer fails with `reason`'s code + message; the
-  // channel stays usable for subsequent frames. Used when the frame cannot
-  // even be delivered (no pool instance available). Fails only when the
-  // drain or ack write fails — the channel is then dead.
-  Status RejectBody(const FrameInfo& frame, const Status& reason);
 
   // Algorithm 1, target side: splice from the socket into the hose,
   // allocate_memory(length) in the target, write into its linear memory.

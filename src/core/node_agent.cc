@@ -6,7 +6,9 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/log.h"
 #include "core/mux_protocol.h"
@@ -26,23 +28,18 @@ obs::Counter& AgentAcceptRetries() {
   return *counter;
 }
 
-obs::Gauge& AgentLiveWorkers() {
-  static obs::Gauge* gauge = obs::Registry::Get().gauge(
-      "rr_agent_live_workers", "Connection worker threads currently alive");
-  return *gauge;
-}
-
 obs::Counter& AgentTransfersRefused() {
   static obs::Counter* counter = obs::Registry::Get().counter(
       "rr_agent_transfers_refused_total",
-      "Frames refused with a typed error ack (pool exhausted)");
+      "Streams refused with a typed error completion (pool exhausted or "
+      "admission caps)");
   return *counter;
 }
 
 obs::Counter& AgentTransfersCompleted() {
   static obs::Counter* counter = obs::Registry::Get().counter(
       "rr_agent_transfers_completed_total",
-      "Frames delivered and invoked to completion");
+      "Streams delivered and invoked to completion");
   return *counter;
 }
 
@@ -62,7 +59,7 @@ obs::Gauge& AgentStreamsInFlight() {
 obs::Counter& AgentCompletionFrames() {
   static obs::Counter* counter = obs::Registry::Get().counter(
       "rr_agent_completion_frames_total",
-      "Completion frames sent on the mux dialect (any outcome)");
+      "Completion frames sent (any outcome)");
   return *counter;
 }
 
@@ -77,7 +74,6 @@ obs::Counter& AgentCompletionErrors() {
 // connection, stream, or refusal has happened.
 const bool g_agent_metrics_registered = [] {
   AgentAcceptRetries();
-  AgentLiveWorkers();
   AgentTransfersRefused();
   AgentTransfersCompleted();
   AgentConnections();
@@ -87,7 +83,7 @@ const bool g_agent_metrics_registered = [] {
   return true;
 }();
 
-// Routing preamble: [u16 LE name length][name bytes]. Kept fixed and tiny —
+// Longest function name an open frame may route to. Kept fixed and tiny —
 // routing metadata, never payload.
 constexpr size_t kMaxFunctionName = 256;
 
@@ -115,41 +111,7 @@ constexpr size_t kMaxConnStreams = 4096;
 // exceeding it is connection-fatal.
 constexpr size_t kMaxConnOutboundBytes = 4 * 1024 * 1024;
 
-Status SendPreamble(osal::Connection& conn, const std::string& function) {
-  if (function.empty() || function.size() > kMaxFunctionName) {
-    return InvalidArgumentError("function name length invalid");
-  }
-  uint8_t header[2];
-  StoreLE<uint16_t>(header, static_cast<uint16_t>(function.size()));
-  RR_RETURN_IF_ERROR(conn.Send(ByteSpan(header, 2)));
-  return conn.Send(AsBytes(function));
-}
-
-Result<std::string> ReadPreamble(osal::Connection& conn) {
-  uint8_t header[2];
-  RR_RETURN_IF_ERROR(conn.Receive(MutableByteSpan(header, 2)));
-  const uint16_t length = LoadLE<uint16_t>(header);
-  if (length == 0 || length > kMaxFunctionName) {
-    return InvalidArgumentError("preamble name length invalid");
-  }
-  Bytes name(length);
-  RR_RETURN_IF_ERROR(conn.Receive(name));
-  return ToString(name);
-}
-
-// The legacy delivery ack: [magic][code][u16 LE detail length][detail].
-Bytes EncodeAck(const Status& status) {
-  std::string detail(status.message());
-  if (detail.size() > kWireMaxAckDetail) detail.resize(kWireMaxAckDetail);
-  Bytes out(kWireAckHeaderBytes + detail.size());
-  out[0] = kWireAckMagic;
-  out[1] = static_cast<uint8_t>(status.code());
-  StoreLE<uint16_t>(out.data() + 2, static_cast<uint16_t>(detail.size()));
-  std::memcpy(out.data() + kWireAckHeaderBytes, detail.data(), detail.size());
-  return out;
-}
-
-// A mux completion frame: the invocation outcome, not just delivery.
+// A completion frame: the invocation outcome, not just delivery.
 Bytes EncodeCompletion(uint32_t stream_id, const Status& status) {
   std::string detail(status.message());
   if (detail.size() > kMuxMaxCompletionDetail) {
@@ -274,14 +236,13 @@ struct NodeAgent::ReactorPlane {
     }
   };
 
-  // One staged frame handed to the invoke pool.
+  // One staged stream handed to the invoke pool.
   struct InvokeJob {
     Entry entry;
     std::string function;
     Bytes body;
     obs::SpanContext trace;
     std::shared_ptr<WriteHandle> write;
-    bool mux = false;
     uint32_t stream_id = 0;
     uint64_t token = 0;
     size_t shard = 0;
@@ -290,7 +251,7 @@ struct NodeAgent::ReactorPlane {
     size_t staged = 0;
   };
 
-  // One logical transfer on a mux connection, while its body is staging.
+  // One logical transfer on a connection, while its body is staging.
   // `body` grows geometrically as flow-controlled data arrives (never past
   // body_len, never more than ~2x the bytes received) — the declared length
   // is a promise, not an allocation, so a peer declaring huge bodies it
@@ -324,39 +285,21 @@ struct NodeAgent::ReactorPlane {
     std::shared_ptr<WriteHandle> write;
     TimePoint last_activity;
 
-    // The receive state machine. Fixed-size pieces (preambles, headers, the
-    // open payload) accumulate into `acc`; bodies stream straight into their
-    // destination buffers.
+    // The receive state machine. Fixed-size pieces (the preamble, headers,
+    // the open payload) accumulate into `acc`; bodies stream straight into
+    // their destination buffers.
     enum class Phase {
-      kPreambleLen,
-      kPreambleName,
-      kMuxIntro,
-      kLegacyHeader,
-      kLegacyTrace,
-      kLegacyBody,
+      kPreamble,
       kMuxHeader,
       kMuxOpen,
       kMuxData,
       kMuxSkip,
     };
-    Phase phase = Phase::kPreambleLen;
+    Phase phase = Phase::kPreamble;
     uint8_t acc[kMuxMaxOpenPayload];
-    size_t fixed_need = 2;
+    size_t fixed_need = kMuxPreambleBytes;
     size_t fixed_got = 0;
 
-    // Legacy dialect: one function per connection, frames processed in
-    // order (each frame's delivery ack must precede the next frame's).
-    Entry entry;
-    std::string function;
-    FrameInfo lframe;
-    Bytes lbody;
-    size_t lbody_got = 0;
-    std::deque<InvokeJob> legacy_queue;
-    bool legacy_job_running = false;
-    size_t legacy_inflight = 0;
-
-    // Mux dialect.
-    bool is_mux = false;
     MuxFrameHeader mh;
     size_t frame_left = 0;
     size_t skip_left = 0;
@@ -460,9 +403,7 @@ struct NodeAgent::ReactorPlane {
     {
       MutexLock lock(queue_mutex);
       queue_stopping = true;
-      for (const InvokeJob& job : queue) {
-        if (job.mux) ++dropped_streams;
-      }
+      dropped_streams = queue.size();
       queue.clear();
     }
     if (dropped_streams > 0) {
@@ -587,15 +528,6 @@ struct NodeAgent::ReactorPlane {
   bool Feed(Conn& c, ByteSpan data) {
     while (!data.empty()) {
       switch (c.phase) {
-        case Conn::Phase::kLegacyBody: {
-          const size_t n =
-              std::min<size_t>(data.size(), c.lbody.size() - c.lbody_got);
-          std::memcpy(c.lbody.data() + c.lbody_got, data.data(), n);
-          c.lbody_got += n;
-          data = data.subspan(n);
-          if (c.lbody_got == c.lbody.size()) FinishLegacyFrame(c);
-          continue;
-        }
         case Conn::Phase::kMuxData: {
           const auto it = c.streams.find(c.mh.stream_id);
           if (it == c.streams.end()) {
@@ -657,63 +589,21 @@ struct NodeAgent::ReactorPlane {
 
   bool ProcessFixed(Conn& c) {
     switch (c.phase) {
-      case Conn::Phase::kPreambleLen: {
-        const uint16_t length = LoadLE<uint16_t>(c.acc);
-        if (length == kMuxPreambleMagic) {
-          ArmFixed(c, Conn::Phase::kMuxIntro, kMuxPreambleBytes - 2);
-          return true;
-        }
-        if (length == 0 || length > kMaxFunctionName) {
-          RR_LOG(Warning) << "node agent: preamble name length invalid";
+      case Conn::Phase::kPreamble: {
+        // Anything but the mux preamble is connection-fatal: there is no
+        // frame to carry a typed refusal on a connection that never spoke
+        // the protocol.
+        if (LoadLE<uint16_t>(c.acc) != kMuxPreambleMagic) {
+          RR_LOG(Warning) << "node agent: connection did not open with the "
+                             "mux preamble";
           return false;
         }
-        ArmFixed(c, Conn::Phase::kPreambleName, length);
-        return true;
-      }
-      case Conn::Phase::kMuxIntro: {
-        if (c.acc[0] != kMuxVersion) {
+        if (c.acc[2] != kMuxVersion) {
           RR_LOG(Warning) << "node agent: unsupported mux version "
-                          << static_cast<int>(c.acc[0]);
+                          << static_cast<int>(c.acc[2]);
           return false;
         }
-        c.is_mux = true;
         ArmFixed(c, Conn::Phase::kMuxHeader, kMuxFrameHeaderBytes);
-        return true;
-      }
-      case Conn::Phase::kPreambleName: {
-        const std::string name(reinterpret_cast<const char*>(c.acc),
-                               c.fixed_need);
-        if (!ResolveEntry(name, &c.entry)) {
-          // Matches the threaded plane: unknown function drops the
-          // connection (the legacy dialect has no pre-delivery error frame).
-          RR_LOG(Warning) << "node agent: no such function: " << name;
-          return false;
-        }
-        c.function = name;
-        ArmFixed(c, Conn::Phase::kLegacyHeader, 16);
-        return true;
-      }
-      case Conn::Phase::kLegacyHeader: {
-        const uint64_t length_field = LoadLE<uint64_t>(c.acc);
-        c.lframe = FrameInfo{};
-        c.lframe.length = length_field & ~kFrameTraceFlag;
-        c.lframe.token = LoadLE<uint64_t>(c.acc + 8);
-        if (c.lframe.length > serde::kMaxFrameBytes ||
-            c.lframe.length > UINT32_MAX) {
-          RR_LOG(Warning) << "node agent: implausible frame length";
-          return false;
-        }
-        if (length_field & kFrameTraceFlag) {
-          ArmFixed(c, Conn::Phase::kLegacyTrace, 16);
-        } else {
-          BeginLegacyBody(c);
-        }
-        return true;
-      }
-      case Conn::Phase::kLegacyTrace: {
-        c.lframe.trace_id = LoadLE<uint64_t>(c.acc);
-        c.lframe.parent_span = LoadLE<uint64_t>(c.acc + 8);
-        BeginLegacyBody(c);
         return true;
       }
       case Conn::Phase::kMuxHeader: {
@@ -770,45 +660,6 @@ struct NodeAgent::ReactorPlane {
     }
   }
 
-  void BeginLegacyBody(Conn& c) {
-    c.lbody = Bytes(c.lframe.length);
-    c.lbody_got = 0;
-    if (c.lframe.length == 0) {
-      FinishLegacyFrame(c);
-    } else {
-      c.phase = Conn::Phase::kLegacyBody;
-    }
-  }
-
-  void FinishLegacyFrame(Conn& c) {
-    InvokeJob job;
-    job.entry = c.entry;
-    job.function = c.function;
-    job.body = std::move(c.lbody);
-    job.trace = obs::SpanContext{c.lframe.trace_id, c.lframe.parent_span};
-    job.write = c.write;
-    job.mux = false;
-    job.token = c.lframe.token;
-    job.shard = c.shard;
-    job.conn_id = c.id;
-    c.lbody = Bytes();
-    c.legacy_queue.push_back(std::move(job));
-    ++c.legacy_inflight;
-    PumpLegacy(c);
-    ArmFixed(c, Conn::Phase::kLegacyHeader, 16);
-  }
-
-  // The legacy dialect is sequential: one job at a time per connection, in
-  // frame order, so delivery acks leave the wire in the order the sender
-  // expects them.
-  void PumpLegacy(Conn& c) {
-    if (c.legacy_job_running || c.legacy_queue.empty()) return;
-    c.legacy_job_running = true;
-    InvokeJob job = std::move(c.legacy_queue.front());
-    c.legacy_queue.pop_front();
-    Enqueue(std::move(job));
-  }
-
   bool ProcessOpen(Conn& c) {
     const uint8_t* p = c.acc;
     const size_t len = c.fixed_need;
@@ -842,8 +693,8 @@ struct NodeAgent::ReactorPlane {
     }
     Entry entry;
     if (!ResolveEntry(function, &entry)) {
-      // Unlike the legacy dialect, an unknown function is stream-fatal, not
-      // connection-fatal: the sender gets a typed completion immediately.
+      // An unknown function is stream-fatal, not connection-fatal: the
+      // sender gets a typed completion immediately.
       return RefuseStream(c, c.mh.stream_id,
                           NotFoundError("no such function: " + function));
     }
@@ -973,7 +824,6 @@ struct NodeAgent::ReactorPlane {
     job.body = std::move(s.body);
     job.trace = s.trace;
     job.write = c.write;
-    job.mux = true;
     job.stream_id = stream_id;
     job.token = s.token;
     job.shard = c.shard;
@@ -1019,8 +869,7 @@ struct NodeAgent::ReactorPlane {
     for (auto& [id, conn] : shards[si].conns) {
       Conn& c = *conn;
       const bool at_frame_boundary =
-          (c.phase == Conn::Phase::kPreambleLen ||
-           c.phase == Conn::Phase::kLegacyHeader ||
+          (c.phase == Conn::Phase::kPreamble ||
            c.phase == Conn::Phase::kMuxHeader) &&
           c.fixed_got == 0;
       if (deadline > Nanos{0} && !at_frame_boundary &&
@@ -1028,7 +877,7 @@ struct NodeAgent::ReactorPlane {
         doomed.push_back(conn);
         continue;
       }
-      if (deadline > Nanos{0} && c.is_mux) {
+      if (deadline > Nanos{0}) {
         std::vector<uint32_t> stale;
         for (const auto& [stream_id, s] : c.streams) {
           if (s.got < s.body_len && now - s.last_data > deadline) {
@@ -1058,7 +907,7 @@ struct NodeAgent::ReactorPlane {
         }
       }
       const bool quiescent = at_frame_boundary && c.streams.empty() &&
-                             c.jobs_inflight == 0 && c.legacy_inflight == 0;
+                             c.jobs_inflight == 0;
       if (idle > Nanos{0} && quiescent && now - c.last_activity > idle) {
         doomed.push_back(conn);
       }
@@ -1074,7 +923,7 @@ struct NodeAgent::ReactorPlane {
     {
       MutexLock lock(queue_mutex);
       if (queue_stopping) {
-        if (job.mux) AgentStreamsInFlight().Sub(1);
+        AgentStreamsInFlight().Sub(1);
         return;
       }
       queue.push_back(std::move(job));
@@ -1099,31 +948,27 @@ struct NodeAgent::ReactorPlane {
   }
 
   void RunJob(InvokeJob job) {
-    if (job.mux) {
-      // Fault-injection hooks (resilience/fault_injector.h): one relaxed
-      // atomic load each while disarmed.
-      auto& faults = resilience::FaultInjector::Instance();
-      if (faults.ShouldFire(resilience::FaultSite::kAgentDelayCompletion)) {
-        // Hold the invoke long enough for the sender's backstop to give up;
-        // the late delivery then exercises its token-rejection path.
-        PreciseSleep(faults.delay(resilience::FaultSite::kAgentDelayCompletion));
-      }
-      if (faults.ShouldFire(resilience::FaultSite::kAgentDropCompletion)) {
-        // A worker that dies right after the receive: the frame is
-        // swallowed — no invoke, no completion frame, no delivery — but the
-        // connection's own bookkeeping still runs, so the wire stays
-        // healthy and only the sender's backstop deadline notices.
-        AgentStreamsInFlight().Sub(1);
-        shards[job.shard].reactor->Post(
-            [this, si = job.shard, id = job.conn_id, staged = job.staged] {
-              OnJobDone(si, id, /*mux=*/true, staged, /*fatal=*/false);
-            });
-        return;
-      }
+    // Fault-injection hooks (resilience/fault_injector.h): one relaxed
+    // atomic load each while disarmed.
+    auto& faults = resilience::FaultInjector::Instance();
+    if (faults.ShouldFire(resilience::FaultSite::kAgentDelayCompletion)) {
+      // Hold the invoke long enough for the sender's backstop to give up;
+      // the late delivery then exercises its token-rejection path.
+      PreciseSleep(faults.delay(resilience::FaultSite::kAgentDelayCompletion));
+    }
+    if (faults.ShouldFire(resilience::FaultSite::kAgentDropCompletion)) {
+      // A worker that dies right after the receive: the stream is
+      // swallowed — no invoke, no completion frame, no delivery — but the
+      // connection's own bookkeeping still runs, so the wire stays healthy
+      // and only the sender's backstop deadline notices.
+      AgentStreamsInFlight().Sub(1);
+      shards[job.shard].reactor->Post(
+          [this, si = job.shard, id = job.conn_id, staged = job.staged] {
+            OnJobDone(si, id, staged, /*fatal=*/false);
+          });
+      return;
     }
     Status result = Status::Ok();
-    bool acked_ok = false;    // legacy: the OK delivery ack already left
-    bool conn_fatal = false;  // the wire desynced: tear the connection down
     std::optional<InvokeOutcome> outcome;
     ShimLease instance;
     auto lease = job.entry.pool->Lease();
@@ -1138,7 +983,7 @@ struct NodeAgent::ReactorPlane {
                                       lease.status().message());
     } else {
       instance = std::move(*lease);
-      // The frame's trace context ({0,0} on untraced frames) is installed
+      // The stream's trace context ({0,0} on untraced streams) is installed
       // for the whole land+invoke: the agent-side spans join the SENDER's
       // trace, which is what stitches a cross-process chain together.
       obs::ScopedTraceContext frame_ctx(job.trace);
@@ -1156,17 +1001,6 @@ struct NodeAgent::ReactorPlane {
         RR_RETURN_IF_ERROR(instance->WriteInput(
             region, rr::BufferView(ByteSpan(job.body.data(), job.body.size()))));
         if (ingress_span) ingress_span->End();
-        if (!job.mux) {
-          // Legacy contract: the delivery ack leaves once the payload has
-          // landed, BEFORE the invoke — the sender's ack wait ends at
-          // delivery, not at the invocation outcome. (Queued, not written
-          // inline: the connection's outbound queue keeps frame order.)
-          if (!job.write->SendFrame(EncodeAck(Status::Ok()))) {
-            conn_fatal = true;  // ack stream is dead: channel unusable
-            return UnavailableError("agent connection closed");
-          }
-          acked_ok = true;
-        }
         RR_TRACE_SPAN(invoke_span, "agent", "invoke:" + job.function);
         auto invoked_inner = instance->InvokeOnRegion(region);
         if (invoke_span) invoke_span->End();
@@ -1180,12 +1014,8 @@ struct NodeAgent::ReactorPlane {
       }
     }
 
-    // Report the outcome on the wire. Mux: a completion frame either way —
-    // the invocation result reaches the sender immediately. Legacy: an error
-    // ack only if the OK delivery ack has not left yet (a landing failure or
-    // refusal keeps the channel synchronized, exactly like the threaded
-    // plane's reject-in-sync path); an invoke failure after the ack sends
-    // nothing — the sender's delivery contract was already satisfied.
+    // Report the outcome on the wire: a completion frame either way, so the
+    // invocation result reaches the sender immediately.
     if (outcome.has_value()) {
       // Count BEFORE the completion leaves: a sender that observed the
       // completion frame must also observe the count (the same contract the
@@ -1193,16 +1023,11 @@ struct NodeAgent::ReactorPlane {
       agent->transfers_completed_.fetch_add(1, std::memory_order_relaxed);
       AgentTransfersCompleted().Inc();
     }
-    if (job.mux) {
-      AgentCompletionFrames().Inc();
-      if (!result.ok()) AgentCompletionErrors().Inc();
-      const bool sent =
-          job.write->SendFrame(EncodeCompletion(job.stream_id, result));
-      AgentStreamsInFlight().Sub(1);
-      if (!sent) conn_fatal = true;
-    } else if (!conn_fatal && !acked_ok && !result.ok()) {
-      if (!job.write->SendFrame(EncodeAck(result))) conn_fatal = true;
-    }
+    AgentCompletionFrames().Inc();
+    if (!result.ok()) AgentCompletionErrors().Inc();
+    const bool sent =
+        job.write->SendFrame(EncodeCompletion(job.stream_id, result));
+    AgentStreamsInFlight().Sub(1);
 
     if (outcome.has_value()) {
       if (job.entry.on_delivery) {
@@ -1214,20 +1039,19 @@ struct NodeAgent::ReactorPlane {
         MutexLock shim_lock(instance->exec_mutex());
         (void)instance->ReleaseRegion(outcome->output);
       }
-    } else if (!result.ok()) {
+    } else {
       RR_LOG(Debug) << "node agent: transfer failed: " << result;
     }
 
-    // Bookkeeping belongs to the owning shard's loop. Post after Stop is a
-    // benign no-op (Shutdown reclaims connection state itself).
+    // Bookkeeping belongs to the owning shard's loop; a completion that
+    // could not be queued dooms the connection. Post after Stop is a benign
+    // no-op (Shutdown reclaims connection state itself).
     shards[job.shard].reactor->Post(
-        [this, si = job.shard, id = job.conn_id, mux = job.mux,
-         staged = job.staged, fatal = conn_fatal] {
-          OnJobDone(si, id, mux, staged, fatal);
-        });
+        [this, si = job.shard, id = job.conn_id, staged = job.staged,
+         fatal = !sent] { OnJobDone(si, id, staged, fatal); });
   }
 
-  void OnJobDone(size_t si, uint64_t id, bool mux, size_t staged, bool fatal) {
+  void OnJobDone(size_t si, uint64_t id, size_t staged, bool fatal) {
     const auto it = shards[si].conns.find(id);
     if (it == shards[si].conns.end()) return;  // already torn down
     const std::shared_ptr<Conn> conn = it->second;
@@ -1236,20 +1060,16 @@ struct NodeAgent::ReactorPlane {
       Teardown(si, conn);
       return;
     }
-    if (mux) {
-      --conn->jobs_inflight;
-      conn->committed_bytes -= staged;
-      if (!FlushDeferredCredit(*conn)) Teardown(si, conn);
-    } else {
-      conn->legacy_job_running = false;
-      --conn->legacy_inflight;
-      PumpLegacy(*conn);
-    }
+    --conn->jobs_inflight;
+    conn->committed_bytes -= staged;
+    if (!FlushDeferredCredit(*conn)) Teardown(si, conn);
   }
 };
 
 NodeAgent::NodeAgent(osal::TcpListener listener, Options options)
-    : listener_(std::move(listener)), options_(options) {}
+    : listener_(std::move(listener)),
+      options_(options),
+      reactor_plane_(std::make_unique<ReactorPlane>(this)) {}
 
 Result<std::unique_ptr<NodeAgent>> NodeAgent::Start(uint16_t port) {
   return Start(port, Options());
@@ -1260,16 +1080,10 @@ Result<std::unique_ptr<NodeAgent>> NodeAgent::Start(uint16_t port,
   RR_ASSIGN_OR_RETURN(osal::TcpListener listener, osal::TcpListener::Bind(port));
   auto agent = std::unique_ptr<NodeAgent>(
       new NodeAgent(std::move(listener), options));
-  if (options.ingress == Options::Ingress::kReactor) {
-    agent->reactor_plane_ = std::make_unique<ReactorPlane>(agent.get());
-    const Status started = agent->reactor_plane_->Start();
-    if (!started.ok()) {
-      agent->Shutdown();
-      return started;
-    }
-  } else {
-    agent->accept_thread_ =
-        std::thread([raw = agent.get()] { raw->AcceptLoop(); });
+  const Status started = agent->reactor_plane_->Start();
+  if (!started.ok()) {
+    agent->Shutdown();
+    return started;
   }
   return agent;
 }
@@ -1279,23 +1093,7 @@ NodeAgent::~NodeAgent() { Shutdown(); }
 void NodeAgent::Shutdown() {
   if (stopping_.exchange(true)) return;
   ::shutdown(listener_.fd(), SHUT_RDWR);
-  if (reactor_plane_ != nullptr) {
-    reactor_plane_->Shutdown();
-    return;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::map<uint64_t, std::thread> workers;
-  {
-    MutexLock lock(mutex_);
-    // Unblock workers parked in a receive on a still-open channel (senders
-    // cached in a HopTable may outlive the agent).
-    for (const int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-    workers.swap(workers_);
-    finished_.clear();
-  }
-  for (auto& [id, worker] : workers) {
-    if (worker.joinable()) worker.join();
-  }
+  reactor_plane_->Shutdown();
 }
 
 Status NodeAgent::RegisterFunction(std::shared_ptr<ShimPool> pool,
@@ -1323,214 +1121,6 @@ Status NodeAgent::UnregisterFunction(const std::string& name) {
     return NotFoundError("function not registered: " + name);
   }
   return Status::Ok();
-}
-
-size_t NodeAgent::live_workers() const {
-  MutexLock lock(mutex_);
-  return workers_.size();
-}
-
-void NodeAgent::ReapFinished() {
-  std::vector<std::thread> done;
-  {
-    MutexLock lock(mutex_);
-    for (const uint64_t id : finished_) {
-      const auto it = workers_.find(id);
-      if (it == workers_.end()) continue;  // Shutdown already swiped the map
-      done.push_back(std::move(it->second));
-      workers_.erase(it);
-    }
-    finished_.clear();
-  }
-  // Join outside the lock: a worker announcing its own completion needs it.
-  for (std::thread& worker : done) {
-    if (worker.joinable()) worker.join();
-  }
-}
-
-void NodeAgent::AcceptLoop() {
-  while (!stopping_.load()) {
-    // Reap between accepts: with periodic traffic the worker map tracks the
-    // live connection count, not the all-time connection count.
-    ReapFinished();
-    auto conn = listener_.Accept();
-    if (!conn.ok()) {
-      if (stopping_.load()) return;
-      if (!IsTransientAcceptError(conn.status())) {
-        RR_LOG(Warning) << "node agent: accept failed fatally: "
-                        << conn.status();
-        return;
-      }
-      // EMFILE and friends: back off a beat (finishing connections release
-      // fds; reaping at the loop head releases their threads) and retry.
-      AgentAcceptRetries().Inc();
-      RR_LOG(Warning) << "node agent: transient accept error (retrying): "
-                      << conn.status();
-      PreciseSleep(std::chrono::milliseconds(10));
-      continue;
-    }
-    MutexLock lock(mutex_);
-    if (stopping_.load()) return;
-    const uint64_t id = next_worker_id_++;
-    workers_.emplace(
-        id, std::thread([this, id, c = std::move(*conn)]() mutable {
-          AgentLiveWorkers().Add(1);
-          ServeConnection(std::move(c));
-          AgentLiveWorkers().Sub(1);
-          MutexLock finish_lock(mutex_);
-          finished_.push_back(id);
-        }));
-  }
-}
-
-void NodeAgent::ServeConnection(osal::Connection conn) {
-  const int fd = conn.fd();
-  {
-    MutexLock lock(mutex_);
-    if (stopping_.load()) return;  // raced with Shutdown: drop, don't serve
-    active_fds_.insert(fd);
-  }
-  active_connections_.fetch_add(1, std::memory_order_relaxed);
-  AgentConnections().Add(1);
-  // Untrack before the connection closes (returns below destroy it after the
-  // call), so Shutdown never shuts down a recycled descriptor.
-  const auto untrack = [this, fd] {
-    {
-      MutexLock lock(mutex_);
-      active_fds_.erase(fd);
-    }
-    active_connections_.fetch_sub(1, std::memory_order_relaxed);
-    AgentConnections().Sub(1);
-  };
-
-  auto name = ReadPreamble(conn);
-  if (!name.ok()) {
-    RR_LOG(Warning) << "node agent: bad preamble: " << name.status();
-    untrack();
-    return;
-  }
-
-  Entry entry;
-  bool found = false;
-  {
-    MutexLock lock(mutex_);
-    const auto it = functions_.find(*name);
-    if (it != functions_.end()) {
-      entry = it->second;
-      found = true;
-    }
-  }
-  if (!found) {
-    RR_LOG(Warning) << "node agent: no such function: " << *name;
-    untrack();
-    return;  // connection dropped: remote sees EOF/reset
-  }
-
-  auto receiver = NetworkChannelReceiver::FromConnection(std::move(conn));
-  if (!receiver.ok()) {
-    untrack();
-    return;
-  }
-  receiver->set_transfer_deadline(options_.transfer_deadline);
-
-  // One channel, many transfers: loop until the peer closes. The header is
-  // awaited without holding an instance (a parked idle channel must not
-  // starve the function's pool); each frame then leases its own instance
-  // for the receive+invoke, so concurrent connections to one function
-  // execute whole transfers in parallel across the pool — up to its
-  // max_instances — instead of serializing on one VM.
-  while (!stopping_.load()) {
-    auto frame = receiver->ReceiveHeader();
-    if (!frame.ok()) {
-      if (frame.status().code() != StatusCode::kDataLoss &&
-          frame.status().code() != StatusCode::kUnavailable) {
-        RR_LOG(Debug) << "node agent: transfer ended: " << frame.status();
-      }
-      break;
-    }
-    auto lease = entry.pool->Lease();
-    if (!lease.ok()) {
-      // Pool exhausted: refuse the frame on a channel that stays alive —
-      // drain the body, send the typed error ack. The sender's transfer
-      // fails with kResourceExhausted; the connection (and every other
-      // transfer queued behind it) survives the spike.
-      const Status refusal = ResourceExhaustedError(
-          "no instance available for " + *name + ": " +
-          lease.status().message());
-      // Count BEFORE the ack leaves: a sender that observed the typed error
-      // must also observe the count (it may not if the peer died mid-refusal
-      // — then the count records the attempt, which failed either way).
-      transfers_refused_.fetch_add(1, std::memory_order_relaxed);
-      AgentTransfersRefused().Inc();
-      if (!receiver->RejectBody(*frame, refusal).ok()) {
-        // Could not even drain: the channel is desynced, tear it down.
-        RR_LOG(Warning) << "node agent: refusing frame failed for " << *name;
-        break;
-      }
-      RR_LOG(Debug) << "node agent: refused frame for " << *name << ": "
-                    << refusal;
-      continue;
-    }
-    bool rejected_in_sync = false;
-    bool delivered = false;
-    Result<InvokeOutcome> outcome = [&]() -> Result<InvokeOutcome> {
-      // The frame's trace context (decoded from the header extension, {0,0}
-      // on legacy frames) is installed for the whole receive+invoke: the
-      // remote-side spans join the SENDER's trace, which is what stitches a
-      // cross-process chain into one trace. Tolerates absent/zero context —
-      // spans then open their own trace as usual.
-      obs::ScopedTraceContext frame_ctx(
-          obs::SpanContext{frame->trace_id, frame->parent_span});
-      // The exec mutex synchronizes the delivery + invoke against readers of
-      // regions earlier invocations left resident in this instance.
-      MutexLock shim_lock((*lease)->exec_mutex());
-      RR_TRACE_SPAN(ingress_span, "agent", "ingress:" + *name);
-      RR_ASSIGN_OR_RETURN(
-          const MemoryRegion region,
-          receiver->ReceiveBody(*frame, **lease, CopyMode::kShimStaging,
-                                /*place=*/nullptr, &rejected_in_sync));
-      if (ingress_span) ingress_span->End();
-      delivered = true;
-      // A failed invoke leaves the input region allocated; this instance
-      // returns to the pool and lives on, so the region must not leak.
-      RegionGuard guard(lease->get(), region);
-      RR_TRACE_SPAN(invoke_span, "agent", "invoke:" + *name);
-      auto invoked = (*lease)->InvokeOnRegion(region);
-      if (invoke_span) invoke_span->End();
-      if (invoked.ok()) guard.Dismiss();
-      return invoked;
-    }();
-    if (!outcome.ok()) {
-      RR_LOG(Debug) << "node agent: transfer failed: " << outcome.status();
-      // The channel stayed synchronized in two cases: a receiver-side
-      // rejection that drained the body and error-acked it, and an invoke
-      // that failed after the payload landed (delivery already acked). Both
-      // leave the wire healthy — keep serving this connection's other
-      // transfers. Anything else desynced the channel: tear it down.
-      if (rejected_in_sync || delivered) continue;
-      break;
-    }
-    transfers_completed_.fetch_add(1, std::memory_order_relaxed);
-    AgentTransfersCompleted().Inc();
-    if (entry.on_delivery) {
-      entry.on_delivery(*name, *outcome, frame->token, std::move(*lease));
-    } else {
-      // Nobody consumes the output: release it to keep the heap bounded
-      // (the lease returns the instance when it goes out of scope).
-      MutexLock shim_lock((*lease)->exec_mutex());
-      (void)(*lease)->ReleaseRegion(outcome->output);
-    }
-  }
-  untrack();
-}
-
-Result<NetworkChannelSender> ConnectToRemoteFunction(const std::string& host,
-                                                     uint16_t agent_port,
-                                                     const std::string& function) {
-  RR_ASSIGN_OR_RETURN(osal::Connection conn, osal::TcpConnect(host, agent_port));
-  conn.SetNoDelay(true);
-  RR_RETURN_IF_ERROR(SendPreamble(conn, function));
-  return NetworkChannelSender::FromConnection(std::move(conn));
 }
 
 }  // namespace rr::core

@@ -1,7 +1,6 @@
 #include "core/transport.h"
 
 #include "common/mutex.h"
-#include <optional>
 #include <thread>
 
 #include <map>
@@ -9,7 +8,6 @@
 #include "core/kernel_channel.h"
 #include "core/mux_client.h"
 #include "core/network_channel.h"
-#include "core/node_agent.h"
 #include "core/region_guard.h"
 #include "core/user_channel.h"
 #include "osal/reactor.h"
@@ -141,8 +139,10 @@ class KernelHop : public Hop {
   TransferMode mode() const override { return TransferMode::kKernelSpace; }
   bool healthy() const override { return pump_.wire_ok(); }
 
-  // Lock-free for the reason NetworkAgentHop::Close gives: eviction must not
-  // queue behind a transfer holding mutex_.
+  // Deliberately lock-free: eviction closes hops that may have a transfer
+  // blocked on mutex_, so Close must not queue behind it. shutdown(2) is
+  // safe against concurrent I/O on the descriptors; the blocked transfer
+  // fails with the dead pair.
   void Close() override { pump_.Shutdown(); }
 
   Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
@@ -217,8 +217,9 @@ class KernelTransport : public Transport {
 // --- network ----------------------------------------------------------------
 // Two shapes, chosen by the target's ingress at Connect time: a loopback hop
 // (target port 0) holds both channel halves in-process and behaves like a
-// kernel hop over TCP; an agent hop (port != 0) holds just the sender — the
-// remote NodeAgent owns receive + invoke (§4.3, Algorithm 1).
+// kernel hop over TCP; an agent hop (port != 0) opens streams on the shared
+// connection to the remote NodeAgent, which owns receive + invoke (§4.3,
+// Algorithm 1).
 class NetworkLoopbackHop : public Hop {
  public:
   NetworkLoopbackHop(NetworkChannelSender sender, NetworkChannelReceiver receiver)
@@ -258,50 +259,8 @@ class NetworkLoopbackHop : public Hop {
   NetworkChannelReceiver receiver_;
 };
 
-class NetworkAgentHop : public Hop {
- public:
-  explicit NetworkAgentHop(NetworkChannelSender sender)
-      : sender_(std::move(sender)) {}
-
-  TransferMode mode() const override { return TransferMode::kNetwork; }
-  bool invoke_coupled() const override { return true; }
-  bool healthy() const override { return sender_.wire_ok(); }
-
-  Result<MemoryRegion> Forward(const Payload& /*payload*/, Shim& /*target*/,
-                               TransferTiming* /*timing*/,
-                               const MemoryRegion* /*into*/) override {
-    return FailedPreconditionError(
-        "delivery through a NodeAgent ingress is invoke-coupled; Dispatch the "
-        "frame and consume the agent's delivery callback");
-  }
-
-  Status Dispatch(const Payload& payload, uint64_t token,
-                  TransferTiming* timing) override {
-    TransferTiming egress{};
-    RR_ASSIGN_OR_RETURN(const rr::Buffer buffer,
-                        payload.Materialize(&egress.wasm_io));
-    MutexLock hop_lock(mutex_);
-    const Stopwatch transfer_timer;
-    RR_RETURN_IF_ERROR(sender_.SendBuffer(buffer, token));
-    egress.transfer = transfer_timer.Elapsed();
-    if (timing != nullptr) *timing += egress;
-    return Status::Ok();
-  }
-
-  // Deliberately lock-free: eviction closes hops that may have a Dispatch
-  // blocked on mutex_ (that is the point — a delivery timed out), so Close
-  // must not queue behind them. shutdown(2) is safe against concurrent I/O
-  // on the descriptor; the blocked send fails with EPIPE and the agent-side
-  // worker dies with the connection, dropping any frame still in flight.
-  void Close() override { sender_.ShutdownWire(); }
-
- private:
-  Mutex mutex_;
-  NetworkChannelSender sender_;
-};
-
-// The mux wire's agent hop: a thin facade over the per-agent MuxClient that
-// the transport shares across every (source, target) pair bound for the same
+// The agent hop: a thin facade over the per-agent MuxClient that the
+// transport shares across every (source, target) pair bound for the same
 // host:port. Dispatch is fully async — DispatchAsync's callback carries the
 // remote *invocation* outcome (completion frame), so a handler failure fails
 // the edge immediately instead of waiting out a delivery deadline.
@@ -314,7 +273,6 @@ class MuxAgentHop : public Hop {
         transfer_deadline_(transfer_deadline) {}
 
   TransferMode mode() const override { return TransferMode::kNetwork; }
-  bool invoke_coupled() const override { return true; }
 
   // Always healthy: the shared client reconnects transparently on the next
   // stream (an agent-side idle sweep is absorbed, not an eviction event).
@@ -328,14 +286,8 @@ class MuxAgentHop : public Hop {
                                TransferTiming* /*timing*/,
                                const MemoryRegion* /*into*/) override {
     return FailedPreconditionError(
-        "delivery through a NodeAgent ingress is invoke-coupled; Dispatch the "
-        "frame and consume the agent's delivery callback");
-  }
-
-  Status Dispatch(const Payload& /*payload*/, uint64_t /*token*/,
-                  TransferTiming* /*timing*/) override {
-    return FailedPreconditionError(
-        "mux agent hops are completion-driven; use DispatchAsync");
+        "delivery through a NodeAgent ingress is invoke-coupled; "
+        "DispatchAsync the payload and consume the agent's delivery callback");
   }
 
   Status DispatchAsync(const Payload& payload, uint64_t token,
@@ -385,22 +337,13 @@ class NetworkTransport : public Transport {
       return std::unique_ptr<Hop>(
           new NetworkLoopbackHop(std::move(sender), std::move(receiver)));
     }
-    if (options.agent_wire == TransportOptions::AgentWire::kMux) {
-      // Route through the target node's agent on the multiplexed dialect:
-      // one shared client (one connection, one reactor) per remote agent,
-      // every pair's transfers interleaved as streams.
-      RR_ASSIGN_OR_RETURN(std::shared_ptr<MuxClient> client,
-                          ClientFor(target.host, target.port));
-      return std::unique_ptr<Hop>(new MuxAgentHop(
-          std::move(client), target.shim->name(), options.transfer_deadline));
-    }
-    // Legacy sequential dialect: the preamble names the function, the agent
-    // hands the connection to its shim's receiver.
-    RR_ASSIGN_OR_RETURN(
-        NetworkChannelSender sender,
-        ConnectToRemoteFunction(target.host, target.port, target.shim->name()));
-    sender.set_transfer_deadline(options.transfer_deadline);
-    return std::unique_ptr<Hop>(new NetworkAgentHop(std::move(sender)));
+    // Route through the target node's agent: one shared client (one
+    // connection, one reactor) per remote agent, every pair's transfers
+    // interleaved as streams.
+    RR_ASSIGN_OR_RETURN(std::shared_ptr<MuxClient> client,
+                        ClientFor(target.host, target.port));
+    return std::unique_ptr<Hop>(new MuxAgentHop(
+        std::move(client), target.shim->name(), options.transfer_deadline));
   }
 
  private:
@@ -439,21 +382,10 @@ Result<InvokeOutcome> Hop::ForwardAndInvoke(const Payload& payload,
   return outcome;
 }
 
-Status Hop::Dispatch(const Payload& /*payload*/, uint64_t /*token*/,
-                     TransferTiming* /*timing*/) {
+Status Hop::DispatchAsync(const Payload& /*payload*/, uint64_t /*token*/,
+                          TransferTiming* /*timing*/, DispatchDoneFn /*done*/) {
   return FailedPreconditionError(
       "hop is not invoke-coupled; use Forward/ForwardAndInvoke");
-}
-
-Status Hop::DispatchAsync(const Payload& payload, uint64_t token,
-                          TransferTiming* timing, DispatchDoneFn done) {
-  // Synchronous adapter: on the legacy wire the blocking Dispatch ends at
-  // the delivery ack, so done(Ok) means delivered — the invocation outcome
-  // still arrives through the agent's delivery callback (or the caller's
-  // backstop deadline).
-  RR_RETURN_IF_ERROR(Dispatch(payload, token, timing));
-  if (done) done(Status::Ok());
-  return Status::Ok();
 }
 
 std::unique_ptr<Transport> MakeUserSpaceTransport() {

@@ -35,28 +35,19 @@ namespace rr::core {
 // Threaded HopTable -> Transport::Connect so api::Runtime::Options can set
 // them once for every channel of a workflow.
 struct TransportOptions {
-  // Bound on one transfer's blocking waits (header/body/ack on the network
-  // plane; the no-progress poll on the kernel plane). A dead or stalled peer
-  // surfaces as kDeadlineExceeded within this bound instead of hanging the
-  // transfer. Non-positive = unbounded.
-  //
-  // On the network plane this is an ABSOLUTE per-transfer bound, armed at
-  // frame start — not an idle bound like the kernel hop's poll, which waits
-  // this long only when neither end of its socketpair can make progress. Size it to the largest frame you expect over the slowest
-  // link (a multi-GiB frame over a slow WAN legitimately takes minutes);
-  // the 30 s default comfortably covers paper-scale payloads on the
-  // emulated 100 Mbps testbed.
+  // Bound on one transfer's blocking waits. A dead or stalled peer surfaces
+  // as kDeadlineExceeded within this bound instead of hanging the transfer.
+  // Non-positive = unbounded. Per hop shape:
+  //  * network loopback hop: an ABSOLUTE per-transfer bound on header, body
+  //    and ack, armed at frame start. Size it to the largest frame you
+  //    expect over the slowest link (a multi-GiB frame over a slow WAN
+  //    legitimately takes minutes); the 30 s default comfortably covers
+  //    paper-scale payloads on the emulated 100 Mbps testbed.
+  //  * agent-bound hops: a progress bound on the stream's body drain; the
+  //    remote invocation itself is bounded by the caller's backstop.
+  //  * kernel hop: an idle bound on the pump's poll, which waits this long
+  //    only when neither end of its socketpair can make progress.
   Nanos transfer_deadline = std::chrono::seconds(30);
-
-  // Which dialect agent-bound hops speak. kMux (default): one multiplexed
-  // connection per remote agent shared by every function and every
-  // concurrent transfer — interleaved chunk frames, per-stream flow
-  // control, and completion frames that surface the remote *invocation*
-  // outcome through DispatchAsync's callback. kLegacy: one sequential
-  // connection per (source, target) pair with delivery acks only — kept for
-  // the fault-injection matrix and old peers.
-  enum class AgentWire { kMux, kLegacy };
-  AgentWire agent_wire = AgentWire::kMux;
 };
 
 // One cached duplex channel between a source and a target function.
@@ -66,19 +57,15 @@ class Hop {
 
   virtual TransferMode mode() const = 0;
 
-  // True when delivery and invocation are fused on the far side: the frame
-  // lands at a remote NodeAgent whose worker performs Algorithm 1's
-  // receive+invoke. Such hops cannot Forward (deliver-only); they Dispatch,
-  // and the outcome returns through the agent's delivery callback.
-  virtual bool invoke_coupled() const { return false; }
-
   // Delivers `payload` into `target`'s linear memory without invoking it —
   // the fan-in building block. `target` is the instance the caller leased
   // from the target function's pool (the lease outlives the call). When
   // `into` is non-null it names a destination region of exactly
   // payload.size() bytes covered by an existing registration (one slice of a
   // fan-in gather region); otherwise the hop allocates a fresh input region.
-  // Fails with kFailedPrecondition on invoke-coupled hops.
+  // Fails with kFailedPrecondition on invoke-coupled hops — agent-bound
+  // hops whose far side fuses delivery and invocation (Algorithm 1's
+  // receive+invoke runs in the remote NodeAgent); those DispatchAsync.
   virtual Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
                                        TransferTiming* timing = nullptr,
                                        const MemoryRegion* into = nullptr) = 0;
@@ -91,28 +78,21 @@ class Hop {
                                                  Shim& target,
                                                  TransferTiming* timing = nullptr);
 
-  // Invoke-coupled dispatch: sends the payload as one frame stamped with the
-  // per-transfer correlation `token` (a segmented fan-in payload travels as
-  // one frame, vectored over its chunks). The remote agent receives,
-  // invokes, and reports the outcome (with the token) through its delivery
-  // callback. Fails with kFailedPrecondition on local hops, whose transfers
-  // complete synchronously.
-  virtual Status Dispatch(const Payload& payload, uint64_t token,
-                          TransferTiming* timing = nullptr);
-
   // Receives the transfer's terminal status once the far side has spoken:
-  // on the mux wire, the remote *invocation* outcome (a handler failure
-  // arrives here immediately); on the legacy wire, the delivery ack (the
-  // invocation outcome still travels through the agent's delivery callback).
+  // the remote *invocation* outcome, carried by the agent's completion
+  // frame (a handler failure arrives here immediately). On success the
+  // output itself still travels through the agent's delivery callback.
   using DispatchDoneFn = std::function<void(Status)>;
 
-  // Completion-driven dispatch: initiates the transfer and returns without
-  // waiting for the wire. Returns non-OK only when the dispatch could not be
-  // initiated — `done` then never fires. On OK, `done` fires exactly once
-  // (possibly before this call returns, and possibly on a reactor thread —
-  // it must not block on the dispatching thread's locks). The base
-  // implementation adapts synchronous hops: a blocking Dispatch, then
-  // done(Ok).
+  // Invoke-coupled, completion-driven dispatch: sends the payload as one
+  // stream stamped with the per-transfer correlation `token` (a segmented
+  // fan-in payload travels as one stream, chunked over its segments) and
+  // returns without waiting for the wire. Returns non-OK only when the
+  // dispatch could not be initiated — `done` then never fires. On OK,
+  // `done` fires exactly once (possibly before this call returns, and
+  // possibly on a reactor thread — it must not block on the dispatching
+  // thread's locks). The base implementation fails with
+  // kFailedPrecondition: local hops complete synchronously through Forward.
   virtual Status DispatchAsync(const Payload& payload, uint64_t token,
                                TransferTiming* timing, DispatchDoneFn done);
 

@@ -586,12 +586,11 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
     manager_->hops().RecordDispatchOutcome(slot->function, slot->last_replica,
                                            status);
   }
-  // A deadline expiry tears the channel down with the failed transfer (on
-  // the legacy wire the agent-side worker dies with the connection, so a
-  // frame still in flight is dropped; a late completion matches no pending
-  // token and is rejected). Other failures evict only when the wire actually
-  // died — a typed in-sync refusal (remote pool exhausted, unknown function)
-  // leaves the channel healthy and the transfers sharing it unharmed.
+  // A backstop expiry (force_evict) evicts the attempt's hop; a late
+  // completion for it matches no pending token and is rejected. Other
+  // failures evict only when the wire actually died — a typed stream-fatal
+  // refusal (remote pool exhausted, unknown function) leaves the channel
+  // healthy and the transfers sharing it unharmed.
   if (force_evict || (slot->hop != nullptr && !slot->hop->healthy())) {
     manager_->hops().Evict(slot->function);
   }
@@ -728,13 +727,13 @@ Status DagExecutor::DeliverOutcome(const std::string& function,
 // The sweeper serves two clocks. The remote_deadline backstop: with
 // completion frames carrying failures and delivery callbacks carrying
 // successes, an expiry only ever fires for a far side that went fully silent
-// (a legacy-wire invoke failure — the old wire has no failure frame — a dead
-// agent, a lost frame); it routes through ResolveAttemptFailure so the retry
-// engine decides whether the edge is terminal. And the backoff clock: a slot
-// parked in kBackoff redispatches here when retry_at passes — the ONLY
-// redispatch site, so no scheduler worker ever sleeps a backoff out. A
-// legacy-wire redispatch may block this thread on a connect; concurrent
-// expiries slip by that much, which the per-attempt deadlines absorb.
+// (a dead agent, a lost frame); it routes through ResolveAttemptFailure so
+// the retry engine decides whether the edge is terminal. And the backoff
+// clock: a slot parked in kBackoff redispatches here when retry_at passes —
+// the ONLY redispatch site, so no scheduler worker ever sleeps a backoff
+// out. A redispatch to a disconnected agent may block this thread on the
+// client's inline reconnect; concurrent expiries slip by that much, which
+// the per-attempt deadlines absorb.
 void DagExecutor::SweeperLoop() {
   MutexLock lock(mail_mutex_);
   while (!sweeper_stop_) {

@@ -34,7 +34,7 @@
 //    is the agent's completion frame, so a remote HANDLER failure fails the
 //    edge immediately instead of waiting out the deadline;
 //  * the remote_deadline sweeper — now a BACKSTOP for a far side that went
-//    fully silent (legacy-wire invoke failure, dead agent, lost frame).
+//    fully silent (dead agent, lost frame).
 //
 // No scheduler worker ever parks on a wire wait, so in-flight remote edges
 // are bounded by memory, not pool width. Tokens make the attribution exact:

@@ -72,11 +72,8 @@ TEST_F(RuntimeTest, SubmitChainReturnsHandleAndResult) {
   EXPECT_EQ(ToString(*result), "in|a|b");
   EXPECT_TRUE((*invocation)->Done());
   // Wait after completion returns the same stored result.
+  EXPECT_EQ(&(*invocation)->Wait(), &result);
   EXPECT_EQ(ToString(*(*invocation)->Wait()), "in|a|b");
-  // The deprecated Bytes shim materializes the same bytes (cached copy).
-  const Result<Bytes>& bytes = (*invocation)->WaitBytes();
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(ToString(*bytes), "in|a|b");
 }
 
 TEST_F(RuntimeTest, SubmitValidatesBeforeExecution) {

@@ -53,78 +53,6 @@ MemoryRegion Stage(Shim& shim, ByteSpan data) {
 // NodeAgent
 // ---------------------------------------------------------------------------
 
-TEST(NodeAgentTest, RoutesTransferToNamedFunction) {
-  auto agent = NodeAgent::Start(0);
-  ASSERT_TRUE(agent.ok()) << agent.status();
-
-  auto target = MakeShim("resize");
-  std::mutex mutex;
-  std::string delivered_payload;
-  ASSERT_TRUE((*agent)
-                  ->RegisterFunction(
-                      target.get(),
-                      [&](const std::string&, InvokeOutcome outcome,
-                          uint64_t /*token*/, core::ShimLease instance) {
-                        auto view = instance->OutputView(outcome.output);
-                        std::lock_guard<std::mutex> lock(mutex);
-                        delivered_payload = std::string(AsStringView(*view));
-                        (void)instance->ReleaseRegion(outcome.output);
-                      })
-                  .ok());
-
-  auto source = MakeShim("producer");
-  auto sender = ConnectToRemoteFunction("127.0.0.1", (*agent)->port(), "resize");
-  ASSERT_TRUE(sender.ok()) << sender.status();
-  const MemoryRegion staged = Stage(*source, AsBytes("frame-bytes"));
-  ASSERT_TRUE(sender->Send(*source, staged).ok());
-
-  // The ack in the channel protocol guarantees delivery completed, but the
-  // callback runs after the ack; poll briefly.
-  for (int i = 0; i < 200; ++i) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (!delivered_payload.empty()) break;
-    }
-    PreciseSleep(std::chrono::milliseconds(1));
-  }
-  std::lock_guard<std::mutex> lock(mutex);
-  EXPECT_EQ(delivered_payload, "frame-bytes");
-  EXPECT_EQ((*agent)->transfers_completed(), 1u);
-}
-
-TEST(NodeAgentTest, MultipleTransfersOnOneChannel) {
-  auto agent = NodeAgent::Start(0);
-  ASSERT_TRUE(agent.ok());
-  auto target = MakeShim("sink");
-  ASSERT_TRUE((*agent)->RegisterFunction(target.get()).ok());
-
-  auto source = MakeShim("producer");
-  auto sender = ConnectToRemoteFunction("127.0.0.1", (*agent)->port(), "sink");
-  ASSERT_TRUE(sender.ok());
-  for (int i = 0; i < 5; ++i) {
-    const MemoryRegion staged =
-        Stage(*source, AsBytes("payload-" + std::to_string(i)));
-    ASSERT_TRUE(sender->Send(*source, staged).ok()) << "round " << i;
-    ASSERT_TRUE(source->data().deallocate_memory(staged.address).ok());
-  }
-  // The delivery ack precedes the worker's invoke + counter bump, and the
-  // worker touches the target shim until it is joined — shut down before
-  // asserting (and before the shims die).
-  (*agent)->Shutdown();
-  EXPECT_EQ((*agent)->transfers_completed(), 5u);
-}
-
-TEST(NodeAgentTest, UnknownFunctionDropsConnection) {
-  auto agent = NodeAgent::Start(0);
-  ASSERT_TRUE(agent.ok());
-  auto source = MakeShim("producer");
-  auto sender = ConnectToRemoteFunction("127.0.0.1", (*agent)->port(), "ghost");
-  ASSERT_TRUE(sender.ok());  // preamble sent; agent drops after reading it
-  const MemoryRegion staged = Stage(*source, AsBytes("lost"));
-  const Status status = sender->Send(*source, staged);
-  EXPECT_FALSE(status.ok());  // no ack ever arrives (EOF)
-}
-
 TEST(NodeAgentTest, DuplicateRegistrationRejected) {
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok());

@@ -1,11 +1,14 @@
-// The multiplexed wire dialect end to end: MuxClient streams against the
-// reactor-plane NodeAgent. Covers the contracts the legacy sequential wire
-// cannot express — completion frames that carry the remote *invocation*
-// outcome (a handler failure fails the sender immediately, not at the
-// delivery deadline), stream-fatal vs connection-fatal failure isolation,
-// flow-control window exhaustion surfacing typed instead of hanging, fair
-// interleaving of small streams past large ones, and the idle-connection
-// sweep being invisible to senders (transparent reconnect).
+// The agent's multiplexed wire end to end, and the NodeAgent fault matrix:
+// MuxClient streams and hand-rolled raw peers against the agent. Covers
+// completion frames that carry the remote *invocation* outcome (a handler
+// failure fails the sender immediately, not at the delivery deadline),
+// stream-fatal vs connection-fatal failure isolation (typed refusals for
+// unknown functions, exhausted pools and admission caps; teardown for
+// malformed frames and connections that never speak the protocol), no
+// leaked guest regions after a failed invoke, flow-control window
+// exhaustion surfacing typed instead of hanging, fair interleaving of small
+// streams past large ones, and the idle-connection sweep being invisible to
+// senders (transparent reconnect).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -95,6 +98,111 @@ std::shared_ptr<osal::Reactor> TestReactor() {
   auto reactor = osal::Reactor::Start("mux-test");
   EXPECT_TRUE(reactor.ok()) << reactor.status();
   return reactor.ok() ? *reactor : nullptr;
+}
+
+// Registered guest regions summed over every instance of `pool`. Leases all
+// of them at once, so each instance is counted exactly once.
+size_t PoolRegionCount(ShimPool& pool, size_t instances) {
+  std::vector<ShimLease> leases;
+  size_t total = 0;
+  for (size_t i = 0; i < instances; ++i) {
+    auto lease = pool.Lease();
+    EXPECT_TRUE(lease.ok()) << lease.status();
+    if (!lease.ok()) break;
+    total += (*lease)->data().registered_region_count();
+    leases.push_back(std::move(*lease));
+  }
+  return total;
+}
+
+TEST(NodeAgentTest, RoutesTransferToNamedFunction) {
+  // Declared before the agent, so they outlive its invoke workers even when
+  // an assertion returns early.
+  std::mutex mutex;
+  std::string delivered_payload;
+  uint64_t delivered_token = 0;
+
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("resize", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)
+                  ->RegisterFunction(
+                      *pool,
+                      [&](const std::string&, InvokeOutcome outcome,
+                          uint64_t token, ShimLease instance) {
+                        auto view = instance->OutputView(outcome.output);
+                        std::lock_guard<std::mutex> lock(mutex);
+                        delivered_payload = std::string(AsStringView(*view));
+                        delivered_token = token;
+                        (void)instance->ReleaseRegion(outcome.output);
+                      })
+                  .ok());
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+  auto done = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("resize", rr::Buffer::FromString("frame-bytes"),
+                                /*token=*/7, kFailureBound, done->Arm(done))
+                  .ok());
+  ASSERT_TRUE(done->WaitFor(kEventBound));
+  ASSERT_TRUE(done->Get().ok()) << done->Get();
+
+  // The completion frame leaves before the delivery callback runs; poll
+  // briefly.
+  for (int i = 0; i < 200; ++i) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!delivered_payload.empty()) break;
+    }
+    PreciseSleep(std::chrono::milliseconds(1));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(delivered_payload, "frame-bytes");
+    EXPECT_EQ(delivered_token, 7u);
+  }
+  EXPECT_EQ((*agent)->transfers_completed(), 1u);
+
+  client->Close();
+  (*agent)->Shutdown();
+}
+
+TEST(NodeAgentTest, MultipleTransfersOnOneChannel) {
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("sink", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+  for (uint64_t i = 0; i < 5; ++i) {
+    auto done = std::make_shared<Completion>();
+    ASSERT_TRUE(client
+                    ->StartStream("sink",
+                                  rr::Buffer::FromString(
+                                      "payload-" + std::to_string(i)),
+                                  /*token=*/i + 1, kFailureBound,
+                                  done->Arm(done))
+                    .ok());
+    ASSERT_TRUE(done->WaitFor(kEventBound)) << "round " << i;
+    ASSERT_TRUE(done->Get().ok()) << "round " << i << ": " << done->Get();
+  }
+  // Every transfer rode the one connection the first stream opened.
+  EXPECT_TRUE(client->connected());
+  EXPECT_EQ((*agent)->active_connections(), 1u);
+  EXPECT_EQ((*agent)->transfers_completed(), 5u);
+
+  client->Close();
+  (*agent)->Shutdown();
 }
 
 TEST(MuxWireTest, ConcurrentStreamsRoundTripWithCompletionFrames) {
@@ -201,6 +309,57 @@ TEST(MuxWireTest, StreamFailureLeavesConcurrentStreamsUnharmed) {
   (*agent)->Shutdown();
 }
 
+TEST(MuxWireTest, InvokeFailureKeepsConnectionAliveAndLeaksNoRegion) {
+  // One instance, one connection, two streams back to back: the first
+  // stream's input lands but its invoke fails agent-side. The completion
+  // frame reports that failure, the same connection serves the next stream,
+  // and the failed invoke's input region goes back rather than leaking.
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool(
+      "picky",
+      [](ByteSpan input) -> Result<Bytes> {
+        if (AsStringView(input) == "poison") {
+          return InternalError("handler rejected input");
+        }
+        return Bytes(input.begin(), input.end());
+      },
+      /*instances=*/1);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  const size_t regions_before = PoolRegionCount(**pool, 1);
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+
+  auto poisoned = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("picky", rr::Buffer::FromString("poison"),
+                                /*token=*/1, kFailureBound,
+                                poisoned->Arm(poisoned))
+                  .ok());
+  ASSERT_TRUE(poisoned->WaitFor(kEventBound)) << "failed invoke hung";
+  EXPECT_EQ(poisoned->Get().code(), StatusCode::kInternal) << poisoned->Get();
+
+  auto fine = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("picky", rr::Buffer::FromString("fine"),
+                                /*token=*/2, kFailureBound, fine->Arm(fine))
+                  .ok());
+  ASSERT_TRUE(fine->WaitFor(kEventBound)) << "stream after failure hung";
+  EXPECT_TRUE(fine->Get().ok()) << fine->Get();
+  EXPECT_TRUE(client->connected());
+  EXPECT_EQ((*agent)->active_connections(), 1u);
+
+  client->Close();
+  // Shutdown joins the invoke workers, so the lease (and the output the
+  // agent released after its completion frame) is back before the audit.
+  (*agent)->Shutdown();
+  EXPECT_EQ((*agent)->transfers_completed(), 1u);
+  EXPECT_EQ(PoolRegionCount(**pool, 1), regions_before);
+}
+
 TEST(MuxWireTest, UnknownFunctionFailsTypedAndConnectionSurvives) {
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
@@ -232,6 +391,73 @@ TEST(MuxWireTest, UnknownFunctionFailsTypedAndConnectionSurvives) {
                   .ok());
   ASSERT_TRUE(echo->WaitFor(kEventBound));
   EXPECT_TRUE(echo->Get().ok()) << echo->Get();
+
+  client->Close();
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, PoolExhaustedAgentRefusesStreamTypedAndRecovers) {
+  // The stream stages fully, but the pool's only instance is held elsewhere:
+  // the invoke worker's lease times out and the stream fails typed
+  // (kResourceExhausted) — stream-fatal, with the connection serving the
+  // next stream once the instance is back.
+  NodeAgent::Options options;
+  options.transfer_deadline = kFailureBound;
+  auto agent = NodeAgent::Start(0, options);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+
+  runtime::PoolOptions pool_options;
+  pool_options.min_warm = 1;
+  pool_options.max_instances = 1;
+  pool_options.acquire_timeout = std::chrono::milliseconds(50);
+  auto pool = ShimPool::Create(Spec("choked"), Binary(), {}, pool_options);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*pool)
+                  ->Deploy([](ByteSpan input) -> Result<Bytes> {
+                    return Bytes(input.begin(), input.end());
+                  })
+                  .ok());
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+
+  {
+    // Occupy the pool's only instance: the agent cannot serve the stream.
+    auto hog = (*pool)->Lease();
+    ASSERT_TRUE(hog.ok()) << hog.status();
+
+    auto starved = std::make_shared<Completion>();
+    const Stopwatch timer;
+    ASSERT_TRUE(client
+                    ->StartStream("choked", rr::Buffer::FromString("starved"),
+                                  /*token=*/1, kFailureBound,
+                                  starved->Arm(starved))
+                    .ok());
+    ASSERT_TRUE(starved->WaitFor(kEventBound)) << "refused stream hung";
+    EXPECT_EQ(starved->Get().code(), StatusCode::kResourceExhausted)
+        << starved->Get();
+    EXPECT_NE(starved->Get().message().find("no instance available"),
+              std::string::npos)
+        << starved->Get();
+    EXPECT_LT(timer.Elapsed(), kFailureBound);
+  }
+  EXPECT_EQ((*agent)->transfers_refused(), 1u);
+  EXPECT_EQ((*agent)->transfers_completed(), 0u);
+
+  // The instance is back and the SAME connection serves the next stream: the
+  // refusal degraded one transfer, not the connection.
+  auto recovered = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("choked", rr::Buffer::FromString("recovered"),
+                                /*token=*/2, kFailureBound,
+                                recovered->Arm(recovered))
+                  .ok());
+  ASSERT_TRUE(recovered->WaitFor(kEventBound));
+  EXPECT_TRUE(recovered->Get().ok()) << recovered->Get();
+  EXPECT_EQ((*agent)->transfers_completed(), 1u);
+  EXPECT_TRUE(client->connected());
 
   client->Close();
   (*agent)->Shutdown();
@@ -663,6 +889,76 @@ TEST(MuxWireTest, DataPastGrantedWindowIsConnectionFatal) {
   Bytes sink(4096);
   const auto n = conn->ReceiveSome(sink);
   EXPECT_TRUE(!n.ok() || *n == 0) << "wire still open after teardown";
+
+  conn->Close();
+  (*agent)->Shutdown();
+}
+
+// The agent's connection-fatal verdict as the peer sees it: EOF — no bytes
+// first, no hang — within kFailureBound.
+void ExpectDroppedWithinBound(osal::Connection& conn) {
+  ASSERT_TRUE(conn.SetIoTimeouts(kFailureBound).ok());
+  const Stopwatch timer;
+  uint8_t probe = 0;
+  const Result<size_t> n = conn.ReceiveSome(MutableByteSpan(&probe, 1));
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(*n, 0u) << "the agent answered instead of dropping the connection";
+  EXPECT_LT(timer.Elapsed(), kFailureBound);
+}
+
+TEST(MuxWireTest, OpenDeclaringBodyPastFrameCapTearsConnectionDown) {
+  // A declared body past serde::kMaxFrameBytes is not a request the agent
+  // can refuse politely (unlike a body past its staging cap): the open
+  // frame is implausible, and the byte stream after it cannot be trusted.
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("echo", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto conn = DialMux((*agent)->port());
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  ASSERT_TRUE(conn->Send(EncodeRawOpen(1, /*token=*/1,
+                                       serde::kMaxFrameBytes + 1, "echo"))
+                  .ok());
+  ExpectDroppedWithinBound(*conn);
+  EXPECT_EQ((*agent)->transfers_refused(), 0u);
+
+  conn->Close();
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, NonMuxPreambleIsConnectionFatalEvenForRegisteredFunction) {
+  // The agent speaks one wire. A peer that opens with a u16 name-length
+  // routing preamble — naming a function that IS registered — followed by
+  // a bare 16-byte frame header and body gets no service and no reply: the
+  // connection is dropped.
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("sink", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  const std::string name = "sink";
+  const std::string body = "hello";
+  Bytes wire(2 + name.size() + 16 + body.size());
+  uint8_t* p = wire.data();
+  StoreLE<uint16_t>(p, static_cast<uint16_t>(name.size()));
+  std::memcpy(p + 2, name.data(), name.size());
+  p += 2 + name.size();
+  StoreLE<uint64_t>(p, body.size());
+  StoreLE<uint64_t>(p + 8, /*token=*/1);
+  std::memcpy(p + 16, body.data(), body.size());
+
+  auto conn = osal::TcpConnect("127.0.0.1", (*agent)->port());
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  ASSERT_TRUE(conn->Send(wire).ok());  // one write: the agent reads it whole
+  ExpectDroppedWithinBound(*conn);
+  EXPECT_EQ((*agent)->transfers_completed(), 0u);
 
   conn->Close();
   (*agent)->Shutdown();

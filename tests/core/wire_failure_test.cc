@@ -1,9 +1,9 @@
 // Fault injection for the failure-hardened wire plane: every remote failure
 // mode — peer death mid-body, a receiver that never acks, receiver-side
-// placement failures, an exhausted instance pool, a stalled sender, a late
-// (token-mismatched) completion — must surface as a clean, typed Status
-// within the configured deadline, leak no placed guest region, and, where
-// the protocol allows, leave the channel alive for the transfers behind it.
+// placement failures, a stalled sender, a late (token-mismatched)
+// completion — must surface as a clean, typed Status within the configured
+// deadline, leak no placed guest region, and, where the protocol allows,
+// leave the channel alive for the transfers behind it.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -288,167 +288,9 @@ TEST(WireFailureTest, StalledSenderBoundsReceiverAndLeaksNoRegion) {
 }
 
 // ---------------------------------------------------------------------------
-// NodeAgent under failure — the fault matrix runs against BOTH ingress
-// implementations: the event-driven reactor plane and the historical
-// thread-per-connection plane share one failure contract (typed refusals,
-// surviving channels, no leaked regions, hard teardown on malformed frames).
+// NodeAgent accept path (the agent's own fault matrix lives in
+// mux_wire_test.cc)
 // ---------------------------------------------------------------------------
-
-class AgentIngressModes
-    : public ::testing::TestWithParam<NodeAgent::Options::Ingress> {
- protected:
-  NodeAgent::Options AgentOptions(
-      Nanos transfer_deadline = std::chrono::seconds(30)) const {
-    NodeAgent::Options options;
-    options.transfer_deadline = transfer_deadline;
-    options.ingress = GetParam();
-    return options;
-  }
-};
-
-TEST_P(AgentIngressModes, PoolExhaustedAgentRefusesFrameTypedAndRecovers) {
-  auto agent = NodeAgent::Start(0, AgentOptions(kFailureBound));
-  ASSERT_TRUE(agent.ok()) << agent.status();
-
-  runtime::PoolOptions pool_options;
-  pool_options.min_warm = 1;
-  pool_options.max_instances = 1;
-  pool_options.acquire_timeout = std::chrono::milliseconds(50);
-  auto pool = ShimPool::Create(Spec("choked"), Binary(), {}, pool_options);
-  ASSERT_TRUE(pool.ok()) << pool.status();
-  ASSERT_TRUE((*pool)
-                  ->Deploy([](ByteSpan input) -> Result<Bytes> {
-                    return Bytes(input.begin(), input.end());
-                  })
-                  .ok());
-  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
-
-  auto sender = ConnectToRemoteFunction("127.0.0.1", (*agent)->port(), "choked");
-  ASSERT_TRUE(sender.ok()) << sender.status();
-  sender->set_transfer_deadline(kFailureBound);
-
-  {
-    // Occupy the pool's only instance: the agent cannot serve the frame.
-    auto hog = (*pool)->Lease();
-    ASSERT_TRUE(hog.ok()) << hog.status();
-
-    const Stopwatch timer;
-    const Status status = sender->SendBytes(AsBytes("starved"));
-    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
-    EXPECT_NE(status.message().find("no instance available"), std::string::npos)
-        << status;
-    EXPECT_LT(timer.Elapsed(), kFailureBound);
-  }
-  EXPECT_EQ((*agent)->transfers_refused(), 1u);
-  EXPECT_EQ((*agent)->transfers_completed(), 0u);
-
-  // The instance is back and the SAME channel serves the next frame: the
-  // refusal degraded one transfer, not the connection.
-  EXPECT_TRUE(sender->SendBytes(AsBytes("recovered")).ok());
-  (*agent)->Shutdown();
-  EXPECT_EQ((*agent)->transfers_completed(), 1u);
-}
-
-TEST_P(AgentIngressModes, InvokeFailureKeepsChannelAliveAndLeaksNoRegion) {
-  auto agent = NodeAgent::Start(0, AgentOptions());
-  ASSERT_TRUE(agent.ok());
-  auto target = MakeShim("picky");
-  ASSERT_TRUE(target
-                  ->Deploy([](ByteSpan input) -> Result<Bytes> {
-                    if (AsStringView(input) == "poison") {
-                      return InternalError("handler rejected input");
-                    }
-                    return Bytes(input.begin(), input.end());
-                  })
-                  .ok());
-  const size_t regions_before = target->data().registered_region_count();
-  ASSERT_TRUE((*agent)->RegisterFunction(target.get()).ok());
-
-  auto sender = ConnectToRemoteFunction("127.0.0.1", (*agent)->port(), "picky");
-  ASSERT_TRUE(sender.ok());
-  sender->set_transfer_deadline(kFailureBound);
-
-  // The delivery ack covers delivery, not execution: the poison frame lands
-  // (OK ack), its invoke fails agent-side, and the channel must survive for
-  // the next frame. The failed invoke's input region must not leak.
-  EXPECT_TRUE(sender->SendBytes(AsBytes("poison")).ok());
-  EXPECT_TRUE(sender->SendBytes(AsBytes("fine")).ok());
-  (*agent)->Shutdown();
-  EXPECT_EQ((*agent)->transfers_completed(), 1u);
-  EXPECT_EQ(target->data().registered_region_count(), regions_before);
-}
-
-TEST_P(AgentIngressModes, ImplausibleHeaderTearsAgentChannelDown) {
-  auto agent = NodeAgent::Start(0, AgentOptions());
-  ASSERT_TRUE(agent.ok());
-  auto target = MakeShim("sink");
-  ASSERT_TRUE((*agent)->RegisterFunction(target.get()).ok());
-
-  // Raw connection: a valid preamble, then a frame header the receiver must
-  // refuse to trust (the channel cannot be resynced — unknown body length).
-  auto conn = osal::TcpConnect("127.0.0.1", (*agent)->port());
-  ASSERT_TRUE(conn.ok());
-  const std::string name = "sink";
-  uint8_t preamble[2];
-  StoreLE<uint16_t>(preamble, static_cast<uint16_t>(name.size()));
-  ASSERT_TRUE(conn->Send(ByteSpan(preamble, 2)).ok());
-  ASSERT_TRUE(conn->Send(AsBytes(name)).ok());
-  uint8_t header[16];
-  StoreLE<uint64_t>(header, UINT64_MAX);
-  StoreLE<uint64_t>(header + 8, 0);
-  ASSERT_TRUE(conn->Send(ByteSpan(header, 16)).ok());
-
-  // The agent drops the connection: EOF, not a hang.
-  uint8_t probe = 0;
-  auto n = conn->ReceiveSome(MutableByteSpan(&probe, 1));
-  ASSERT_TRUE(n.ok()) << n.status();
-  EXPECT_EQ(*n, 0u);
-  (*agent)->Shutdown();  // join workers before the target shim dies
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Ingress, AgentIngressModes,
-    ::testing::Values(NodeAgent::Options::Ingress::kReactor,
-                      NodeAgent::Options::Ingress::kThreaded),
-    [](const ::testing::TestParamInfo<NodeAgent::Options::Ingress>& info) {
-      return info.param == NodeAgent::Options::Ingress::kReactor ? "Reactor"
-                                                                 : "Threaded";
-    });
-
-TEST(WireFailureTest, AgentReapsFinishedConnectionThreads) {
-  // Threaded plane only: the reactor plane has no per-connection threads to
-  // reap (live_workers() is 0 there by construction).
-  NodeAgent::Options options;
-  options.ingress = NodeAgent::Options::Ingress::kThreaded;
-  auto agent = NodeAgent::Start(0, options);
-  ASSERT_TRUE(agent.ok());
-  auto target = MakeShim("sink");
-  ASSERT_TRUE((*agent)->RegisterFunction(target.get()).ok());
-
-  // Five short-lived connections, each fully closed after one transfer.
-  for (int i = 0; i < 5; ++i) {
-    auto sender = ConnectToRemoteFunction("127.0.0.1", (*agent)->port(), "sink");
-    ASSERT_TRUE(sender.ok());
-    ASSERT_TRUE(sender->SendBytes(AsBytes("one-shot")).ok());
-  }
-
-  // Their workers exit asynchronously (EOF on the next header read) and are
-  // joined by the accept loop before each subsequent accept. Poke the loop
-  // with fresh connections until the map shrinks to just the live one(s).
-  bool reaped = false;
-  for (int attempt = 0; attempt < 50 && !reaped; ++attempt) {
-    auto poke = ConnectToRemoteFunction("127.0.0.1", (*agent)->port(), "sink");
-    ASSERT_TRUE(poke.ok());
-    ASSERT_TRUE(poke->SendBytes(AsBytes("poke")).ok());
-    reaped = (*agent)->live_workers() <= 2;
-    PreciseSleep(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(reaped) << "worker threads were never reaped: "
-                      << (*agent)->live_workers() << " still tracked";
-  // The delivery ack precedes the agent-side invoke + output release; join
-  // the workers before the target shim dies.
-  (*agent)->Shutdown();
-}
 
 TEST(WireFailureTest, TransientAcceptErrorsAreClassified) {
   EXPECT_TRUE(IsTransientAcceptError(ErrnoToStatus(EMFILE, "accept4")));

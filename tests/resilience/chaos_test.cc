@@ -184,9 +184,7 @@ TEST_F(ChaosTest, AgentDropCompletionBackstopRetries) {
 // Kill the primary agent between runs: every subsequent run must fail over
 // to the replica and degrade ZERO completions once retries drain. After the
 // breaker trips on the dead primary, later runs skip it in admission.
-void KillAgentFailsOverToReplica(core::TransportOptions::AgentWire wire,
-                                 NodeAgent::Options::Ingress ingress,
-                                 uint64_t failovers_before) {
+void KillAgentFailsOverToReplica(uint64_t failovers_before) {
   ResiliencePolicy policy = FastPolicy(/*max_attempts=*/2);
   policy.breaker.failure_threshold = 2;
   policy.breaker.open_cooldown = std::chrono::seconds(30);  // stays open
@@ -195,15 +193,10 @@ void KillAgentFailsOverToReplica(core::TransportOptions::AgentWire wire,
   options.resilience = policy;
   options.remote_deadline = std::chrono::seconds(5);
   api::Runtime rt("wf", options);
-  core::TransportOptions wire_options = rt.manager().hops().wire_options();
-  wire_options.agent_wire = wire;
-  rt.manager().hops().set_wire_options(wire_options);
 
-  NodeAgent::Options agent_options;
-  agent_options.ingress = ingress;
-  auto primary = NodeAgent::Start(0, agent_options);
+  auto primary = NodeAgent::Start(0);
   ASSERT_TRUE(primary.ok()) << primary.status();
-  auto replica = NodeAgent::Start(0, agent_options);
+  auto replica = NodeAgent::Start(0);
   ASSERT_TRUE(replica.ok()) << replica.status();
 
   auto a_shim = Shim::Create(Spec("a"), Binary());
@@ -264,15 +257,7 @@ void KillAgentFailsOverToReplica(core::TransportOptions::AgentWire wire,
 }
 
 TEST_F(ChaosTest, KillAgentFailsOverToReplicaMuxReactor) {
-  KillAgentFailsOverToReplica(core::TransportOptions::AgentWire::kMux,
-                              NodeAgent::Options::Ingress::kReactor,
-                              FailoverTotal().Value());
-}
-
-TEST_F(ChaosTest, KillAgentFailsOverToReplicaLegacyThreaded) {
-  KillAgentFailsOverToReplica(core::TransportOptions::AgentWire::kLegacy,
-                              NodeAgent::Options::Ingress::kThreaded,
-                              FailoverTotal().Value());
+  KillAgentFailsOverToReplica(FailoverTotal().Value());
 }
 
 // Agent crash and RESTART on the same port, no replica: the crash trips the
