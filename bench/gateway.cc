@@ -116,7 +116,7 @@ struct Backend {
 };
 
 // Admission policy the bench measures: shed with 429 once this many runs
-// are queued+executing. Bounds admitted-request latency to roughly
+// are in flight. Bounds admitted-request latency to roughly
 // cap / capacity seconds, which is what keeps the 1x tail flat.
 constexpr size_t kInflightCap = 48;
 
@@ -125,7 +125,6 @@ Result<Backend> StartBackend(const GatewayBenchConfig& config) {
   backend.vm = std::make_unique<runtime::WasmVm>("bench-gateway");
 
   api::Runtime::Options options;
-  options.max_in_flight = 32;
   options.dag_workers = 64;
   backend.rt = std::make_unique<api::Runtime>("bench-gateway", options);
 

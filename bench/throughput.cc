@@ -106,7 +106,6 @@ Result<Measurement> MeasurePoint(Mode mode, size_t pool_size,
   };
 
   api::Runtime::Options options;
-  options.max_in_flight = config.submits;
   options.dag_workers = 4 * config.submits;
   api::Runtime rt("bench-throughput", options);
 

@@ -1,6 +1,8 @@
 #include "api/runtime.h"
 
-#include <algorithm>
+#include <unistd.h>
+
+#include <string>
 
 #include "common/log.h"
 #include "obs/metrics.h"
@@ -17,7 +19,7 @@ obs::Counter& SubmitTotal() {
 
 obs::Gauge& InFlightRuns() {
   static obs::Gauge* gauge = obs::Registry::Get().gauge(
-      "rr_inflight_runs", "Submitted runs not yet completed (queued + executing)");
+      "rr_inflight_runs", "Submitted runs whose result has not yet published");
   return *gauge;
 }
 
@@ -117,28 +119,21 @@ Runtime::Runtime(std::string workflow, Options options)
                       << server.status();
     }
   }
-  size_t drivers = options.max_in_flight;
-  if (drivers == 0) {
-    drivers = std::max<size_t>(8, std::thread::hardware_concurrency());
-  }
-  drivers_.reserve(drivers);
-  for (size_t i = 0; i < drivers; ++i) {
-    drivers_.emplace_back([this] { DriverLoop(); });
-  }
 }
 
 Runtime::~Runtime() {
   // Stop serving introspection first: its handler reads in_flight() off this
   // object, which must still be fully alive for every in-flight request.
   introspection_.reset();
-  {
-    MutexLock lock(mutex_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  // Drivers drain the queue before exiting: every handle ever returned by
-  // Submit completes, so a Wait() can never hang on teardown.
-  for (std::thread& driver : drivers_) driver.join();
+  // Every handle ever returned by Submit completes, so a Wait() can never
+  // hang on teardown. The wait covers the whole of Publish — callbacks
+  // included — because the finishing threads (DAG workers, agent invoke
+  // workers, the mux reactor, the deadline sweeper) touch this object until
+  // it returns; the executor's destructor then joins the DAG workers.
+  MutexLock lock(mutex_);
+  stopping_ = true;
+  drained_cv_.wait(lock,
+                   [this]() RR_REQUIRES(mutex_) { return unsettled_ == 0; });
 }
 
 Status Runtime::Register(core::Endpoint endpoint) {
@@ -184,13 +179,16 @@ Result<std::shared_ptr<Invocation>> Runtime::Enqueue(
       next_id_.fetch_add(1, std::memory_order_relaxed), std::move(dag),
       std::move(input)));
   invocation->resilience_ = std::move(resilience);
-  // The run's trace id: everything the run touches — driver, DAG workers,
-  // wire frames, the remote agent's process — spans under it. A caller that
-  // is already inside a trace (the gateway tagging a request) propagates its
-  // id so edge and execution stitch into one trace; otherwise Submit mints.
+  // The run's trace id: everything the run touches — DAG workers, wire
+  // frames, the remote agent's process — spans under it. A caller that is
+  // already inside a trace (the gateway tagging a request) propagates its id
+  // so edge and execution stitch into one trace; otherwise Submit mints. The
+  // run span's id is minted here too: the span crosses threads (it is
+  // recorded by whichever thread publishes), and node spans parent under it.
   if (obs::TracingEnabled()) {
     const uint64_t ambient = obs::CurrentSpanContext().trace_id;
     invocation->trace_id_ = ambient != 0 ? ambient : obs::NewTraceId();
+    invocation->span_id_ = obs::NewSpanId();
   }
   invocation->submitted_ = Now();
   {
@@ -198,66 +196,72 @@ Result<std::shared_ptr<Invocation>> Runtime::Enqueue(
     if (stopping_) {
       return UnavailableError("runtime is shutting down");
     }
-    queue_.push_back(invocation);
+    ++in_flight_;
+    ++unsettled_;
   }
   SubmitTotal().Inc();
   InFlightRuns().Add(1);
-  work_cv_.notify_one();
+
+  // The executor captures the installed context for the run's nodes. The
+  // completion holds the handle, which owns the DAG and the input the run
+  // borrows, until Publish returns.
+  obs::ScopedTraceContext trace_ctx(
+      obs::SpanContext{invocation->trace_id_, invocation->span_id_});
+  Invocation& run = *invocation;
+  executor_.Start(run.dag_, run.input_, &run.stats_.dag, run.resilience_,
+                  [this, invocation](Result<rr::Buffer> result,
+                                     TimePoint started) {
+                    Publish(*invocation, std::move(result), started);
+                  });
   return invocation;
 }
 
-void Runtime::DriverLoop() {
-  for (;;) {
-    std::shared_ptr<Invocation> invocation;
-    {
-      MutexLock lock(mutex_);
-      work_cv_.wait(lock, [this]() RR_REQUIRES(mutex_) {
-        return stopping_ || !queue_.empty();
-      });
-      if (queue_.empty()) return;  // stopping and drained
-      invocation = std::move(queue_.front());
-      queue_.pop_front();
-      ++executing_;
-    }
-
-    const TimePoint started = Now();
-    RunStats stats;
-    stats.queued = started - invocation->submitted_;
-    Result<rr::Buffer> result{rr::Buffer{}};
-    {
-      // The run executes under the trace id Submit minted: the run span is
-      // the root, and the executor re-installs this context on every DAG
-      // worker that picks up one of the run's nodes.
-      obs::ScopedTraceContext trace_ctx(
-          obs::SpanContext{invocation->trace_id_, 0});
-      RR_TRACE_SPAN(run_span, "api",
-                    "run:" + std::to_string(invocation->id_));
-      result = executor_.Execute(invocation->dag_, invocation->input_,
-                                 &stats.dag, invocation->resilience_);
-    }
-    stats.total = Now() - started;
-    SubmitLatency().Observe(ToSeconds(stats.queued + stats.total));
-
-    // Retire from the in-flight count before publishing completion, so a
-    // caller returning from Wait() observes in_flight() without this run.
-    {
-      MutexLock lock(mutex_);
-      --executing_;
-    }
-    InFlightRuns().Sub(1);
-    std::vector<std::function<void()>> callbacks;
-    {
-      MutexLock lock(invocation->mutex_);
-      invocation->stats_ = std::move(stats);
-      invocation->result_ = std::move(result);
-      invocation->done_ = true;
-      callbacks.swap(invocation->done_callbacks_);
-    }
-    invocation->cv_.notify_all();
-    // Completion callbacks fire outside the invocation lock: they may read
-    // the (now immutable) result through the handle.
-    for (auto& callback : callbacks) callback();
+void Runtime::Publish(Invocation& invocation, Result<rr::Buffer> result,
+                      TimePoint started) {
+  const TimePoint now = Now();
+  invocation.stats_.queued = started - invocation.submitted_;
+  invocation.stats_.total = now - started;
+  SubmitLatency().Observe(ToSeconds(now - invocation.submitted_));
+  // Recorded before the result publishes, so a caller returning from Wait()
+  // finds the run span in the tracer.
+  if (invocation.span_id_ != 0) {
+    obs::SpanRecord span;
+    span.name = "run:" + std::to_string(invocation.id_);
+    span.category = "api";
+    span.trace_id = invocation.trace_id_;
+    span.span_id = invocation.span_id_;
+    span.pid = static_cast<int>(::getpid());
+    span.tid = CurrentThreadTag();
+    span.start = invocation.submitted_;
+    span.duration = now - invocation.submitted_;
+    obs::Tracer::Get().Record(std::move(span));
   }
+
+  // Retire from the in-flight count before publishing completion, so a
+  // caller returning from Wait() observes in_flight() without this run.
+  {
+    MutexLock lock(mutex_);
+    --in_flight_;
+  }
+  InFlightRuns().Sub(1);
+  std::vector<std::function<void()>> callbacks;
+  {
+    MutexLock lock(invocation.mutex_);
+    invocation.result_ = std::move(result);
+    invocation.done_ = true;
+    callbacks.swap(invocation.done_callbacks_);
+  }
+  invocation.cv_.notify_all();
+  // Completion callbacks fire outside the invocation lock: they may read
+  // the (now immutable) result through the handle. They are destroyed here
+  // too, before the run settles: what they captured is theirs to release.
+  for (auto& callback : callbacks) callback();
+  callbacks.clear();
+
+  // Notify under the lock: once it drops, the destructor may return and
+  // take mutex_ and drained_cv_ with it.
+  MutexLock lock(mutex_);
+  if (--unsettled_ == 0) drained_cv_.notify_all();
 }
 
 core::NodeAgent::DeliveryCallback Runtime::DeliverySink() {
@@ -266,7 +270,7 @@ core::NodeAgent::DeliveryCallback Runtime::DeliverySink() {
 
 size_t Runtime::in_flight() const {
   MutexLock lock(mutex_);
-  return queue_.size() + executing_;
+  return in_flight_;
 }
 
 }  // namespace rr::api

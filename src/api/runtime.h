@@ -23,12 +23,11 @@
 //   const Result<rr::Buffer>& out = (*inv)->Wait();
 #pragma once
 
-#include <deque>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -59,8 +58,12 @@ struct DagSpec {
 
 // Wall-clock accounting of one submitted run.
 struct RunStats {
-  Nanos queued{0};              // Submit() -> execution start
-  Nanos total{0};               // execution start -> completion
+  // Submit() -> the run's first source node starting on a DAG worker: the
+  // ready-queue wait. The source's pool lease wait comes after, in `total`.
+  Nanos queued{0};
+  // That start -> the result publishing: every node, edge and sink egress,
+  // on whichever threads retired them.
+  Nanos total{0};
   telemetry::DagRunStats dag;   // per-edge samples of the run
 };
 
@@ -85,22 +88,19 @@ class Invocation {
   // Bounded wait; true when the run completed within `timeout`.
   bool WaitFor(Nanos timeout);
 
-  // Registers a completion callback: runs exactly once, on the completing
-  // driver thread right after the result publishes — or inline, on the
-  // caller's thread, when the run is already done. This is the event-driven
-  // counterpart to Wait(): the gateway parks a Responder in one of these
-  // instead of parking a thread. Callbacks must not block and must not call
-  // back into Wait() on this invocation (it is already done when they run;
-  // reading the result directly is fine).
+  // Registers a completion callback: runs exactly once, right after the
+  // result publishes, on the thread that retired the run's last node — a
+  // DAG worker; an agent invoke worker when the sink is remote; the mux
+  // reactor or the remote-deadline sweeper when a failed remote edge ends
+  // the run — or inline, on the caller's thread, when the run is already
+  // done. This is the event-driven counterpart to Wait(): the gateway parks
+  // a Responder in one of these instead of parking a thread. Callbacks run
+  // on threads that serve other runs, so they must not block; Wait() on
+  // this invocation returns at once inside them (it is already done).
   void NotifyDone(std::function<void()> callback);
 
-  // Valid once Done() — meaningless while the run is in flight. Reads
-  // stats_ without mutex_: publication happens-before any caller that
-  // observed Done() (both touch mutex_), so the unlocked read is safe once
-  // the contract is honored; the analysis cannot see that ordering.
-  const RunStats& stats() const RR_NO_THREAD_SAFETY_ANALYSIS {
-    return stats_;
-  }
+  // Valid once Done() — meaningless while the run is in flight.
+  const RunStats& stats() const { return stats_; }
 
  private:
   friend class Runtime;
@@ -113,25 +113,25 @@ class Invocation {
   // The DagSpec's per-run retry-policy override, carried to the executor.
   std::optional<resilience::ResiliencePolicy> resilience_;
   uint64_t trace_id_ = 0;
+  uint64_t span_id_ = 0;  // the run:<id> span, recorded when it publishes
   TimePoint submitted_{};
+  // Written only by the run (the executor's edge samples, then the
+  // publishing thread) before done_ is set under mutex_; read only by
+  // callers that observed Done(), so publication orders every access.
+  RunStats stats_;
 
   mutable Mutex mutex_;
   CondVar cv_;
   bool done_ RR_GUARDED_BY(mutex_) = false;
   Result<rr::Buffer> result_ RR_GUARDED_BY(mutex_){rr::Buffer{}};
-  RunStats stats_ RR_GUARDED_BY(mutex_);
   std::vector<std::function<void()>> done_callbacks_ RR_GUARDED_BY(mutex_);
 };
 
 class Runtime {
  public:
   struct Options {
-    // Invocations driven concurrently (queued beyond this). 0 = one driver
-    // per hardware thread, at least 8 so a burst of submissions overlaps
-    // even on small hosts.
-    size_t max_in_flight = 0;
-    // DAG scheduler worker pool, shared by every in-flight run. 0 = one per
-    // hardware thread.
+    // DAG scheduler worker pool, shared by every in-flight run: the only
+    // threads that execute runs. 0 = one per hardware thread.
     size_t dag_workers = 0;
     // BACKSTOP on one remote (NodeAgent) edge: dispatch to delivery
     // callback, including the remote invoke. On the default mux wire a
@@ -167,7 +167,9 @@ class Runtime {
   explicit Runtime(std::string workflow);
   Runtime(std::string workflow, Options options);
 
-  // Drains: blocks until every submitted invocation has completed.
+  // Drains: blocks until every submitted invocation has published its
+  // result and its NotifyDone callbacks have returned, whichever threads
+  // they run on; only then does any member those threads touch go away.
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
@@ -177,7 +179,9 @@ class Runtime {
   Status Register(core::Endpoint endpoint);
   Status Unregister(const std::string& name);
 
-  // Submits a run and returns its handle immediately. The Buffer overloads
+  // Starts a run and returns its handle immediately: the run's sources are
+  // queued for the DAG workers, and the run completes on the thread that
+  // retires its last node. The Buffer overloads
   // share the caller's chunks — zero copies at Submit, however many runs the
   // same buffer feeds; the ByteSpan overloads copy once into the plane so
   // the caller's span may be reused at once. Specs are validated here (shape
@@ -199,6 +203,8 @@ class Runtime {
   // The underlying registry + hop cache (control plane, telemetry, tests).
   core::WorkflowManager& manager() { return manager_; }
 
+  // Started runs whose result has not yet published (a caller returning
+  // from Wait() never counts its own run).
   size_t in_flight() const;
 
   // The introspection endpoint's bound port; 0 when not serving (option off,
@@ -211,7 +217,10 @@ class Runtime {
   Result<std::shared_ptr<Invocation>> Enqueue(
       dag::Dag dag, rr::Buffer input,
       std::optional<resilience::ResiliencePolicy> resilience = std::nullopt);
-  void DriverLoop();
+  // Publishes a finished run on the thread that finished it: stats, the
+  // run span, the result, the Wait() wakeup and the NotifyDone callbacks.
+  void Publish(Invocation& invocation, Result<rr::Buffer> result,
+               TimePoint started);
 
   core::WorkflowManager manager_;
   dag::DagExecutor executor_;
@@ -220,12 +229,12 @@ class Runtime {
   std::unique_ptr<obs::IntrospectionServer> introspection_;
 
   mutable Mutex mutex_;
-  CondVar work_cv_;
-  std::deque<std::shared_ptr<Invocation>> queue_ RR_GUARDED_BY(mutex_);
-  size_t executing_ RR_GUARDED_BY(mutex_) = 0;
+  CondVar drained_cv_;
+  size_t in_flight_ RR_GUARDED_BY(mutex_) = 0;  // started, not yet published
+  // Started runs whose Publish has not returned; the destructor waits for 0.
+  size_t unsettled_ RR_GUARDED_BY(mutex_) = 0;
   bool stopping_ RR_GUARDED_BY(mutex_) = false;
   std::atomic<uint64_t> next_id_{1};
-  std::vector<std::thread> drivers_;
 };
 
 }  // namespace rr::api

@@ -27,7 +27,7 @@ using core::TransferTiming;
 // storage (a still-guest-resident region, or the shared host chunk) with the
 // last holder, so fan-out never frees under a concurrent reader and
 // steady-state memory stays bounded by the DAG's live frontier. A cancelled
-// run cleans up the same way when the runs vector unwinds.
+// run cleans up the same way when its run context is freed.
 struct DagExecutor::NodeRun {
   Endpoint* endpoint = nullptr;
   Payload payload;
@@ -70,6 +70,29 @@ struct DagExecutor::StatsState {
   }
 };
 
+// One run's state, from Start until the scheduler's completion frees it.
+struct DagExecutor::RunContext {
+  RunContext(const Dag& dag, const rr::Buffer& input,
+             const resilience::ResiliencePolicy& policy, DoneFn done)
+      : dag(dag), input(input), runs(dag.size()), res(policy),
+        trace_ctx(obs::CurrentSpanContext()), done(std::move(done)) {}
+
+  const Dag& dag;
+  const rr::Buffer& input;
+  std::vector<NodeRun> runs;
+  StatsState stats;
+  RunResilience res;
+  // Node tasks execute on the scheduler's pool threads; the starting
+  // thread's trace context is re-installed there so every node/edge span
+  // joins the run's trace instead of opening orphan traces per worker.
+  const obs::SpanContext trace_ctx;
+  // When the first source node began; stamped once by whichever source
+  // claims `started_claimed`, before that node retires.
+  std::atomic<bool> started_claimed{false};
+  TimePoint started{};
+  DoneFn done;
+};
+
 DagExecutor::~DagExecutor() {
   // Disarm the completion callbacks FIRST: a mux stream the deadline sweeper
   // abandoned may still fire its DispatchAsync callback from a reactor
@@ -86,47 +109,48 @@ DagExecutor::~DagExecutor() {
   if (sweeper_.joinable()) sweeper_.join();
 }
 
-Result<rr::Buffer> DagExecutor::Execute(
+void DagExecutor::Start(
     const Dag& dag, const rr::Buffer& input, telemetry::DagRunStats* stats,
-    const std::optional<resilience::ResiliencePolicy>& policy_override) {
-  const Stopwatch total_timer;
+    const std::optional<resilience::ResiliencePolicy>& policy_override,
+    DoneFn done) {
   if (stats != nullptr) *stats = telemetry::DagRunStats{};
-
-  std::vector<NodeRun> runs(dag.size());
+  auto run = std::make_unique<RunContext>(
+      dag, input, policy_override.value_or(policy_), std::move(done));
+  run->stats.out = stats;
   for (size_t i = 0; i < dag.size(); ++i) {
-    RR_ASSIGN_OR_RETURN(Endpoint* const endpoint,
-                        manager_->Find(dag.node(i).name));
-    runs[i].endpoint = endpoint;
-    runs[i].remaining_consumers.store(dag.node(i).succs.size(),
-                                      std::memory_order_relaxed);
+    Result<Endpoint*> endpoint = manager_->Find(dag.node(i).name);
+    if (!endpoint.ok()) {
+      run->started = Now();
+      Finish(run.release(), endpoint.status());
+      return;
+    }
+    run->runs[i].endpoint = *endpoint;
+    run->runs[i].remaining_consumers.store(dag.node(i).succs.size(),
+                                           std::memory_order_relaxed);
   }
 
-  StatsState stats_state;
-  stats_state.out = stats;
-  // Per-run retry state lives on this stack like StatsState: pending slots
-  // point at it, and the scheduler keeps this frame alive while any of the
-  // run's tickets is outstanding.
-  RunResilience res(policy_override.value_or(policy_));
+  RunContext* const context = run.release();
+  scheduler_.Start(
+      dag,
+      [this, context](size_t index, const DagScheduler::DeferFn& defer) {
+        obs::ScopedTraceContext trace(context->trace_ctx);
+        return RunNode(*context, index, defer);
+      },
+      [context](Status status) { Finish(context, std::move(status)); });
+}
 
-  // Node tasks execute on the scheduler's pool threads; re-install the
-  // submitting thread's trace context there so every node/edge span joins
-  // the run's trace instead of opening orphan traces per worker.
-  const obs::SpanContext run_ctx = obs::CurrentSpanContext();
-  Status status = scheduler_.Run(
-      dag, [&](size_t index, const DagScheduler::DeferFn& defer) {
-        obs::ScopedTraceContext ctx(run_ctx);
-        return RunNode(dag, index, runs, input, stats_state, res, defer);
-      });
-
+void DagExecutor::Finish(RunContext* context, Status status) {
+  std::unique_ptr<RunContext> run(context);
   // Assemble the result by chunk sharing: each sink's output is egressed
   // exactly once (here, if it was not already host-resident) and the
   // concatenation borrows the chunks — no merge allocation. Every other
   // still-live payload (a cancelled run's frontier) releases through its
-  // handle when `runs` unwinds.
+  // handle when the context is freed below.
   rr::Buffer result;
   if (status.ok()) {
-    for (const size_t sink : dag.sinks()) {
-      auto sink_buffer = runs[sink].payload.Materialize();
+    obs::ScopedTraceContext trace(run->trace_ctx);
+    for (const size_t sink : run->dag.sinks()) {
+      auto sink_buffer = run->runs[sink].payload.Materialize();
       if (!sink_buffer.ok()) {
         status = sink_buffer.status();
         break;
@@ -134,24 +158,33 @@ Result<rr::Buffer> DagExecutor::Execute(
       result.Append(*sink_buffer);
     }
   }
-  RR_RETURN_IF_ERROR(status);
-
-  if (stats != nullptr) {
-    stats->total = total_timer.Elapsed();
-    if (stats_state.phase_start.has_value()) {
-      stats->transfer_phase = stats_state.phase_end - *stats_state.phase_start;
+  telemetry::DagRunStats* const stats = run->stats.out;
+  if (status.ok() && stats != nullptr) {
+    stats->total = Now() - run->started;
+    MutexLock lock(run->stats.mutex);
+    if (run->stats.phase_start.has_value()) {
+      stats->transfer_phase = run->stats.phase_end - *run->stats.phase_start;
     }
   }
-  return result;
+
+  // Free the run's state before the caller hears of it: `done` may release
+  // the last owner of everything the run borrowed (the DAG, the input, the
+  // endpoints' pools), and the caller's teardown waits only for `done`.
+  const TimePoint started = run->started;
+  const DoneFn done = std::move(run->done);
+  run.reset();
+  if (status.ok()) {
+    done(std::move(result), started);
+  } else {
+    done(std::move(status), started);
+  }
 }
 
-Status DagExecutor::RunNode(const Dag& dag, size_t index,
-                            std::vector<NodeRun>& runs, const rr::Buffer& input,
-                            StatsState& stats, RunResilience& res,
+Status DagExecutor::RunNode(RunContext& run, size_t index,
                             const DagScheduler::DeferFn& defer) {
-  const DagNode& node = dag.node(index);
-  NodeRun& run = runs[index];
-  Endpoint& target = *run.endpoint;
+  const DagNode& node = run.dag.node(index);
+  std::vector<NodeRun>& runs = run.runs;
+  Endpoint& target = *runs[index].endpoint;
 
   // Sources take the workflow input through platform ingress: a gather write
   // of the shared input chunks — the submit-side plane never copied them.
@@ -159,15 +192,18 @@ Status DagExecutor::RunNode(const Dag& dag, size_t index,
   // of the same workflow land on distinct warm instances, so their
   // invocations overlap instead of queuing on one VM.
   if (node.preds.empty()) {
+    if (!run.started_claimed.exchange(true, std::memory_order_relaxed)) {
+      run.started = Now();
+    }
     RR_ASSIGN_OR_RETURN(ShimLease lease, target.Lease());
     InvokeOutcome outcome;
     {
       MutexLock shim_lock(lease->exec_mutex());
       RR_TRACE_SPAN(node_span, "dag", "node:" + node.name);
       RR_ASSIGN_OR_RETURN(outcome,
-                          lease->DeliverAndInvoke(rr::BufferView(input)));
+                          lease->DeliverAndInvoke(rr::BufferView(run.input)));
     }
-    return FinishNode(dag, index, runs, lease.get(), outcome);
+    return FinishNode(run, index, lease.get(), outcome);
   }
 
   // Decide coupling per predecessor FIRST, from placement alone: a network
@@ -188,7 +224,7 @@ Status DagExecutor::RunNode(const Dag& dag, size_t index,
     if (mode == core::TransferMode::kNetwork && target.port != 0) ++coupled;
   }
   if (coupled == node.preds.size()) {
-    return RunRemoteNode(dag, index, runs, stats, res, defer);
+    return RunRemoteNode(run, index, defer);
   }
   if (coupled != 0) {
     return FailedPreconditionError(
@@ -206,15 +242,17 @@ Status DagExecutor::RunNode(const Dag& dag, size_t index,
                         manager_->hops().Get(*runs[pred].endpoint, target));
     pred_hops.push_back(std::move(hop));
   }
-  return RunLocalNode(dag, index, runs, pred_hops, stats);
+  return RunLocalNode(run, index, pred_hops);
 }
 
 Status DagExecutor::RunLocalNode(
-    const Dag& dag, size_t index, std::vector<NodeRun>& runs,
-    const std::vector<std::shared_ptr<Hop>>& pred_hops, StatsState& stats) {
+    RunContext& run, size_t index,
+    const std::vector<std::shared_ptr<Hop>>& pred_hops) {
+  const Dag& dag = run.dag;
   const DagNode& node = dag.node(index);
-  NodeRun& run = runs[index];
-  Endpoint& target = *run.endpoint;
+  std::vector<NodeRun>& runs = run.runs;
+  StatsState& stats = run.stats;
+  Endpoint& target = *runs[index].endpoint;
 
   // This edge's share of the predecessor's eager-egress time (zero when the
   // payload stayed guest-resident — the hop then times its own egress).
@@ -336,7 +374,7 @@ Status DagExecutor::RunLocalNode(
     input_guard.Dismiss();
     outcome = *invoked;
   }
-  return FinishNode(dag, index, runs, &instance, outcome);
+  return FinishNode(run, index, &instance, outcome);
 }
 
 // Completion-driven remote node: assembles ONE frame, registers the pending
@@ -349,14 +387,13 @@ Status DagExecutor::RunLocalNode(
 // the run's ResiliencePolicy enabled, a retryable attempt failure re-enters
 // the slot as a backoff ticket instead of completing it (see
 // ResolveAttemptFailure).
-Status DagExecutor::RunRemoteNode(const Dag& dag, size_t index,
-                                  std::vector<NodeRun>& runs, StatsState& stats,
-                                  RunResilience& res,
+Status DagExecutor::RunRemoteNode(RunContext& run, size_t index,
                                   const DagScheduler::DeferFn& defer) {
-  const DagNode& node = dag.node(index);
+  const DagNode& node = run.dag.node(index);
+  std::vector<NodeRun>& runs = run.runs;
   Endpoint& target = *runs[index].endpoint;
 
-  stats.MarkPhaseStart();
+  run.stats.MarkPhaseStart();
   // Frame assembly. The agent invokes on every received frame, so a fan-in
   // join's input must travel as ONE frame — predecessor chunks concatenated
   // by reference and vectored onto the wire, no host-side merge copy. Egress
@@ -379,10 +416,10 @@ Status DagExecutor::RunRemoteNode(const Dag& dag, size_t index,
   // Everything below the slot registration runs on borrowed time: the
   // moment the slot is published, ANY resolution path — a loopback
   // completion, or the sweeper under a very short remote_deadline — can
-  // complete the ticket and unblock Run(), unwinding the stack that `runs`,
-  // `node`, and `target` live on. So: copy the names out, and drop this
-  // node's claim on its predecessors NOW (the slot's frame holds the chunk
-  // refcounts).
+  // complete the ticket and finish the run, freeing the context `runs` and
+  // `target` live in (and, with it, possibly the DAG `node` lives in). So:
+  // copy the names out, and drop this node's claim on its predecessors NOW
+  // (the slot's frame holds the chunk refcounts).
   const std::string node_name = node.name;
   const std::string function = target.shim->name();
   ReleaseConsumedPreds(node, runs);
@@ -413,11 +450,8 @@ Status DagExecutor::RunRemoteNode(const Dag& dag, size_t index,
     Pending slot;
     slot.function = function;
     slot.ticket = ticket;
-    slot.dag = &dag;
+    slot.run = &run;
     slot.index = index;
-    slot.runs = &runs;
-    slot.stats = &stats;
-    slot.res = &res;
     slot.part_bytes = std::move(part_bytes);
     slot.frame_wasm_io = timing.wasm_io;
     slot.frame = std::move(wire);
@@ -443,8 +477,8 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
   // pointers stay valid outside it: no resolution signal can fire for this
   // token until the dispatch below initiates (the deadline is disarmed, the
   // phase is in-flight so the sweeper won't redispatch, and the frame has
-  // not touched a wire), so the ticket cannot complete and the Run's stack
-  // cannot unwind.
+  // not touched a wire), so the ticket cannot complete and the run context
+  // cannot be freed.
   std::string function;
   rr::Buffer frame;
   size_t start_replica = 0;
@@ -461,9 +495,9 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
     function = slot.function;
     frame = slot.frame;
     start_replica = slot.replica;
-    const DagNode& node = slot.dag->node(slot.index);
-    source = (*slot.runs)[node.preds.front()].endpoint;
-    target = (*slot.runs)[slot.index].endpoint;
+    const std::vector<NodeRun>& runs = slot.run->runs;
+    source = runs[slot.run->dag.node(slot.index).preds.front()].endpoint;
+    target = runs[slot.index].endpoint;
     trace_ctx = slot.trace_ctx;
   }
 
@@ -595,9 +629,10 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
     manager_->hops().Evict(slot->function);
   }
 
-  const resilience::ResiliencePolicy& policy = slot->res->policy;
+  RunResilience& res = slot->run->res;
+  const resilience::ResiliencePolicy& policy = res.policy;
   const size_t replica_count =
-      (*slot->runs)[slot->index].endpoint->replica_count();
+      slot->run->runs[slot->index].endpoint->replica_count();
   const uint32_t max_total =
       policy.max_attempts * static_cast<uint32_t>(replica_count);
   if (!policy.enabled || !resilience::RetryableDispatch(status) ||
@@ -608,7 +643,7 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
     slot->ticket.Complete(status);
     return;
   }
-  if (!slot->res->budget.TryConsume()) {
+  if (!res.budget.TryConsume()) {
     resilience::RetryBudgetExhaustedTotal().Inc();
     slot->ticket.Complete(
         UnavailableError("retry budget exhausted for run; last error: " +
@@ -628,7 +663,7 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
     // The jitter stream is shared by the run's concurrent edges; mail_mutex_
     // guards the draw, keeping the sequence (and tests) deterministic.
     const Nanos delay =
-        resilience::NextBackoff(policy, slot->prev_backoff, slot->res->rng);
+        resilience::NextBackoff(policy, slot->prev_backoff, res.rng);
     slot->prev_backoff = delay;
     slot->phase = Pending::Phase::kBackoff;
     slot->retry_at = Now() + delay;
@@ -647,16 +682,16 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
 // successor egresses NOW — one copy into an immutable shared chunk, the
 // guest region released before any successor runs — so N-way fan-out is
 // O(1) payload copies and the successors only ever bump a refcount.
-Status DagExecutor::FinishNode(const Dag& dag, size_t index,
-                               std::vector<NodeRun>& runs,
+Status DagExecutor::FinishNode(RunContext& run, size_t index,
                                core::Shim* instance,
                                core::InvokeOutcome outcome) {
-  NodeRun& run = runs[index];
-  run.payload = Payload::FromGuest(instance, outcome.output);
-  if (dag.node(index).succs.size() > 1) {
-    RR_TRACE_SPAN(egress_span, "dag", "egress:" + dag.node(index).name);
+  NodeRun& node_run = run.runs[index];
+  node_run.payload = Payload::FromGuest(instance, outcome.output);
+  const DagNode& node = run.dag.node(index);
+  if (node.succs.size() > 1) {
+    RR_TRACE_SPAN(egress_span, "dag", "egress:" + node.name);
     RR_RETURN_IF_ERROR(
-        run.payload.Materialize(&run.egress_wasm_io).status());
+        node_run.payload.Materialize(&node_run.egress_wasm_io).status());
   }
   return Status::Ok();
 }
@@ -696,27 +731,27 @@ Status DagExecutor::DeliverOutcome(const std::string& function,
                                            Status::Ok());
   }
 
-  // Resolve the deferred edge. Everything touching the run's stack state
-  // (runs, stats, dag) happens BEFORE the ticket completes: completion may
-  // release the Run and unwind that stack. Edge latency spans dispatch to
-  // delivery — the remote invoke is part of the edge on this path; a merged
-  // (fan-in) frame reports the shared wall time per contributing edge, with
-  // each edge's own byte count.
-  const Dag& dag = *slot->dag;
+  // Resolve the deferred edge. Everything touching the run context (runs,
+  // stats, dag) happens BEFORE the ticket completes: completing the run's
+  // last node finishes the run and frees that context. Edge latency spans
+  // dispatch to delivery — the remote invoke is part of the edge on this
+  // path; a merged (fan-in) frame reports the shared wall time per
+  // contributing edge, with each edge's own byte count.
+  RunContext& run = *slot->run;
+  const Dag& dag = run.dag;
   const DagNode& node = dag.node(slot->index);
-  std::vector<NodeRun>& runs = *slot->runs;
+  std::vector<NodeRun>& runs = run.runs;
   const Nanos latency = Now() - slot->dispatched_at;
   for (size_t i = 0; i < node.preds.size(); ++i) {
     const size_t pred = node.preds[i];
-    slot->stats->Record(
+    run.stats.Record(
         runs[pred].endpoint->shim->name(), slot->function,
         core::TransferMode::kNetwork, slot->part_bytes[i], latency,
         slot->frame_wasm_io +
             runs[pred].egress_wasm_io /
                 static_cast<int64_t>(dag.node(pred).succs.size()));
   }
-  const Status finished =
-      FinishNode(dag, slot->index, runs, instance.get(), outcome);
+  const Status finished = FinishNode(run, slot->index, instance.get(), outcome);
   slot->ticket.Complete(finished);
   // The instance lease drops when this returns — the agent-side instance
   // goes back to its pool; the output region it still hosts is pinned by

@@ -55,15 +55,22 @@
 // frame is a ref-counted immutable rr::Buffer held by the slot, so a
 // redispatch costs refcounts, not copies.
 //
-// Execution is reentrant: concurrent runs (api::Runtime keeps many
-// invocations in flight) share the worker pool, the hop cache, and the
-// delivery mailbox; per-run state lives on the caller's stack, kept valid by
-// the scheduler (a deferred node keeps its Run blocked). There is no public
-// synchronous entry — api::Runtime::Submit is the way to run a DAG.
+// Execution is asynchronous and reentrant: Start returns at once, and
+// concurrent runs (api::Runtime keeps many invocations in flight) share the
+// worker pool, the hop cache, and the delivery mailbox. Each run's state —
+// node outputs, edge stats, retry state, trace context — lives in one heap
+// run context that the scheduler's completion frees after the last node
+// retires; a deferred node keeps its run unfinished, so that context stays
+// valid for as long as a pending slot can reach it. The run completes on the
+// thread that retires its last node (a DAG worker, or the thread resolving a
+// remote sink), which assembles the result and hands it to the caller's
+// `done` there. There is no public entry — api::Runtime::Submit is the way
+// to run a DAG.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include "common/mutex.h"
@@ -125,7 +132,7 @@ class DagExecutor {
   void set_remote_deadline(Nanos deadline) { remote_deadline_ = deadline; }
 
   // Default retry policy for runs that do not carry their own (the
-  // per-DagSpec override threads through Execute).
+  // per-DagSpec override threads through Start).
   void set_resilience_policy(resilience::ResiliencePolicy policy) {
     policy_ = policy;
   }
@@ -137,8 +144,9 @@ class DagExecutor {
 
   struct NodeRun;
   struct StatsState;
+  struct RunContext;
 
-  // Per-run resilience state, living on Execute's stack beside StatsState:
+  // Per-run resilience state, kept in the run context beside StatsState:
   // the resolved policy, the shared retry budget, and the jitter stream
   // (guarded by mail_mutex_ — backoff draws happen under it).
   struct RunResilience {
@@ -151,39 +159,47 @@ class DagExecutor {
           rng(p.jitter_seed) {}
   };
 
-  // Runs the DAG: `input` is shared (never copied) with every source node;
-  // the sink functions' outputs (concatenated in declaration order when
-  // there are several sinks, by chunk sharing) are returned as one buffer.
-  // On any node failure the run cancels — downstream nodes never execute —
-  // and the first error returns; the payload plane's refcounts release every
-  // still-live output. Safe to call from many threads at once; reachable
-  // only through api::Runtime::Submit. `policy_override` (a per-DagSpec
-  // ResiliencePolicy) replaces the executor default for this run.
-  Result<rr::Buffer> Execute(
-      const Dag& dag, const rr::Buffer& input,
-      telemetry::DagRunStats* stats = nullptr,
-      const std::optional<resilience::ResiliencePolicy>& policy_override =
-          std::nullopt);
+  // A run's completion: the sink functions' outputs (or the first error),
+  // and when the run's first source node began on a worker.
+  using DoneFn =
+      std::function<void(Result<rr::Buffer> result, TimePoint started)>;
 
-  Status RunNode(const Dag& dag, size_t index, std::vector<NodeRun>& runs,
-                 const rr::Buffer& input, StatsState& stats,
-                 RunResilience& res, const DagScheduler::DeferFn& defer);
-  Status RunLocalNode(const Dag& dag, size_t index, std::vector<NodeRun>& runs,
-                      const std::vector<std::shared_ptr<core::Hop>>& pred_hops,
-                      StatsState& stats);
-  Status RunRemoteNode(const Dag& dag, size_t index, std::vector<NodeRun>& runs,
-                       StatsState& stats, RunResilience& res,
+  // Starts the DAG and returns at once: `input` is shared (never copied)
+  // with every source node; the sink functions' outputs (concatenated in
+  // declaration order when there are several sinks, by chunk sharing) reach
+  // `done` as one buffer. On any node failure the run cancels — downstream
+  // nodes never execute — and `done` gets the first error; the payload
+  // plane's refcounts release every still-live output. `done` fires exactly
+  // once, on the thread that retires the run's last node, after the run's
+  // own state is freed; `dag`, `input` and `stats` must stay valid until
+  // then. Reachable only through api::Runtime::Submit. `policy_override` (a
+  // per-DagSpec ResiliencePolicy) replaces the executor default for this
+  // run.
+  void Start(const Dag& dag, const rr::Buffer& input,
+             telemetry::DagRunStats* stats,
+             const std::optional<resilience::ResiliencePolicy>& policy_override,
+             DoneFn done);
+  // The scheduler's completion of one run: assembles the result, frees the
+  // run context, then calls its `done`.
+  static void Finish(RunContext* run, Status status);
+
+  Status RunNode(RunContext& run, size_t index,
+                 const DagScheduler::DeferFn& defer);
+  Status RunLocalNode(RunContext& run, size_t index,
+                      const std::vector<std::shared_ptr<core::Hop>>& pred_hops);
+  Status RunRemoteNode(RunContext& run, size_t index,
                        const DagScheduler::DeferFn& defer);
-  Status FinishNode(const Dag& dag, size_t index, std::vector<NodeRun>& runs,
-                    core::Shim* instance, core::InvokeOutcome outcome);
+  static Status FinishNode(RunContext& run, size_t index,
+                           core::Shim* instance, core::InvokeOutcome outcome);
   static void ReleaseConsumedPreds(const DagNode& node,
                                    std::vector<NodeRun>& runs);
 
   // One pending invoke-coupled transfer: the deferred node's continuation,
-  // registered before its frame is dispatched. The raw pointers target the
-  // Run's stack state, valid until the ticket completes (the scheduler keeps
-  // the Run blocked while the node is outstanding) — so every resolution
-  // path touches them strictly BEFORE Ticket::Complete.
+  // registered before its frame is dispatched. `run` points into the run's
+  // heap context, valid until the ticket completes (the run cannot finish
+  // while the node is outstanding, and completing its last node frees the
+  // context) — so every resolution path touches it strictly BEFORE
+  // Ticket::Complete.
   //
   // With retries, a slot cycles between two phases under a CHANGING token:
   // kInFlight (dispatched, waiting on a signal) and kBackoff (waiting for
@@ -195,11 +211,8 @@ class DagExecutor {
 
     std::string function;  // target function = hop-cache eviction key
     DagScheduler::Ticket ticket;
-    const Dag* dag = nullptr;
+    RunContext* run = nullptr;
     size_t index = 0;
-    std::vector<NodeRun>* runs = nullptr;
-    StatsState* stats = nullptr;
-    RunResilience* res = nullptr;
     std::shared_ptr<core::Hop> hop;
     std::vector<uint64_t> part_bytes;  // per-predecessor frame contribution
     Nanos frame_wasm_io{0};            // egress time of frame assembly

@@ -6,10 +6,16 @@
 // joins wait for all of their inputs. The pool is fixed at construction:
 // workflow width never translates into unbounded thread creation.
 //
-// Run is reentrant: any number of concurrent runs (api::Runtime keeps many
-// invocations in flight) share the one pool, their ready nodes interleaved
-// in one queue. Each run's bookkeeping lives on its caller's stack, so runs
-// never contend on anything but the queue lock.
+// Runs are asynchronous and RUN TO COMPLETION. Start queues a run's sources
+// and returns; the run finishes on the thread that retires its last node,
+// which fires the run's `done` right there. A worker that retires a node
+// runs the first successor it made ready itself, next — no queueing, no
+// wakeup — and hands only the further successors to the shared queue. So a
+// chain runs start to finish on one worker and completes there, and a
+// fan-out engages exactly one extra worker per extra branch. Any number of
+// concurrent runs share the one pool; each run's bookkeeping lives on the
+// heap until its `done` fires, so runs never contend on anything but the
+// queue lock.
 //
 // Nodes may complete ASYNCHRONOUSLY: a node task whose work finishes
 // elsewhere (a remote dispatch whose outcome arrives as a completion frame)
@@ -17,9 +23,11 @@
 // moves on to other nodes while the deferred node stays outstanding. Whoever
 // finishes the work completes the returned Ticket with the node's final
 // status, which runs the exact bookkeeping a synchronous return would have
-// (successor release, cancellation, run completion). This is what lets a
-// fixed pool carry tens of thousands of in-flight remote edges: a parked
-// node costs a map entry, not a parked thread.
+// (successor release, cancellation, run completion) — except that a
+// Ticket's completion queues every successor: the completing thread is
+// usually not a pool worker. This is what lets a fixed pool carry tens of
+// thousands of in-flight remote edges: a parked node costs a map entry, not
+// a parked thread.
 #pragma once
 
 #include <atomic>
@@ -45,16 +53,19 @@ class DagScheduler {
   // success path, the failure path, and the deadline backstop; the FIRST
   // Complete across all copies wins and the rest are no-ops. A
   // default-constructed Ticket is empty (Complete is a no-op). The scheduler
-  // must outlive every live Ticket — guaranteed while its owner does,
-  // because a pending Ticket keeps its Run blocked.
+  // must outlive every live Ticket — guaranteed while its owner waits for
+  // every started run's `done` before destroying it, because a pending
+  // Ticket keeps its run from finishing.
   class Ticket {
    public:
     Ticket() = default;
 
     // Retires the deferred node with its final status: an error cancels the
     // run (first error wins, prefixed with the node's name), a success
-    // enqueues newly-ready successors. Callable from any thread, including
-    // before the deferring node task has returned to its worker.
+    // queues every newly-ready successor. When this retires the run's last
+    // node, the run's `done` fires on the calling thread before Complete
+    // returns. Callable from any thread, including before the deferring node
+    // task has returned to its worker.
     void Complete(Status status);
 
    private:
@@ -70,7 +81,7 @@ class DagScheduler {
 
   // Handed to each node task. Calling it marks the node deferred: the
   // scheduler then IGNORES the task's return value and the node stays
-  // outstanding (successors unreleased, the run's Run() blocked) until the
+  // outstanding (successors unreleased, the run unfinished) until the
   // returned Ticket completes. Only valid during the task invocation it was
   // passed to — do not store it.
   using DeferFn = std::function<Ticket()>;
@@ -81,32 +92,43 @@ class DagScheduler {
   // complete instead; its own return value is then ignored.
   using NodeFn = std::function<Status(size_t node_index, const DeferFn& defer)>;
 
+  // A run's completion: its first error, or OK when every node succeeded.
+  using DoneFn = std::function<void(Status status)>;
+
   // 0 = one worker per hardware thread (at least 2, so single-core hosts
   // still overlap a slow hop with an independent branch).
   explicit DagScheduler(size_t workers = 0);
+  // Joins the workers. Every started run must have finished (its `done`
+  // returned) before the scheduler is destroyed.
   ~DagScheduler();
 
   DagScheduler(const DagScheduler&) = delete;
   DagScheduler& operator=(const DagScheduler&) = delete;
 
-  // Runs every node of `dag` respecting its edges and returns the first
-  // error, if any. On failure no further nodes of that run are dispatched
+  // Starts every node of `dag` respecting its edges and returns at once.
+  // `done` fires exactly once, with no scheduler lock held, on the thread
+  // that retires the run's last node — a pool worker, or whichever thread
+  // completed the last deferred node's Ticket — and `dag` must stay valid
+  // until then. On failure no further nodes of that run are dispatched
   // (in-flight tasks finish; deferred nodes still complete through their
-  // Tickets); downstream nodes never run. Blocks the caller until the run
-  // completes — including every deferred node — so per-run state on the
-  // caller's stack stays valid for exactly as long as tasks and Tickets can
-  // reach it. Concurrent callers share the worker pool.
-  Status Run(const Dag& dag, const NodeFn& fn);
+  // Tickets), downstream nodes never run, and `done` receives the first
+  // error.
+  void Start(const Dag& dag, NodeFn fn, DoneFn done);
 
   size_t worker_count() const { return workers_.size(); }
 
  private:
-  // Bookkeeping of one Run, stack-allocated by the caller; workers and
-  // Tickets reach it through the queue entries / ticket slots, which never
-  // outlive the Run (outstanding counts them). Guarded by mutex_.
+  static constexpr size_t kNoNode = static_cast<size_t>(-1);
+
+  // Bookkeeping of one run, allocated by Start and freed after its `done`
+  // fires; workers and Tickets reach it through the queue entries and ticket
+  // slots, which never outlive the run (outstanding counts them). Guarded by
+  // mutex_ until outstanding reaches 0; the thread that brings it there owns
+  // it alone.
   struct RunState {
     const Dag* dag = nullptr;
-    const NodeFn* fn = nullptr;
+    NodeFn fn;
+    DoneFn done;
     std::vector<size_t> remaining_preds;
     size_t outstanding = 0;  // queued + executing + deferred nodes
     bool cancelled = false;
@@ -114,17 +136,24 @@ class DagScheduler {
   };
 
   void WorkerLoop();
+  // Runs `node`'s task outside the lock; sets `deferred` when the task
+  // handed its completion to a Ticket.
+  Status RunTask(RunState* state, size_t node, bool& deferred);
   // Shared retirement bookkeeping (mutex_ held): records a failure (first
-  // error wins, cancelling the run), enqueues a success's newly-ready
-  // successors, and completes the run when the last outstanding node
-  // retires. Reached from WorkerLoop (synchronous returns) and from
-  // Ticket::Complete (deferred nodes).
-  void RetireLocked(RunState* state, size_t node, Status status)
+  // error wins, cancelling the run) or releases a success's newly-ready
+  // successors. With `keep`, the first of them is returned for the caller
+  // to run next instead of being queued (kNoNode when there is none); every
+  // other one is queued with one wakeup. The run is finished when
+  // state->outstanding reads 0 afterwards. Reached from WorkerLoop
+  // (synchronous returns, keep = true) and from Ticket::Complete (deferred
+  // nodes, keep = false).
+  size_t RetireLocked(RunState* state, size_t node, Status status, bool keep)
       RR_REQUIRES(mutex_);
+  // Fires a finished run's `done` (no lock held) and frees it.
+  static void Finish(RunState* state);
 
   Mutex mutex_;
   CondVar work_cv_;
-  CondVar done_cv_;
   bool stopping_ RR_GUARDED_BY(mutex_) = false;
   std::deque<std::pair<RunState*, size_t>> queue_ RR_GUARDED_BY(mutex_);
 

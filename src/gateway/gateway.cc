@@ -132,8 +132,8 @@ std::shared_ptr<const Gateway::Route> Gateway::Match(
 namespace {
 
 // The single exit point: return-phase unwind, metrics, send. Runs on the
-// event loop for short circuits and vetoes, on a driver thread for
-// dispatched requests — the caller guarantees `chain` outlives the call
+// event loop for short circuits and vetoes, on the thread that finished the
+// run for dispatched requests — the caller guarantees `chain` outlives the call
 // (it lives in the gateway or in a route shared_ptr the caller captured).
 void Finish(RequestContext& ctx, const InterceptorChain& chain, size_t entered,
             const http::EpollServer::Responder& responder) {
@@ -205,7 +205,8 @@ void Gateway::Handle(http::Request&& request,
   }
 
   // Asynchronous completion: no thread parks on the run. The callback fires
-  // on the completing driver; the response body shares the result's chunks.
+  // on the thread that finished the run (see Invocation::NotifyDone); the
+  // response body shares the result's chunks.
   // The captured route shared_ptr keeps the chain alive past gateway
   // teardown; a Send after Stop is a no-op.
   std::shared_ptr<api::Invocation> invocation = std::move(*submitted);

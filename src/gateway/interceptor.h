@@ -23,7 +23,8 @@
 // OnEnter always runs on the gateway's event loop — it must not block (a
 // TryConsume, a map lookup, a header edit; never a Consume or an I/O wait).
 // OnReturn runs wherever the response was produced: the event loop for
-// short circuits, a runtime driver thread for dispatched requests. An
+// short circuits, the thread that finished the run for dispatched requests
+// (see api::Invocation::NotifyDone). An
 // interceptor shared across requests synchronizes its own state.
 #pragma once
 

@@ -62,6 +62,9 @@ class ShapedLink {
   uint16_t port() const { return listener_.port(); }
   const LinkConfig& config() const { return config_; }
 
+  // Bytes written to either side so far. A pump counts a chunk after
+  // writing it, so while the link runs this may trail the bytes a peer has
+  // already received; after Shutdown() it is final.
   uint64_t bytes_forwarded() const { return bytes_forwarded_.load(); }
 
   void Shutdown();

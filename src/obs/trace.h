@@ -98,8 +98,8 @@ class Tracer {
 
 // Installs `context` as the thread's active context for the current scope
 // (and mirrors the trace id into the logger's slot). Used where a context
-// arrives from outside the thread: the runtime driver entering a submitted
-// run, the NodeAgent worker entering a frame's receive+invoke.
+// arrives from outside the thread: a DAG worker entering a node of a
+// submitted run, the NodeAgent worker entering a frame's receive+invoke.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(SpanContext context);

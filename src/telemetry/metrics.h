@@ -46,9 +46,9 @@ struct EdgeSample {
   Nanos wasm_io{0};   // guest<->host staging share of `latency`
 };
 
-// Aggregate telemetry of one DAG execution (dag::DagExecutor::Execute).
+// Aggregate telemetry of one DAG run (api::RunStats::dag).
 struct DagRunStats {
-  Nanos total{0};           // ingress -> sink egress wall time
+  Nanos total{0};           // first source start -> sink egress wall time
   Nanos transfer_phase{0};  // first edge start -> last edge completion
   std::vector<EdgeSample> edges;
 

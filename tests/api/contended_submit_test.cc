@@ -66,9 +66,7 @@ TEST(ContendedSubmitTest, SixteenConcurrentSubmittersOfOneSharedChain) {
   // tagged by every stage — interleaved deliveries across pool instances
   // must never cross payloads between runs.
   constexpr size_t kSubmitters = 16;
-  Runtime::Options options;
-  options.max_in_flight = kSubmitters;
-  Runtime rt("wf", options);
+  Runtime rt("wf");
   auto a = AddPooledFunction(rt, "a", 4, Tagger("a"));
   auto b = AddPooledFunction(rt, "b", 4, Tagger("b"));
   auto c = AddPooledFunction(rt, "c", 4, Tagger("c"));
@@ -118,7 +116,6 @@ TEST(ContendedSubmitTest, PooledBurstFinishesWellBelowTheSerialSum) {
   };
 
   Runtime::Options options;
-  options.max_in_flight = kConcurrent;
   options.dag_workers = 4 * kConcurrent;
   Runtime rt("wf", options);
   auto a = AddPooledFunction(rt, "a", kConcurrent, waiting_handler);

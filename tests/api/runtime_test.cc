@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/node_agent.h"
@@ -32,6 +38,28 @@ const Bytes& Binary() {
   return binary;
 }
 
+// Threads of this process, read once the count holds still for 10 ms: a
+// thread joined just before may linger in /proc/self/task for a moment.
+size_t SettledThreadCount() {
+  const auto count = [] {
+    size_t threads = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++threads;
+    }
+    return threads;
+  };
+  size_t last = count();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const size_t now = count();
+    if (now == last) break;
+    last = now;
+  }
+  return last;
+}
+
 class RuntimeTest : public ::testing::Test {
  protected:
   static runtime::NativeHandler Tagger(const std::string& tag) {
@@ -45,11 +73,13 @@ class RuntimeTest : public ::testing::Test {
   std::unique_ptr<Shim> AddFunction(Runtime& rt, const std::string& name,
                                     Location location,
                                     runtime::WasmVm* vm = nullptr,
-                                    uint16_t port = 0) {
+                                    uint16_t port = 0,
+                                    runtime::NativeHandler handler = nullptr) {
     auto shim = vm ? Shim::CreateInVm(*vm, Spec(name), Binary())
                    : Shim::Create(Spec(name), Binary());
     EXPECT_TRUE(shim.ok()) << shim.status();
-    EXPECT_TRUE((*shim)->Deploy(Tagger(name)).ok());
+    EXPECT_TRUE(
+        (*shim)->Deploy(handler ? std::move(handler) : Tagger(name)).ok());
     Endpoint endpoint;
     endpoint.shim = shim->get();
     endpoint.location = std::move(location);
@@ -276,27 +306,109 @@ TEST_F(RuntimeTest, ConcurrentRemoteTimeoutsEvictSafely) {
 }
 
 TEST_F(RuntimeTest, DestructionDrainsSubmittedInvocations) {
+  // `a` holds every run until all six callbacks are registered and lets go
+  // just before the runtime goes out of scope, so the runs publish — and
+  // fire their NotifyDone callbacks on DAG workers — while the destructor
+  // drains. It must return only after every callback returned.
   runtime::WasmVm vm("wf");
   std::vector<std::shared_ptr<Invocation>> invocations;
   std::unique_ptr<Shim> a, b;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> callbacks{0};
   {
     Runtime rt("wf");
-    a = AddFunction(rt, "a", {"n1", "vm1"}, &vm);
+    a = AddFunction(rt, "a", {"n1", "vm1"}, &vm, 0,
+                    [released](ByteSpan input) -> Result<Bytes> {
+                      released.wait();
+                      return ToBytes(std::string(AsStringView(input)) + "|a");
+                    });
     b = AddFunction(rt, "b", {"n1", "vm1"}, &vm);
     for (int i = 0; i < 6; ++i) {
       auto invocation =
           rt.Submit(ChainSpec{{"a", "b"}}, AsBytes("x" + std::to_string(i)));
       ASSERT_TRUE(invocation.ok());
+      (*invocation)->NotifyDone([&callbacks] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        callbacks.fetch_add(1);
+      });
       invocations.push_back(std::move(*invocation));
     }
-    // Runtime destroyed here: it must drain, not abandon, the queue.
+    release.set_value();
+    // Runtime destroyed here: it must drain, not abandon, the runs.
   }
+  EXPECT_EQ(callbacks.load(), 6);
   for (int i = 0; i < 6; ++i) {
     EXPECT_TRUE(invocations[i]->Done());
     const Result<rr::Buffer>& result = invocations[i]->Wait();
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(ToString(*result), "x" + std::to_string(i) + "|a|b");
   }
+}
+
+TEST_F(RuntimeTest, ChainRunsToCompletionOnOneWorker) {
+  // The worker that retires a node runs its successor next, and the run
+  // publishes where its last node retired: a chain's handlers and its
+  // completion callback all run on one DAG worker.
+  Runtime rt("wf");
+  runtime::WasmVm vm("wf");
+  std::mutex mutex;
+  std::vector<std::thread::id> threads;
+  const auto record = [&mutex, &threads] {
+    std::lock_guard<std::mutex> lock(mutex);
+    threads.push_back(std::this_thread::get_id());
+  };
+  // `a` holds the run until its callback is registered, so the callback
+  // fires at completion rather than inline at registration.
+  std::promise<void> registered;
+  const std::shared_future<void> gate = registered.get_future().share();
+  const auto handler = [&record](ByteSpan input) -> Result<Bytes> {
+    record();
+    return Bytes(input.begin(), input.end());
+  };
+  auto a = AddFunction(rt, "a", {"n1", "vm1"}, &vm, 0,
+                       [gate, handler](ByteSpan input) {
+                         gate.wait();
+                         return handler(input);
+                       });
+  auto b = AddFunction(rt, "b", {"n1", "vm1"}, &vm, 0, handler);
+  auto c = AddFunction(rt, "c", {"n1", "vm1"}, &vm, 0, handler);
+
+  auto invocation = rt.Submit(ChainSpec{{"a", "b", "c"}}, AsBytes("one"));
+  ASSERT_TRUE(invocation.ok()) << invocation.status();
+  std::promise<void> notified;
+  (*invocation)->NotifyDone([&record, &notified] {
+    record();
+    notified.set_value();
+  });
+  registered.set_value();
+  notified.get_future().wait();
+
+  ASSERT_TRUE((*invocation)->Wait().ok()) << (*invocation)->Wait().status();
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(threads.size(), 4u);
+  EXPECT_NE(threads[0], std::this_thread::get_id());
+  for (const std::thread::id& id : threads) EXPECT_EQ(id, threads[0]);
+}
+
+TEST_F(RuntimeTest, StartsNoThreadBeyondTheDagWorkers) {
+  // Runs execute on the DAG workers alone: constructing a runtime starts
+  // exactly its worker pool (the remote-deadline sweeper starts lazily with
+  // the first remote edge; introspection is off).
+  const size_t before = SettledThreadCount();
+  Runtime::Options options;
+  options.dag_workers = 2;
+  Runtime rt("wf", options);
+  EXPECT_EQ(SettledThreadCount() - before, 2u);
+
+  runtime::WasmVm vm("wf");
+  auto a = AddFunction(rt, "a", {"n1", "vm1"}, &vm);
+  auto b = AddFunction(rt, "b", {"n1", "vm1"}, &vm);
+  auto invocation = rt.Submit(ChainSpec{{"a", "b"}}, AsBytes("w"));
+  ASSERT_TRUE(invocation.ok()) << invocation.status();
+  const Result<rr::Buffer>& result = (*invocation)->Wait();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(ToString(*result), "w|a|b");
 }
 
 TEST_F(RuntimeTest, UnregisterEvictsEndpointFromRegistry) {
