@@ -1,14 +1,11 @@
 // HopTable: the per-pair cache of established hops, shared by every executor
 // that moves data between registered functions.
 //
-// Historically this cache held parallel KernelHop/NetworkHop structs and the
-// mode switch lived in a free ForwardAndInvoke — every new backend meant
-// touching every executor. The table now fronts the polymorphic Transport
-// layer (core/transport.h): placement selects the mode, the mode's Transport
-// establishes a Hop on a pair's first use, and executors speak only the Hop
-// interface. Hops persist across runs, so steady-state transfers never pay
-// connection setup, and additional backends register without executor
-// changes.
+// The table fronts the polymorphic Transport layer (core/transport.h):
+// placement selects the mode, the mode's Transport establishes a Hop on a
+// pair's first use, and executors speak only the Hop interface. Hops
+// persist across runs, so steady-state transfers never pay connection
+// setup, and additional backends register without executor changes.
 // The table also hosts the failure-recovery plane's per-hop CIRCUIT
 // BREAKERS (resilience/breaker.h), keyed by (target function, replica):
 // AdmitDispatch gates a dispatch in microseconds when a replica has proven

@@ -14,19 +14,25 @@ namespace rr::core {
 namespace {
 
 // Channel traffic by mode: one family, one series per transfer mechanism
-// (`mode="kernel"` here, "user"/"network" in their channels).
-obs::Counter& KernelBytesSent() {
-  static obs::Counter* counter = obs::Registry::Get().counter(
+// (`mode="kernel"` or `"network"` here — the pump serves both socket hops —
+// and "user" in the user-space channel).
+obs::Counter& ChannelBytes(TransferMode mode, const char* direction) {
+  return *obs::Registry::Get().counter(
       "rr_channel_bytes_total", "Payload bytes moved through data channels",
-      {{"mode", "kernel"}, {"direction", "sent"}});
-  return *counter;
+      {{"mode", mode == TransferMode::kNetwork ? "network" : "kernel"},
+       {"direction", direction}});
+}
+
+obs::Counter& KernelBytesSent() {
+  static obs::Counter& counter =
+      ChannelBytes(TransferMode::kKernelSpace, "sent");
+  return counter;
 }
 
 obs::Counter& KernelBytesReceived() {
-  static obs::Counter* counter = obs::Registry::Get().counter(
-      "rr_channel_bytes_total", "Payload bytes moved through data channels",
-      {{"mode", "kernel"}, {"direction", "received"}});
-  return *counter;
+  static obs::Counter& counter =
+      ChannelBytes(TransferMode::kKernelSpace, "received");
+  return counter;
 }
 
 bool WouldBlock(int err) {
@@ -160,16 +166,20 @@ MakeKernelChannelPair() {
 }
 
 KernelChannelPump::KernelChannelPump(
-    std::pair<osal::Connection, osal::Connection> ends, Nanos idle_timeout)
+    std::pair<osal::Connection, osal::Connection> ends, Nanos idle_timeout,
+    TransferMode mode)
     : send_end_(std::move(ends.first)),
       recv_end_(std::move(ends.second)),
-      poll_timeout_ms_(PollTimeoutMs(idle_timeout)) {}
+      poll_timeout_ms_(PollTimeoutMs(idle_timeout)),
+      mode_(mode),
+      bytes_sent_(ChannelBytes(mode, "sent")),
+      bytes_received_(ChannelBytes(mode, "received")) {}
 
 Status KernelChannelPump::Transfer(const rr::BufferView& source,
                                    MutableByteSpan dest) {
-  if (!wire_ok()) return UnavailableError("kernel channel is shut down");
+  if (!wire_ok()) return UnavailableError(Describe("is shut down"));
   if (source.size() != dest.size()) {
-    return InvalidArgumentError("kernel frame: source carries " +
+    return InvalidArgumentError(Describe("frame: source carries ") +
                                 std::to_string(source.size()) +
                                 " bytes for a " + std::to_string(dest.size()) +
                                 "-byte destination");
@@ -183,8 +193,8 @@ Status KernelChannelPump::Transfer(const rr::BufferView& source,
     if (sent_any) Shutdown();
     return status;
   }
-  KernelBytesSent().Inc(dest.size());
-  KernelBytesReceived().Inc(dest.size());
+  bytes_sent_.Inc(dest.size());
+  bytes_received_.Inc(dest.size());
   return Status::Ok();
 }
 
@@ -216,8 +226,8 @@ Status KernelChannelPump::Pump(const rr::BufferView& source,
         sending.Advance(static_cast<size_t>(n));
         *sent_any = true;
         progressed = true;
-      } else if (n < 0 && !WouldBlock(errno)) {
-        return ErrnoToStatus(errno, "kernel channel sendmsg");
+      } else if (const int err = errno; n < 0 && !WouldBlock(err)) {
+        return ErrnoToStatus(err, Describe("sendmsg"));
       }
     }
     msghdr msg = receiving.Message();
@@ -228,30 +238,34 @@ Status KernelChannelPump::Pump(const rr::BufferView& source,
       received += static_cast<uint64_t>(n);
       if (!header_done && received >= sizeof(in_header) &&
           LoadLE<uint64_t>(in_header) != dest.size()) {
-        return DataLossError("kernel channel: frame header announces " +
+        return DataLossError(Describe("frame header announces ") +
                              std::to_string(LoadLE<uint64_t>(in_header)) +
                              " bytes, expected " + std::to_string(dest.size()));
       }
       progressed = true;
     } else if (n == 0) {
-      return DataLossError("kernel channel closed after " +
+      return DataLossError(Describe("closed after ") +
                            std::to_string(received) + " of " +
                            std::to_string(dest.size() + sizeof(in_header)) +
                            " frame bytes");
-    } else if (!WouldBlock(errno)) {
-      return ErrnoToStatus(errno, "kernel channel recvmsg");
+    } else if (const int err = errno; !WouldBlock(err)) {
+      return ErrnoToStatus(err, Describe("recvmsg"));
     }
     if (progressed) continue;
     pollfd fds[2] = {{recv_end_.fd(), POLLIN, 0},
                      {send_end_.fd(), POLLOUT, 0}};
     const int ready = ::poll(fds, sending.done() ? 1 : 2, poll_timeout_ms_);
     if (ready == 0) {
-      return DeadlineExceededError("kernel channel made no progress for " +
+      return DeadlineExceededError(Describe("made no progress for ") +
                                    std::to_string(poll_timeout_ms_) + " ms");
     }
     if (ready < 0 && errno != EINTR) return ErrnoToStatus(errno, "poll");
   }
   return Status::Ok();
+}
+
+std::string KernelChannelPump::Describe(std::string_view what) const {
+  return std::string(TransferModeName(mode_)) + " channel " + std::string(what);
 }
 
 void KernelChannelPump::Shutdown() {

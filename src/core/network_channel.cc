@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "serde/framing.h"
 
 namespace rr::core {
@@ -46,7 +45,8 @@ obs::Counter& WireDeadlineExpiries() {
 obs::Counter& WireChannelKills() {
   static obs::Counter* counter = obs::Registry::Get().counter(
       "rr_wire_channel_kills_total",
-      "Sender channels killed by ShutdownWire (eviction or desync)");
+      "Sender channels shut down after a transfer ended without a decoded "
+      "ack (desync)");
   return *counter;
 }
 
@@ -114,12 +114,12 @@ Result<NetworkChannelSender> NetworkChannelSender::FromConnection(
 }
 
 Status NetworkChannelSender::Send(Shim& source, const MemoryRegion& region,
-                                  CopyMode mode, uint64_t token) {
+                                  CopyMode mode) {
   timing_ = {};
   if (mode == CopyMode::kDirectGuest) {
     RR_ASSIGN_OR_RETURN(const ByteSpan view, source.OutputView(region));
     const Stopwatch transfer_timer;
-    RR_RETURN_IF_ERROR(SendBytes(view, token));
+    RR_RETURN_IF_ERROR(SendBytes(view));
     timing_.transfer = transfer_timer.Elapsed();
     return Status::Ok();
   }
@@ -130,53 +130,24 @@ Status NetworkChannelSender::Send(Shim& source, const MemoryRegion& region,
   RR_RETURN_IF_ERROR(source.sandbox().ReadMemoryHost(region.address, staged));
   timing_.wasm_io = io_timer.Elapsed();
   const Stopwatch transfer_timer;
-  RR_RETURN_IF_ERROR(SendBytes(staged, token));
+  RR_RETURN_IF_ERROR(SendBytes(staged));
   timing_.transfer = transfer_timer.Elapsed();
   return Status::Ok();
 }
 
-Status NetworkChannelSender::SendBytes(ByteSpan data, uint64_t token) {
-  return SendBuffer(rr::BufferView(data), token);
-}
-
-Status NetworkChannelSender::SendBuffer(const rr::BufferView& payload,
-                                        uint64_t token) {
-  // Frame header first (16 bytes: length + correlation token), then the body
-  // through the hose, chunk by chunk — the hose references each chunk's
-  // pages, never copies or reassembles them. The sender must not reuse the
-  // pages until the receiver confirms delivery: the protocol ends with the
-  // receiver's status-bearing ack frame. (SIOCOUTQ draining is NOT
-  // sufficient — on loopback the receive queue's skbs still reference the
-  // spliced pages until the peer's read(2).) Every blocking wait is bounded
-  // by the transfer deadline.
+Status NetworkChannelSender::SendBytes(ByteSpan data) {
+  // Frame header first (16 bytes: the length, then a zero word), then the
+  // body through the hose, which references the pages, never copies them.
+  // The sender must not reuse the pages until the receiver confirms
+  // delivery: the protocol ends with the receiver's status-bearing ack
+  // frame. (SIOCOUTQ draining is NOT sufficient — on loopback the receive
+  // queue's skbs still reference the spliced pages until the peer's
+  // read(2).) Every blocking wait is bounded by the transfer deadline.
   const TimePoint deadline = osal::DeadlineAfter(transfer_deadline_);
-  Status status = [&]() -> Status {
-    // Header: 16 fixed bytes, plus the trace-context extension when the
-    // sending thread is inside a span and tracing is on. The flag rides the
-    // length field's (guaranteed-zero) high bit, so receivers that predate
-    // the extension — and frames from senders with tracing off — stay wire
-    // compatible.
-    uint8_t header[32];
-    size_t header_len = 16;
-    uint64_t length_field = payload.size();
-    if (obs::TracingEnabled()) {
-      const obs::SpanContext ctx = obs::CurrentSpanContext();
-      if (ctx.valid()) {
-        length_field |= kFrameTraceFlag;
-        StoreLE<uint64_t>(header + 16, ctx.trace_id);
-        StoreLE<uint64_t>(header + 24, ctx.span_id);
-        header_len = 32;
-      }
-    }
-    StoreLE<uint64_t>(header, length_field);
-    StoreLE<uint64_t>(header + 8, token);
-    RR_RETURN_IF_ERROR(conn_.Send(ByteSpan(header, header_len), deadline));
-    for (size_t i = 0; i < payload.segment_count(); ++i) {
-      RR_RETURN_IF_ERROR(
-          hose_.SendThrough(conn_.fd(), payload.segment(i), deadline));
-    }
-    return Status::Ok();
-  }();
+  uint8_t header[16] = {};
+  StoreLE<uint64_t>(header, data.size());
+  Status status = conn_.Send(ByteSpan(header, sizeof(header)), deadline);
+  if (status.ok()) status = hose_.SendThrough(conn_.fd(), data, deadline);
   bool ack_decoded = false;
   if (status.ok()) status = ReadAck(deadline, &ack_decoded);
   if (status.code() == StatusCode::kDeadlineExceeded) {
@@ -187,22 +158,17 @@ Status NetworkChannelSender::SendBuffer(const rr::BufferView& payload,
     // a deadline expiry with the frame (partially) on the wire — the ack
     // stream is indeterminate, and a LATER transfer on this channel would
     // consume THIS transfer's stale ack and be mis-attributed. Kill the
-    // channel so subsequent sends fail typed instead of desyncing; callers
-    // (hop eviction / reconnection) establish a fresh one. A decoded error
-    // ack proves the channel is synchronized — it stays usable.
-    ShutdownWire();
+    // channel so subsequent sends fail typed instead of desyncing; the
+    // owner establishes a fresh one. A decoded error ack proves the channel
+    // is synchronized — it stays usable.
+    wire_ok_ = false;
+    conn_.ShutdownBoth();
+    WireChannelKills().Inc();
   }
   RR_RETURN_IF_ERROR(status);
-  bytes_sent_ += payload.size();
-  WireBytesSent().Inc(payload.size());
+  WireBytesSent().Inc(data.size());
   WireFramesSent().Inc();
   return Status::Ok();
-}
-
-void NetworkChannelSender::ShutdownWire() {
-  wire_ok_.store(false, std::memory_order_relaxed);
-  conn_.ShutdownBoth();
-  WireChannelKills().Inc();
 }
 
 Status NetworkChannelSender::ReadAck(TimePoint deadline, bool* ack_decoded) {
@@ -237,29 +203,6 @@ Result<NetworkChannelReceiver> NetworkChannelReceiver::FromConnection(
   return NetworkChannelReceiver(std::move(conn), std::move(hose));
 }
 
-Result<FrameInfo> NetworkChannelReceiver::ReceiveHeader(TimePoint deadline) {
-  uint8_t header[16];
-  RR_RETURN_IF_ERROR(conn_.Receive(MutableByteSpan(header, 16), deadline));
-  FrameInfo frame;
-  const uint64_t length_field = LoadLE<uint64_t>(header);
-  frame.length = length_field & ~kFrameTraceFlag;
-  frame.token = LoadLE<uint64_t>(header + 8);
-  if (frame.length > serde::kMaxFrameBytes || frame.length > UINT32_MAX) {
-    return DataLossError("network channel: implausible frame length");
-  }
-  if (length_field & kFrameTraceFlag) {
-    // Trace-context extension. A zero trace id is tolerated (the frame just
-    // carries no usable context); a read failure is a desync like any other
-    // truncated header.
-    uint8_t extension[16];
-    RR_RETURN_IF_ERROR(
-        conn_.Receive(MutableByteSpan(extension, 16), deadline));
-    frame.trace_id = LoadLE<uint64_t>(extension);
-    frame.parent_span = LoadLE<uint64_t>(extension + 8);
-  }
-  return frame;
-}
-
 Status NetworkChannelReceiver::SendAck(const Status& status,
                                        TimePoint deadline) {
   if (!status.ok()) WireErrorAcks().Inc();
@@ -288,33 +231,29 @@ Status NetworkChannelReceiver::DrainBody(uint64_t length, TimePoint deadline) {
   return Status::Ok();
 }
 
-Status NetworkChannelReceiver::DrainAndReject(uint64_t body_length,
-                                              const Status& reason,
-                                              TimePoint deadline,
-                                              bool* rejected_in_sync) {
-  RR_RETURN_IF_ERROR(DrainBody(body_length, deadline));
-  RR_RETURN_IF_ERROR(SendAck(reason, deadline));
-  if (rejected_in_sync != nullptr) *rejected_in_sync = true;
-  return Status::Ok();
-}
-
-Result<MemoryRegion> NetworkChannelReceiver::ReceiveBody(
-    const FrameInfo& frame, Shim& target, CopyMode mode,
-    const RegionPlacer* place, bool* rejected_in_sync) {
+Result<MemoryRegion> NetworkChannelReceiver::ReceiveInto(
+    Shim& target, CopyMode mode, const RegionPlacer* place) {
   timing_ = {};
-  if (rejected_in_sync != nullptr) *rejected_in_sync = false;
+  // Header: the length, then a word the receiver ignores. The default
+  // unbounded deadline lets an idle channel wait for its next frame.
+  uint8_t header[16];
+  RR_RETURN_IF_ERROR(conn_.Receive(MutableByteSpan(header, sizeof(header)),
+                                   osal::DeadlineAfter(transfer_deadline_)));
+  const uint64_t length = LoadLE<uint64_t>(header);
+  if (length > serde::kMaxFrameBytes || length > UINT32_MAX) {
+    return DataLossError("network channel: implausible frame length");
+  }
   const TimePoint deadline = osal::DeadlineAfter(transfer_deadline_);
-  const uint64_t length = frame.length;
   const auto place_region = [&]() -> Result<MemoryRegion> {
     if (place != nullptr) return (*place)(static_cast<uint32_t>(length));
     return target.PrepareInput(static_cast<uint32_t>(length));
   };
-  // Fails the frame while keeping the channel in sync: the body (still
-  // entirely on the wire at the call sites below) is drained and `failure`
-  // returns to the sender as a typed error ack. If the drain or ack itself
-  // fails, the channel is dead and rejected_in_sync stays false.
-  const auto reject_in_sync = [&](const Status& failure) -> Status {
-    (void)DrainAndReject(length, failure, deadline, rejected_in_sync);
+  // Fails the frame while keeping the channel in sync: the `undrained` body
+  // bytes still on the wire are drained and `failure` returns to the sender
+  // as a typed error ack. If the drain or ack itself fails, the channel is
+  // dead and the next receive reports it.
+  const auto reject = [&](uint64_t undrained, const Status& failure) {
+    if (DrainBody(undrained, deadline).ok()) (void)SendAck(failure, deadline);
     return failure;
   };
 
@@ -324,10 +263,10 @@ Result<MemoryRegion> NetworkChannelReceiver::ReceiveBody(
     // the body here, so a placement failure drains the wire before acking.
     const Stopwatch alloc_timer;
     auto region = place_region();
-    if (!region.ok()) return reject_in_sync(region.status());
+    if (!region.ok()) return reject(length, region.status());
     RegionGuard guard(place == nullptr ? &target : nullptr, *region);
     auto dest = target.InputSpan(*region);
-    if (!dest.ok()) return reject_in_sync(dest.status());
+    if (!dest.ok()) return reject(length, dest.status());
     timing_.wasm_io = alloc_timer.Elapsed();
     const Stopwatch transfer_timer;
     // A mid-body failure desyncs the channel (an unknown count of payload
@@ -336,7 +275,6 @@ Result<MemoryRegion> NetworkChannelReceiver::ReceiveBody(
     RR_RETURN_IF_ERROR(hose_.ReceiveThrough(conn_.fd(), *dest, deadline));
     RR_RETURN_IF_ERROR(SendAck(Status::Ok(), deadline));
     timing_.transfer = transfer_timer.Elapsed();
-    bytes_received_ += length;
     WireBytesReceived().Inc(length);
     guard.Dismiss();
     return *region;
@@ -344,57 +282,23 @@ Result<MemoryRegion> NetworkChannelReceiver::ReceiveBody(
 
   // Paper path (Algorithm 1 target): splice into the hose, land in a shim
   // buffer (transfer), then allocate + write_memory_host into the VM. The
-  // ack moves AFTER the payload durably landed — a placement or write
-  // failure now reaches the sender as a typed error instead of a recorded
-  // success, and the staged body keeps the channel in sync for the next
-  // frame.
+  // ack follows the write, so a placement or write failure reaches the
+  // sender typed, and the staged body leaves nothing to drain.
   Bytes staged(length);
   const Stopwatch transfer_timer;
   RR_RETURN_IF_ERROR(hose_.ReceiveThrough(conn_.fd(), staged, deadline));
   timing_.transfer = transfer_timer.Elapsed();
   const Stopwatch io_timer;
   auto region = place_region();
-  if (!region.ok()) {
-    // Body already staged (drain length 0): the refusal is just the ack.
-    (void)DrainAndReject(0, region.status(), deadline, rejected_in_sync);
-    return region.status();
-  }
+  if (!region.ok()) return reject(0, region.status());
   RegionGuard guard(place == nullptr ? &target : nullptr, *region);
   const Status written = target.data().write_memory_host(staged, region->address);
-  if (!written.ok()) {
-    (void)DrainAndReject(0, written, deadline, rejected_in_sync);
-    return written;
-  }
+  if (!written.ok()) return reject(0, written);
   RR_RETURN_IF_ERROR(SendAck(Status::Ok(), deadline));
   timing_.wasm_io = io_timer.Elapsed();
-  bytes_received_ += length;
   WireBytesReceived().Inc(length);
   guard.Dismiss();
   return *region;
-}
-
-Result<MemoryRegion> NetworkChannelReceiver::ReceiveInto(Shim& target,
-                                                         CopyMode mode,
-                                                         uint64_t* token,
-                                                         const RegionPlacer* place) {
-  RR_ASSIGN_OR_RETURN(
-      const FrameInfo frame,
-      ReceiveHeader(osal::DeadlineAfter(transfer_deadline_)));
-  if (token != nullptr) *token = frame.token;
-  return ReceiveBody(frame, target, mode, place);
-}
-
-Result<InvokeOutcome> NetworkChannelReceiver::ReceiveAndInvoke(Shim& target,
-                                                               CopyMode mode,
-                                                               uint64_t* token) {
-  RR_ASSIGN_OR_RETURN(const MemoryRegion region,
-                      ReceiveInto(target, mode, token));
-  RegionGuard guard(&target, region);
-  auto outcome = target.InvokeOnRegion(region);
-  // A successful invoke consumes the input region; a failed one leaves it
-  // allocated in the target's sandbox — the guard reclaims it.
-  if (outcome.ok()) guard.Dismiss();
-  return outcome;
 }
 
 Result<NetworkChannelListener> NetworkChannelListener::Bind(uint16_t port) {

@@ -7,13 +7,13 @@
 //   source shim: read_memory_host -> vmsplice -> pipe -> splice -> socket
 //   target shim: socket -> splice -> pipe -> read -> write into Wasm VM
 //
-// A fixed binary header (frame length + per-transfer correlation token)
-// precedes the payload; Roadrunner serializes O(metadata), never the body.
-// The token lets a receiver attribute each frame to exactly the transfer
-// that sent it. Token 0 means untracked (receive-coupled transfers that
-// complete synchronously). This is the format of the network loopback hop
-// and of the paper-figure benchmarks' hose; NodeAgent ingresses speak the
-// multiplexed wire instead (mux_protocol.h).
+// A fixed 16-byte header precedes the payload: the frame length, then a
+// word the sender writes as 0 and the receiver ignores (the layout raw-frame
+// peers already speak). Roadrunner serializes O(metadata), never the body.
+// This is the paper-figure benchmarks' hose (workload/drivers.cc); the
+// runtime's in-process hops pump KernelChannelPump frames instead
+// (kernel_channel.h), and NodeAgent ingresses speak the multiplexed wire
+// (mux_protocol.h).
 //
 // Failure semantics (the hardened wire plane):
 //
@@ -21,15 +21,15 @@
 //    [u8 magic 0xA6][u8 status code][u16 LE detail length][detail bytes].
 //    The ack is sent only after the payload has durably landed in the target
 //    (region placed AND written); a receiver-side failure — region
-//    placement, write_memory_host, an exhausted instance pool — travels back
-//    as its typed StatusCode plus a truncated detail string, so the sender
-//    fails with the remote error instead of recording success or hanging.
-//    (The old protocol was a single magic byte acked before the paper path
-//    even placed the region.)
+//    placement, write_memory_host — travels back as its typed StatusCode
+//    plus a truncated detail string, so the sender fails with the remote
+//    error instead of recording success or hanging.
 //  * Every blocking wait — header, body chunk, ack — is bounded by a
-//    per-transfer deadline (set_transfer_deadline; threaded from
-//    TransportOptions / api::Runtime::Options). A peer that dies or stalls
-//    mid-transfer surfaces as kDeadlineExceeded/kDataLoss within the bound.
+//    per-transfer deadline (set_transfer_deadline). A peer that dies or
+//    stalls mid-transfer surfaces as kDeadlineExceeded/kDataLoss within the
+//    bound. A send that ends without a decoded ack (a deadline expiry, say)
+//    shuts the sender's wire down: a late ack must never be read as the
+//    next transfer's.
 //  * A receiver that must fail a frame WITHOUT desyncing the channel drains
 //    the body first (the placement-failure paths), so one bad transfer
 //    does not kill the connection for the transfers behind it. Only
@@ -39,7 +39,6 @@
 //    guarded by core::RegionGuard until ownership transfers.
 #pragma once
 
-#include <atomic>
 #include <string>
 
 #include "core/region_guard.h"
@@ -79,29 +78,6 @@ class VirtualDataHose {
 
 class NetworkChannelSender {
  public:
-  // Hand-written moves: the wire-health flag is atomic (unmovable), and a
-  // sender is only ever moved during construction, before any concurrent
-  // access exists.
-  NetworkChannelSender(NetworkChannelSender&& other) noexcept
-      : conn_(std::move(other.conn_)),
-        hose_(std::move(other.hose_)),
-        transfer_deadline_(other.transfer_deadline_),
-        wire_ok_(other.wire_ok_.load(std::memory_order_relaxed)),
-        bytes_sent_(other.bytes_sent_),
-        timing_(other.timing_) {}
-  NetworkChannelSender& operator=(NetworkChannelSender&& other) noexcept {
-    if (this != &other) {
-      conn_ = std::move(other.conn_);
-      hose_ = std::move(other.hose_);
-      transfer_deadline_ = other.transfer_deadline_;
-      wire_ok_.store(other.wire_ok_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-      bytes_sent_ = other.bytes_sent_;
-      timing_ = other.timing_;
-    }
-    return *this;
-  }
-
   static Result<NetworkChannelSender> Connect(const std::string& host,
                                               uint16_t port);
 
@@ -111,41 +87,28 @@ class NetworkChannelSender {
   // Algorithm 1, source side: read_memory_host on the region, then
   // vmsplice+splice through the hose. kShimStaging stages the region in a
   // shim buffer first (the paper's implementation); kDirectGuest vmsplices
-  // the linear-memory pages themselves. `token` stamps the frame header.
+  // the linear-memory pages themselves. Blocks until the receiver's ack
+  // frame arrives; a non-OK ack returns the receiver's typed Status (with
+  // its detail), an ack that never comes returns kDeadlineExceeded once the
+  // transfer deadline expires, and a peer that died mid-transfer returns
+  // kDataLoss.
   Status Send(Shim& source, const MemoryRegion& region,
-              CopyMode mode = CopyMode::kShimStaging, uint64_t token = 0);
-  Status SendBytes(ByteSpan data, uint64_t token = 0);
+              CopyMode mode = CopyMode::kShimStaging);
 
-  // Host-resident payload from the zero-copy plane: one frame whose body is
-  // hosed chunk by chunk straight from the shared storage — no staging copy,
-  // no assembly of segmented (fan-in) payloads. Blocks until the receiver's
-  // ack frame arrives; a non-OK ack returns the receiver's typed Status
-  // (with its detail), an ack that never comes returns kDeadlineExceeded
-  // once the transfer deadline expires, and a peer that died mid-transfer
-  // returns kDataLoss.
-  Status SendBuffer(const rr::BufferView& payload, uint64_t token = 0);
+  // Host-resident bytes: one frame hosed straight from `data`'s pages, with
+  // Send's ack contract.
+  Status SendBytes(ByteSpan data);
 
-  // Bounds every blocking wait of one transfer (body send, ack). Zero or
-  // negative = unbounded (the default, for compatibility with bare channel
-  // users; the transport layer always sets it).
+  // Bounds every blocking wait of one transfer (header, body, ack). Zero or
+  // negative = unbounded (the default).
   void set_transfer_deadline(Nanos timeout) { transfer_deadline_ = timeout; }
-  Nanos transfer_deadline() const { return transfer_deadline_; }
 
-  // Kills the wire without destroying the sender: a Send already in flight
-  // (possibly on another thread) fails with EPIPE, and the peer's receiver
-  // sees EOF. Used by hop eviction, where in-flight users still hold the
-  // hop.
-  void ShutdownWire();
+  // False once a transfer died without a decoded ack: the wire is dead, or
+  // its ack stream is indeterminate, so the sender shut it down and every
+  // later Send fails typed. A decoded error ack (a typed in-sync refusal)
+  // leaves the channel usable.
+  bool wire_ok() const { return wire_ok_; }
 
-  // False once the wire died — torn down explicitly, or killed by a
-  // transfer that failed without a decoded ack (indeterminate ack stream).
-  // A caching layer uses this to decide whether a failed transfer poisoned
-  // the channel (evict, reconnect) or left it healthy (a typed in-sync
-  // refusal: keep serving, other transfers on this hop are unaffected).
-  bool wire_ok() const { return wire_ok_.load(std::memory_order_relaxed); }
-
-  uint64_t bytes_sent() const { return bytes_sent_; }
-  bool using_splice() const { return hose_.using_splice(); }
   const TransferTiming& last_timing() const { return timing_; }
 
  private:
@@ -161,76 +124,32 @@ class NetworkChannelSender {
   osal::Connection conn_;
   VirtualDataHose hose_;
   Nanos transfer_deadline_{0};
-  // Atomic: Sends run under the owning hop's mutex, but eviction's
-  // ShutdownWire and a health probe may race them from other threads.
-  std::atomic<bool> wire_ok_{true};
-  uint64_t bytes_sent_ = 0;
+  bool wire_ok_ = true;
   TransferTiming timing_;
-};
-
-// Flag bit on the frame header's length field signalling a trace-context
-// extension. The length is validated to fit kMaxFrameBytes (< 2^32), so the
-// high bits of the wire field are guaranteed zero on untraced frames — a
-// peer that predates the extension parses unchanged, and a frame carrying
-// the flag is followed by 16 extra header bytes: [u64 trace id][u64 parent
-// span id].
-constexpr uint64_t kFrameTraceFlag = 1ull << 63;
-
-// The frame header preceding every payload: 16 fixed bytes (length +
-// correlation token), plus the optional 16-byte trace-context extension
-// (kFrameTraceFlag). trace_id 0 = no context (untraced frame, or tracing
-// off).
-struct FrameInfo {
-  uint64_t length = 0;
-  uint64_t token = 0;
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
 };
 
 class NetworkChannelReceiver {
  public:
   static Result<NetworkChannelReceiver> FromConnection(osal::Connection conn);
 
-  // Two-phase receive: blocks for the next frame's header alone. Lets a
-  // receiver park here without holding the target shim, then serialize the
-  // body delivery + invoke under the shim's lock (ReceiveBody). The default
-  // kNoDeadline is deliberate — an idle channel waits for its next frame
-  // indefinitely; pass a deadline when the header is part of one bounded
-  // transfer (ReceiveInto does).
-  Result<FrameInfo> ReceiveHeader(TimePoint deadline = osal::kNoDeadline);
-
-  // Delivers the frame's body into `target` and acks the transfer. The ack
-  // frame is sent only after the payload durably landed (region placed and
-  // written); on a receiver-side failure the error ack carries the typed
-  // status back to the sender. When the failure path managed to drain the
-  // body and ack (placement/write failures), the channel is still in sync —
-  // `*rejected_in_sync` is set true and the caller may keep serving frames;
-  // when false on error, the channel is desynced and must be torn down.
-  // No failure leaks a placed region (RegionGuard on both copy modes).
-  Result<MemoryRegion> ReceiveBody(const FrameInfo& frame, Shim& target,
-                                   CopyMode mode = CopyMode::kShimStaging,
-                                   const RegionPlacer* place = nullptr,
-                                   bool* rejected_in_sync = nullptr);
-
-  // Algorithm 1, target side: splice from the socket into the hose,
-  // allocate_memory(length) in the target, write into its linear memory.
-  // One-shot header+body; `token`, when non-null, receives the frame's
-  // correlation token. A non-null `place` overrides the allocation: the
-  // payload lands in the region it returns (a fan-in gather slice).
+  // Algorithm 1, target side: read the frame header, allocate_memory(length)
+  // in the target, splice the body from the socket through the hose into
+  // its linear memory, and ack. The ack frame is sent only after the
+  // payload durably landed (region placed and written). A placement or
+  // write failure drains the body and sends an error ack carrying the typed
+  // status, so the channel stays in sync for the next frame; a failed
+  // header, body or ack read/write leaves the channel desynced, and the
+  // caller must tear it down. A non-null `place` overrides the allocation:
+  // the payload lands in the region it returns, which the receiver never
+  // releases. No failure leaks a placed region.
   Result<MemoryRegion> ReceiveInto(Shim& target,
                                    CopyMode mode = CopyMode::kShimStaging,
-                                   uint64_t* token = nullptr,
                                    const RegionPlacer* place = nullptr);
-  Result<InvokeOutcome> ReceiveAndInvoke(Shim& target,
-                                         CopyMode mode = CopyMode::kShimStaging,
-                                         uint64_t* token = nullptr);
 
-  // Bounds every blocking wait of one transfer (body, ack write; the header
-  // too on the one-shot ReceiveInto path). Zero or negative = unbounded.
+  // Bounds every blocking wait of one transfer: the header, then the body
+  // and ack. Zero or negative = unbounded.
   void set_transfer_deadline(Nanos timeout) { transfer_deadline_ = timeout; }
-  Nanos transfer_deadline() const { return transfer_deadline_; }
 
-  uint64_t bytes_received() const { return bytes_received_; }
   const TransferTiming& last_timing() const { return timing_; }
 
  private:
@@ -244,17 +163,9 @@ class NetworkChannelReceiver {
   // still-synchronized channel.
   Status DrainBody(uint64_t length, TimePoint deadline);
 
-  // The refusal protocol: drain the (still fully on-wire) body, error-ack
-  // with `reason`. Sets `*rejected_in_sync` once both succeeded — the
-  // channel is then provably synchronized for the next frame. Returns the
-  // transport failure if the channel died instead.
-  Status DrainAndReject(uint64_t body_length, const Status& reason,
-                        TimePoint deadline, bool* rejected_in_sync);
-
   osal::Connection conn_;
   VirtualDataHose hose_;
   Nanos transfer_deadline_{0};
-  uint64_t bytes_received_ = 0;
   TransferTiming timing_;
 };
 

@@ -41,9 +41,10 @@ struct InvokeOutcome {
 // kDirectGuest is this library's extension: the channel references the
 // bounds-checked linear-memory pages directly (sendmsg/recvmsg or splice
 // read and write them in the kernel), eliminating the staging copy. It is
-// the path the runtime's kernel-space hop always takes (KernelChannelPump:
-// guest pages -> socket -> guest pages); on standalone channels it is the
-// ablation the figure drivers compare against kShimStaging.
+// the path the runtime's socket hops — kernel-space and network loopback —
+// always take (KernelChannelPump: guest pages -> socket -> guest pages); on
+// standalone channels it is the ablation the figure drivers compare against
+// kShimStaging.
 enum class CopyMode { kShimStaging, kDirectGuest };
 
 // Wall-clock attribution of one channel operation, matching the latency

@@ -1,13 +1,10 @@
 #include "core/transport.h"
 
-#include "common/mutex.h"
-#include <thread>
-
 #include <map>
 
+#include "common/mutex.h"
 #include "core/kernel_channel.h"
 #include "core/mux_client.h"
-#include "core/network_channel.h"
 #include "core/region_guard.h"
 #include "core/user_channel.h"
 #include "osal/reactor.h"
@@ -41,29 +38,6 @@ Result<MemoryRegion> CheckSlice(const MemoryRegion& into, uint64_t length) {
                          std::to_string(into.length) + "-byte slice");
   }
   return into;
-}
-
-RegionPlacer SlicePlacer(const MemoryRegion into) {
-  return [into](uint32_t length) { return CheckSlice(into, length); };
-}
-
-// Wire transfer of a host-resident payload over the network loopback hop:
-// the sender streams the shared chunks (no source shim involvement — egress
-// already happened at materialization) while the receiver delivers into the
-// target's memory. Send and receive run concurrently so a payload larger
-// than the socket buffers cannot self-deadlock. (The kernel hop needs no
-// such thread: one worker pumps both ends of its socketpair.)
-template <typename SendFn, typename Receiver>
-Result<MemoryRegion> WireTransfer(SendFn&& send, Receiver&& receive,
-                                  TransferTiming* timing,
-                                  const TransferTiming& egress) {
-  Status send_status;
-  std::thread send_thread([&] { send_status = send(); });
-  auto delivered = receive();
-  send_thread.join();
-  RR_RETURN_IF_ERROR(send_status);
-  if (delivered.ok() && timing != nullptr) *timing += egress;
-  return delivered;
 }
 
 // --- user space -------------------------------------------------------------
@@ -124,19 +98,21 @@ class UserSpaceTransport : public Transport {
 };
 
 // --- kernel space -----------------------------------------------------------
-// The calling worker drives both ends of the hop's socketpair itself
+// The calling worker drives both ends of the hop's socket pair itself
 // (KernelChannelPump): the frame moves from the producer's linear memory —
 // or a fan-out's shared chunks — through the kernel straight into the
 // target's linear memory, with no transfer thread and no host staging
 // buffer. The destination is placed before the first byte is sent, so a
-// placement failure never touches the wire.
+// placement failure never touches the wire. The kernel transport pumps an
+// AF_UNIX pair; the network transport's loopback hop is this same hop over
+// a 127.0.0.1 TCP pair.
 class KernelHop : public Hop {
  public:
   KernelHop(std::pair<osal::Connection, osal::Connection> ends,
-            Nanos idle_timeout)
-      : pump_(std::move(ends), idle_timeout) {}
+            Nanos idle_timeout, TransferMode mode)
+      : pump_(std::move(ends), idle_timeout, mode) {}
 
-  TransferMode mode() const override { return TransferMode::kKernelSpace; }
+  TransferMode mode() const override { return pump_.mode(); }
   bool healthy() const override { return pump_.wire_ok(); }
 
   // Deliberately lock-free: eviction closes hops that may have a transfer
@@ -209,55 +185,16 @@ class KernelTransport : public Transport {
                                        const Endpoint& /*target*/,
                                        const TransportOptions& options) override {
     RR_ASSIGN_OR_RETURN(auto ends, osal::ConnectedPair());
-    return std::unique_ptr<Hop>(
-        new KernelHop(std::move(ends), options.transfer_deadline));
+    return std::unique_ptr<Hop>(new KernelHop(
+        std::move(ends), options.transfer_deadline, TransferMode::kKernelSpace));
   }
 };
 
 // --- network ----------------------------------------------------------------
 // Two shapes, chosen by the target's ingress at Connect time: a loopback hop
-// (target port 0) holds both channel halves in-process and behaves like a
-// kernel hop over TCP; an agent hop (port != 0) opens streams on the shared
-// connection to the remote NodeAgent, which owns receive + invoke (§4.3,
-// Algorithm 1).
-class NetworkLoopbackHop : public Hop {
- public:
-  NetworkLoopbackHop(NetworkChannelSender sender, NetworkChannelReceiver receiver)
-      : sender_(std::move(sender)), receiver_(std::move(receiver)) {}
-
-  TransferMode mode() const override { return TransferMode::kNetwork; }
-  bool healthy() const override { return sender_.wire_ok(); }
-
-  Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
-                               TransferTiming* timing,
-                               const MemoryRegion* into) override {
-    TransferTiming egress{};
-    RR_ASSIGN_OR_RETURN(const rr::Buffer buffer,
-                        payload.Materialize(&egress.wasm_io));
-    MutexLock hop_lock(mutex_);
-    MutexLock target_lock(target.exec_mutex());
-    const RegionPlacer placer = into != nullptr ? SlicePlacer(*into) : nullptr;
-    const rr::BufferView view(buffer);
-    auto delivered = WireTransfer(
-        [&] { return sender_.SendBuffer(view); },
-        [&] {
-          return receiver_.ReceiveInto(target, CopyMode::kShimStaging,
-                                       /*token=*/nullptr,
-                                       into != nullptr ? &placer : nullptr);
-        },
-        timing, egress);
-    if (delivered.ok() && timing != nullptr) {
-      *timing += sender_.last_timing();
-      *timing += receiver_.last_timing();
-    }
-    return delivered;
-  }
-
- private:
-  Mutex mutex_;
-  NetworkChannelSender sender_;
-  NetworkChannelReceiver receiver_;
-};
+// (target port 0) is a KernelHop over a 127.0.0.1 TCP pair held in-process;
+// an agent hop (port != 0) opens streams on the shared connection to the
+// remote NodeAgent, which owns receive + invoke (§4.3, Algorithm 1).
 
 // The agent hop: a thin facade over the per-agent MuxClient that the
 // transport shares across every (source, target) pair bound for the same
@@ -291,11 +228,8 @@ class MuxAgentHop : public Hop {
   }
 
   Status DispatchAsync(const Payload& payload, uint64_t token,
-                       TransferTiming* timing, DispatchDoneFn done) override {
-    TransferTiming egress{};
-    RR_ASSIGN_OR_RETURN(const rr::Buffer buffer,
-                        payload.Materialize(&egress.wasm_io));
-    if (timing != nullptr) *timing += egress;
+                       DispatchDoneFn done) override {
+    RR_ASSIGN_OR_RETURN(const rr::Buffer buffer, payload.Materialize());
     // The stream holds a refcount on the payload's chunks; the caller may
     // release its own reference as soon as this returns OK.
     return client_->StartStream(function_, buffer, token, transfer_deadline_,
@@ -324,18 +258,18 @@ class NetworkTransport : public Transport {
                                        const Endpoint& target,
                                        const TransportOptions& options) override {
     if (target.port == 0) {
-      // No external ingress registered: create a loopback listener on demand
-      // (the in-process stand-in for the remote node's shim port).
-      RR_ASSIGN_OR_RETURN(NetworkChannelListener listener,
-                          NetworkChannelListener::Bind(0));
-      RR_ASSIGN_OR_RETURN(
-          NetworkChannelSender sender,
-          NetworkChannelSender::Connect(target.host, listener.port()));
-      RR_ASSIGN_OR_RETURN(NetworkChannelReceiver receiver, listener.Accept());
-      sender.set_transfer_deadline(options.transfer_deadline);
-      receiver.set_transfer_deadline(options.transfer_deadline);
-      return std::unique_ptr<Hop>(
-          new NetworkLoopbackHop(std::move(sender), std::move(receiver)));
+      // No external ingress registered: the in-process stand-in for the
+      // remote node's shim port is a loopback TCP pair, pumped like a
+      // kernel hop's AF_UNIX pair.
+      RR_ASSIGN_OR_RETURN(osal::TcpListener listener, osal::TcpListener::Bind(0));
+      RR_ASSIGN_OR_RETURN(osal::Connection send_end,
+                          osal::TcpConnect("127.0.0.1", listener.port()));
+      RR_ASSIGN_OR_RETURN(osal::Connection recv_end, listener.Accept());
+      send_end.SetNoDelay(true);
+      recv_end.SetNoDelay(true);
+      return std::unique_ptr<Hop>(new KernelHop(
+          {std::move(send_end), std::move(recv_end)}, options.transfer_deadline,
+          TransferMode::kNetwork));
     }
     // Route through the target node's agent: one shared client (one
     // connection, one reactor) per remote agent, every pair's transfers
@@ -368,24 +302,9 @@ class NetworkTransport : public Transport {
 
 }  // namespace
 
-Result<InvokeOutcome> Hop::ForwardAndInvoke(const Payload& payload,
-                                            Shim& target,
-                                            TransferTiming* timing) {
-  RR_ASSIGN_OR_RETURN(const MemoryRegion delivered,
-                      Forward(payload, target, timing));
-  MutexLock shim_lock(target.exec_mutex());
-  // A successful invoke consumes the input region; a failed one leaves it
-  // allocated in the target's sandbox — the guard reclaims it.
-  RegionGuard guard(&target, delivered);
-  auto outcome = target.InvokeOnRegion(delivered);
-  if (outcome.ok()) guard.Dismiss();
-  return outcome;
-}
-
 Status Hop::DispatchAsync(const Payload& /*payload*/, uint64_t /*token*/,
-                          TransferTiming* /*timing*/, DispatchDoneFn /*done*/) {
-  return FailedPreconditionError(
-      "hop is not invoke-coupled; use Forward/ForwardAndInvoke");
+                          DispatchDoneFn /*done*/) {
+  return FailedPreconditionError("hop is not invoke-coupled; use Forward");
 }
 
 std::unique_ptr<Transport> MakeUserSpaceTransport() {

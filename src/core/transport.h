@@ -7,12 +7,12 @@
 // A Transport knows how to *establish* a channel for its mode; a Hop is one
 // established, cached channel between a (source, target) pair. Hops speak
 // the zero-copy payload plane (core/payload.h): a guest-resident payload is
-// read in place from the producer's linear memory by the user-space and
-// kernel-space hops (the single user-space copy / one socket frame pumped
-// guest to guest), while a host-resident payload — the shared chunk an
-// N-way fan-out hands to every successor — is read zero-copy from its
-// ref-counted storage, with kernel and network backends performing vectored
-// writes over the chunks.
+// read in place from the producer's linear memory by every local hop (the
+// single user-space copy, or one socket frame pumped guest to guest by the
+// kernel hop and the network loopback hop), while a host-resident payload —
+// the shared chunk an N-way fan-out hands to every successor — is read
+// zero-copy from its ref-counted storage, with the socket hops performing
+// vectored writes over the chunks.
 //
 // Hops are internally synchronized: concurrent workflow invocations may
 // forward over the same hop (a hop's single wire is what they serialize
@@ -38,15 +38,12 @@ struct TransportOptions {
   // Bound on one transfer's blocking waits. A dead or stalled peer surfaces
   // as kDeadlineExceeded within this bound instead of hanging the transfer.
   // Non-positive = unbounded. Per hop shape:
-  //  * network loopback hop: an ABSOLUTE per-transfer bound on header, body
-  //    and ack, armed at frame start. Size it to the largest frame you
-  //    expect over the slowest link (a multi-GiB frame over a slow WAN
-  //    legitimately takes minutes); the 30 s default comfortably covers
-  //    paper-scale payloads on the emulated 100 Mbps testbed.
+  //  * kernel hop and network loopback hop: an idle bound on the pump's
+  //    poll, which waits this long only when neither end of the hop's socket
+  //    pair can make progress — a frame of any size that keeps moving is
+  //    never cut off.
   //  * agent-bound hops: a progress bound on the stream's body drain; the
   //    remote invocation itself is bounded by the caller's backstop.
-  //  * kernel hop: an idle bound on the pump's poll, which waits this long
-  //    only when neither end of its socketpair can make progress.
   Nanos transfer_deadline = std::chrono::seconds(30);
 };
 
@@ -57,8 +54,9 @@ class Hop {
 
   virtual TransferMode mode() const = 0;
 
-  // Delivers `payload` into `target`'s linear memory without invoking it —
-  // the fan-in building block. `target` is the instance the caller leased
+  // Delivers `payload` into `target`'s linear memory without invoking it:
+  // the caller invokes the target itself once every leg has landed (one leg
+  // for a chain node, several for a fan-in). `target` is the instance the caller leased
   // from the target function's pool (the lease outlives the call). When
   // `into` is non-null it names a destination region of exactly
   // payload.size() bytes covered by an existing registration (one slice of a
@@ -69,14 +67,6 @@ class Hop {
   virtual Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
                                        TransferTiming* timing = nullptr,
                                        const MemoryRegion* into = nullptr) = 0;
-
-  // Forward + invoke the leased target instance once on the delivered
-  // payload: the per-hop building block of chains and single-predecessor DAG
-  // nodes. The outcome's output region lives in `target` — keep the lease
-  // until it is consumed.
-  virtual Result<InvokeOutcome> ForwardAndInvoke(const Payload& payload,
-                                                 Shim& target,
-                                                 TransferTiming* timing = nullptr);
 
   // Receives the transfer's terminal status once the far side has spoken:
   // the remote *invocation* outcome, carried by the agent's completion
@@ -94,13 +84,14 @@ class Hop {
   // thread's locks). The base implementation fails with
   // kFailedPrecondition: local hops complete synchronously through Forward.
   virtual Status DispatchAsync(const Payload& payload, uint64_t token,
-                               TransferTiming* timing, DispatchDoneFn done);
+                               DispatchDoneFn done);
 
   // False once the hop's underlying wire has died — torn down by Close, or
-  // killed by a transfer that failed without a decoded ack. A failed
-  // transfer on a healthy hop (a typed in-sync refusal, e.g. the remote
-  // pool was exhausted) leaves healthy() true: callers must NOT evict such
-  // hops, or they collapse the other transfers sharing the channel.
+  // killed by a transfer that failed after its frame started to move. A
+  // failed transfer on a healthy hop (a typed in-sync refusal, e.g. the
+  // target could not place the payload) leaves healthy() true: callers must
+  // NOT evict such hops, or they collapse the other transfers sharing the
+  // channel.
   // Wireless (user-space) hops are always healthy.
   virtual bool healthy() const { return true; }
 

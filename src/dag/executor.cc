@@ -261,11 +261,10 @@ Status DagExecutor::RunLocalNode(
            static_cast<int64_t>(dag.node(pred).succs.size());
   };
 
-  // A Forward whose wire died (a deadline expiry without a decoded ack shut
-  // a network loopback hop's channel down; a kernel hop's frame failed after
-  // its first byte left) leaves the hop dead in the cache: evict so the next
-  // run re-establishes instead of failing forever. User-space hops and typed
-  // in-sync refusals stay cached.
+  // A Forward whose wire died (a kernel or network loopback hop's frame
+  // failed after its first byte left) leaves the hop dead in the cache:
+  // evict so the next run re-establishes instead of failing forever.
+  // User-space hops and typed in-sync refusals stay cached.
   const auto evict_if_dead = [&](Hop& hop) {
     if (!hop.healthy()) manager_->hops().Evict(target.shim->name());
   };
@@ -579,7 +578,7 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
   const Payload payload{std::move(frame)};
   const std::shared_ptr<LifeGuard> life = life_;
   const Status sent = hop->DispatchAsync(
-      payload, token, /*timing=*/nullptr, [life, token](Status outcome) {
+      payload, token, [life, token](Status outcome) {
         // OK = the wire accepted the transfer; the node's real outcome
         // arrives through the delivery callback. An error is terminal for
         // the ATTEMPT (completion frame, dead channel, drain deadline):

@@ -1,10 +1,13 @@
-// The runtime's kernel-space hop: one calling thread pumps both ends of the
-// hop's AF_UNIX pair, reading a guest-resident payload in place from the
+// The runtime's in-process socket hops, one suite over both transports that
+// build them: the kernel hop (an AF_UNIX pair) and the network transport's
+// loopback hop (a 127.0.0.1 TCP pair, target port 0). On both, one calling
+// thread pumps the pair, reading a guest-resident payload in place from the
 // producer's linear memory (or a host-resident payload's shared chunks) and
 // receiving straight into the target's linear memory. Covers frames larger
-// than the socket buffer, empty frames, segmented payloads landing in a
-// fan-in slice, placement refusals that must leave the wire usable, and the
-// Close/healthy() contract the executor's hop eviction relies on.
+// than the socket buffers, empty frames, runs of tiny frames, segmented
+// payloads landing in a fan-in slice, placement refusals that must leave
+// the wire usable, and the Close/healthy() contract the executor's hop
+// eviction relies on.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -14,6 +17,7 @@
 #include "common/rng.h"
 #include "core/payload.h"
 #include "core/transport.h"
+#include "obs/metrics.h"
 #include "runtime/function.h"
 
 namespace rr::core {
@@ -46,17 +50,43 @@ MemoryRegion Stage(Shim& shim, ByteSpan data) {
   return {*addr, static_cast<uint32_t>(data.size())};
 }
 
-std::unique_ptr<Hop> ConnectKernelHop(Shim& source, Shim& target) {
-  Endpoint from;
-  from.shim = &source;
-  Endpoint to;
-  to.shim = &target;
-  TransportOptions options;
-  options.transfer_deadline = kDeadline;
-  auto hop = MakeKernelTransport()->Connect(from, to, options);
-  EXPECT_TRUE(hop.ok()) << hop.status();
-  return hop.ok() ? std::move(*hop) : nullptr;
+struct TransportCase {
+  const char* name;
+  std::unique_ptr<Transport> (*make)();
+  TransferMode mode;
+  const char* mode_label;  // rr_channel_bytes_total's `mode`
+};
+
+// Names each instance by its transport in test listings.
+void PrintTo(const TransportCase& transport, std::ostream* os) {
+  *os << transport.name;
 }
+
+class SocketHopTest : public ::testing::TestWithParam<TransportCase> {
+ protected:
+  // Both endpoints carry port 0: the network transport pairs them over
+  // loopback TCP instead of routing through an agent.
+  std::unique_ptr<Hop> Connect(Shim& source, Shim& target) {
+    Endpoint from;
+    from.shim = &source;
+    Endpoint to;
+    to.shim = &target;
+    TransportOptions options;
+    options.transfer_deadline = kDeadline;
+    auto hop = GetParam().make()->Connect(from, to, options);
+    EXPECT_TRUE(hop.ok()) << hop.status();
+    if (!hop.ok()) return nullptr;
+    EXPECT_EQ((*hop)->mode(), GetParam().mode);
+    return std::move(*hop);
+  }
+
+  uint64_t ChannelBytes(const char* direction) {
+    return obs::Registry::Get()
+        .counter("rr_channel_bytes_total", "",
+                 {{"mode", GetParam().mode_label}, {"direction", direction}})
+        ->Value();
+  }
+};
 
 std::string ReadRegion(Shim& shim, const MemoryRegion& region) {
   auto view = shim.data().read_memory_host(region.address, region.length);
@@ -64,13 +94,13 @@ std::string ReadRegion(Shim& shim, const MemoryRegion& region) {
   return view.ok() ? std::string(AsStringView(*view)) : std::string();
 }
 
-TEST(KernelHopTest, EightMiBGuestResidentEdgeArrivesByteExact) {
+TEST_P(SocketHopTest, EightMiBGuestResidentEdgeArrivesByteExact) {
   // Far larger than the socket buffer: the single thread must interleave
   // sends and receives. The payload is read in place — it stays
   // guest-resident and the plane copies nothing.
   auto source = MakeShim("a");
   auto target = MakeShim("b");
-  auto hop = ConnectKernelHop(*source, *target);
+  auto hop = Connect(*source, *target);
   ASSERT_NE(hop, nullptr);
 
   Bytes bytes(8 * 1024 * 1024);
@@ -80,12 +110,17 @@ TEST(KernelHopTest, EightMiBGuestResidentEdgeArrivesByteExact) {
       Payload::FromGuest(source.get(), Stage(*source, bytes));
 
   const uint64_t copied_before = rr::Buffer::TotalBytesCopied();
+  const uint64_t sent_before = ChannelBytes("sent");
+  const uint64_t received_before = ChannelBytes("received");
   TransferTiming timing;
   auto delivered = hop->Forward(payload, *target, &timing);
   ASSERT_TRUE(delivered.ok()) << delivered.status();
   EXPECT_EQ(rr::Buffer::TotalBytesCopied() - copied_before, 0u);
   EXPECT_TRUE(payload.guest_resident()) << "the hop materialized the payload";
   EXPECT_GT(timing.transfer.count(), 0);
+  // The bytes are counted under the hop's own mode.
+  EXPECT_EQ(ChannelBytes("sent") - sent_before, bytes.size());
+  EXPECT_EQ(ChannelBytes("received") - received_before, bytes.size());
 
   ASSERT_EQ(delivered->length, bytes.size());
   auto view = target->data().read_memory_host(delivered->address,
@@ -95,10 +130,10 @@ TEST(KernelHopTest, EightMiBGuestResidentEdgeArrivesByteExact) {
   EXPECT_TRUE(hop->healthy());
 }
 
-TEST(KernelHopTest, ZeroLengthPayloadsCross) {
+TEST_P(SocketHopTest, ZeroLengthPayloadsCross) {
   auto source = MakeShim("a");
   auto target = MakeShim("b");
-  auto hop = ConnectKernelHop(*source, *target);
+  auto hop = Connect(*source, *target);
   ASSERT_NE(hop, nullptr);
 
   const Payload guest = Payload::FromGuest(source.get(), Stage(*source, {}));
@@ -118,13 +153,36 @@ TEST(KernelHopTest, ZeroLengthPayloadsCross) {
   EXPECT_EQ(ReadRegion(*target, *after), "after-empty");
 }
 
-TEST(KernelHopTest, SegmentedHostPayloadLandsInFanInSlice) {
+TEST_P(SocketHopTest, TinyForwardsAreNotStalled) {
+  // Back-to-back 16-byte frames must each cross in milliseconds: on the TCP
+  // pair, a Nagle or delayed-ACK stall would park a frame for tens of ms.
+  // 40 ms leaves generous slack for a loaded host.
+  auto source = MakeShim("a");
+  auto target = MakeShim("b");
+  auto hop = Connect(*source, *target);
+  ASSERT_NE(hop, nullptr);
+
+  Nanos slowest{0};
+  for (int i = 0; i < 200; ++i) {
+    const Payload payload(rr::Buffer::Adopt(Bytes(16, static_cast<uint8_t>(i))));
+    const Stopwatch timer;
+    auto delivered = hop->Forward(payload, *target);
+    slowest = std::max(slowest, timer.Elapsed());
+    ASSERT_TRUE(delivered.ok()) << "forward " << i << ": " << delivered.status();
+    ASSERT_EQ(delivered->length, 16u);
+    ASSERT_TRUE(target->ReleaseRegion(*delivered).ok());
+  }
+  EXPECT_LT(slowest, std::chrono::milliseconds(40))
+      << "slowest tiny forward took " << ToMillis(slowest) << " ms";
+}
+
+TEST_P(SocketHopTest, SegmentedHostPayloadLandsInFanInSlice) {
   // The fan-in gather path: a fan-out's multi-chunk buffer is gathered onto
   // the wire as it is, and lands in a caller-chosen slice of a larger
   // registered region — the bytes around the slice stay untouched.
   auto source = MakeShim("a");
   auto target = MakeShim("join");
-  auto hop = ConnectKernelHop(*source, *target);
+  auto hop = Connect(*source, *target);
   ASSERT_NE(hop, nullptr);
 
   rr::Buffer chunks = rr::Buffer::FromString("alpha|");
@@ -146,13 +204,13 @@ TEST(KernelHopTest, SegmentedHostPayloadLandsInFanInSlice) {
   EXPECT_EQ(target->data().registered_region_count(), regions_before);
 }
 
-TEST(KernelHopTest, PlacementFailureIsTypedLeaksNothingAndKeepsTheHop) {
+TEST_P(SocketHopTest, PlacementFailureIsTypedLeaksNothingAndKeepsTheHop) {
   // The target's guest memory cannot grow past 40 pages (2.5 MiB), so a
   // 4 MiB frame cannot be placed. The destination is placed before any byte
   // is sent: the refusal leaves the wire untouched and the hop healthy.
   auto source = MakeShim("a");
   auto target = MakeShim("small", /*max_pages=*/40);
-  auto hop = ConnectKernelHop(*source, *target);
+  auto hop = Connect(*source, *target);
   ASSERT_NE(hop, nullptr);
   const size_t regions_before = target->data().registered_region_count();
 
@@ -180,10 +238,10 @@ TEST(KernelHopTest, PlacementFailureIsTypedLeaksNothingAndKeepsTheHop) {
   EXPECT_EQ(ReadRegion(*target, *delivered), "healthy");
 }
 
-TEST(KernelHopTest, CloseFailsTheNextForwardTypedAndMarksTheHopDead) {
+TEST_P(SocketHopTest, CloseFailsTheNextForwardTypedAndMarksTheHopDead) {
   auto source = MakeShim("a");
   auto target = MakeShim("b");
-  auto hop = ConnectKernelHop(*source, *target);
+  auto hop = Connect(*source, *target);
   ASSERT_NE(hop, nullptr);
   ASSERT_TRUE(hop->Forward(Payload(rr::Buffer::FromString("before")), *target)
                   .ok());
@@ -201,7 +259,7 @@ TEST(KernelHopTest, CloseFailsTheNextForwardTypedAndMarksTheHopDead) {
   EXPECT_FALSE(hop->healthy());
 }
 
-TEST(KernelHopTest, ConcurrentForwardsShareTheWire) {
+TEST_P(SocketHopTest, ConcurrentForwardsShareTheWire) {
   // Two runs forward over one cached hop into distinct leased instances at
   // once: the hop's mutex serializes them on the wire, and each reads its
   // source instance's memory under that instance's exec mutex.
@@ -209,7 +267,7 @@ TEST(KernelHopTest, ConcurrentForwardsShareTheWire) {
   std::vector<std::unique_ptr<Shim>> targets;
   targets.push_back(MakeShim("b0"));
   targets.push_back(MakeShim("b1"));
-  auto hop = ConnectKernelHop(*source, *targets[0]);
+  auto hop = Connect(*source, *targets[0]);
   ASSERT_NE(hop, nullptr);
 
   constexpr int kRounds = 10;
@@ -245,6 +303,13 @@ TEST(KernelHopTest, ConcurrentForwardsShareTheWire) {
   }
   EXPECT_TRUE(hop->healthy());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, SocketHopTest,
+    ::testing::Values(TransportCase{"Kernel", &MakeKernelTransport,
+                                    TransferMode::kKernelSpace, "kernel"},
+                      TransportCase{"Network", &MakeNetworkTransport,
+                                    TransferMode::kNetwork, "network"}));
 
 }  // namespace
 }  // namespace rr::core

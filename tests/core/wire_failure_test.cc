@@ -104,7 +104,7 @@ TEST(WireFailureTest, SenderAckWaitIsBoundedWhenReceiverNeverAcks) {
   channel->sender.set_transfer_deadline(kShortDeadline);
 
   const Stopwatch timer;
-  const Status status = channel->sender.SendBytes(AsBytes("ping"), /*token=*/1);
+  const Status status = channel->sender.SendBytes(AsBytes("ping"));
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
   EXPECT_LT(timer.Elapsed(), kFailureBound);
 }
@@ -132,7 +132,7 @@ TEST(WireFailureTest, TimedOutTransferKillsChannelSoStaleAckIsNeverMisattributed
   EXPECT_EQ(channel->sender.SendBytes(AsBytes("late")).code(),
             StatusCode::kDeadlineExceeded);
   laggard.join();
-  // The caching layer reads this to evict the dead hop.
+  // The owner reads this to replace the dead channel.
   EXPECT_FALSE(channel->sender.wire_ok());
   const Status followup = channel->sender.SendBytes(AsBytes("next"));
   EXPECT_FALSE(followup.ok()) << "follow-up transfer consumed a stale ack";
@@ -193,23 +193,19 @@ TEST_P(WireRejectionModes, PlacementFailureReachesSenderTypedAndChannelSurvives)
   Status send_status;
   std::thread send_thread(
       [&] { send_status = pair->sender.SendBytes(AsBytes("doomed")); });
-  auto frame = pair->receiver.ReceiveHeader();
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  bool rejected_in_sync = false;
-  auto delivered = pair->receiver.ReceiveBody(*frame, *target, GetParam(),
-                                              &failing, &rejected_in_sync);
+  auto delivered = pair->receiver.ReceiveInto(*target, GetParam(), &failing);
   send_thread.join();
   EXPECT_FALSE(delivered.ok());
-  EXPECT_TRUE(rejected_in_sync);
   EXPECT_EQ(send_status.code(), StatusCode::kResourceExhausted) << send_status;
   EXPECT_NE(send_status.message().find("guest heap full"), std::string::npos)
       << send_status;
   EXPECT_EQ(target->data().registered_region_count(), regions_before);
   // A decoded error ack proves the channel is synchronized: the sender must
-  // NOT have killed the wire (a caching layer would needlessly evict it).
+  // NOT have killed the wire (its owner would needlessly replace it).
   EXPECT_TRUE(pair->sender.wire_ok());
 
-  // Round 2 on the SAME channel: a healthy transfer goes through.
+  // Round 2 on the SAME channel: a healthy transfer goes through, so the
+  // refusal left the channel at a frame boundary.
   Status retry_status;
   std::thread retry_thread(
       [&] { retry_status = pair->sender.SendBytes(AsBytes("healthy")); });
@@ -243,17 +239,27 @@ TEST(WireFailureTest, WriteFailureAfterPlacementReleasesRegionAndAcksTyped) {
   Status send_status;
   std::thread send_thread(
       [&] { send_status = pair->sender.SendBytes(AsBytes("astray")); });
-  bool rejected_in_sync = false;
-  auto frame = pair->receiver.ReceiveHeader();
-  ASSERT_TRUE(frame.ok());
-  auto delivered = pair->receiver.ReceiveBody(
-      *frame, *target, CopyMode::kShimStaging, &bogus, &rejected_in_sync);
+  auto delivered =
+      pair->receiver.ReceiveInto(*target, CopyMode::kShimStaging, &bogus);
   send_thread.join();
   EXPECT_FALSE(delivered.ok());
-  EXPECT_TRUE(rejected_in_sync);
   EXPECT_FALSE(send_status.ok());
   EXPECT_EQ(send_status.code(), delivered.status().code()) << send_status;
   EXPECT_EQ(target->data().registered_region_count(), regions_before);
+  EXPECT_TRUE(pair->sender.wire_ok());
+
+  // A second frame on the SAME channel lands whole: the error ack left both
+  // ends at a frame boundary.
+  Status retry_status;
+  std::thread retry_thread(
+      [&] { retry_status = pair->sender.SendBytes(AsBytes("in sync")); });
+  auto retried = pair->receiver.ReceiveInto(*target, CopyMode::kShimStaging);
+  retry_thread.join();
+  ASSERT_TRUE(retry_status.ok()) << retry_status;
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  auto view = target->data().read_memory_host(retried->address, retried->length);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(AsStringView(*view), "in sync");
 }
 
 // ---------------------------------------------------------------------------

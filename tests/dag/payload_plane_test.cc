@@ -1,7 +1,8 @@
 // Zero-copy payload plane, end to end through api::Runtime: copy-complexity
-// of fan-out, zero-length payloads across all three transfer modes, payloads
-// larger than the splice path's pipe buffer, and input-buffer sharing across
-// many in-flight invocations.
+// of fan-out and of socket-hop chains, zero-length payloads across all three
+// transfer modes, payloads larger than the network hop's socket buffers,
+// release of a failed node's input, and input-buffer sharing across many
+// in-flight invocations.
 #include <gtest/gtest.h>
 
 #include "api/runtime.h"
@@ -107,31 +108,41 @@ TEST_F(PayloadPlaneTest, UserSpaceFanOutPerformsO1PayloadCopies) {
 }
 
 TEST_F(PayloadPlaneTest, KernelChainCopiesOnlyTheSinkEgress) {
-  // a -> b over a kernel-space hop (same node, separate sandboxes): a's
-  // output is pumped from its linear memory straight into b's, so the run's
-  // only plane copy is b's output leaving the guest as the result — N bytes,
-  // not a second N for egressing a's output at the kernel edge.
+  // a -> b over an in-process socket hop: the kernel hop (same node,
+  // separate sandboxes) or the network loopback hop (another node with no
+  // agent port). a's output is pumped from its linear memory straight into
+  // b's, so the run's only plane copy is b's output leaving the guest as the
+  // result — N bytes, not a second N for egressing a's output at the edge.
   constexpr size_t kPayload = 1 << 20;
-  api::Runtime rt("wf");
-  auto a = AddFunction(rt, "a", {"n1", ""}, ProduceBytes(kPayload));
-  auto b = AddFunction(rt, "b", {"n1", ""}, [](ByteSpan input) -> Result<Bytes> {
-    return Bytes(input.begin(), input.end());
-  });
+  const struct {
+    const char* name;
+    Location target_location;
+  } placements[] = {{"kernel", {"n1", ""}}, {"network", {"n2", ""}}};
+  for (const auto& placement : placements) {
+    SCOPED_TRACE(placement.name);
+    api::Runtime rt("wf");
+    auto a = AddFunction(rt, "a", {"n1", ""}, ProduceBytes(kPayload));
+    auto b = AddFunction(rt, "b", placement.target_location,
+                         [](ByteSpan input) -> Result<Bytes> {
+                           return Bytes(input.begin(), input.end());
+                         });
 
-  const rr::Buffer input = rr::Buffer::FromString("x");
-  const uint64_t copied_before = rr::Buffer::TotalBytesCopied();
-  auto invocation = rt.Submit(api::ChainSpec{{"a", "b"}}, input);
-  ASSERT_TRUE(invocation.ok()) << invocation.status();
-  const Result<rr::Buffer>& result = (*invocation)->Wait();
-  const uint64_t copied = rr::Buffer::TotalBytesCopied() - copied_before;
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->size(), kPayload);
-  EXPECT_EQ(copied, kPayload);
+    const rr::Buffer input = rr::Buffer::FromString("x");
+    const uint64_t copied_before = rr::Buffer::TotalBytesCopied();
+    auto invocation = rt.Submit(api::ChainSpec{{"a", "b"}}, input);
+    ASSERT_TRUE(invocation.ok()) << invocation.status();
+    const Result<rr::Buffer>& result = (*invocation)->Wait();
+    const uint64_t copied = rr::Buffer::TotalBytesCopied() - copied_before;
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->size(), kPayload);
+    EXPECT_EQ(copied, kPayload);
+  }
 }
 
 TEST_F(PayloadPlaneTest, ZeroLengthPayloadsCrossAllThreeModes) {
   // An empty function output must survive every transfer mechanism: the
-  // user-space copy, the kernel-socket frame, and the network hose frame.
+  // user-space copy, and the header-only frame over the kernel hop's
+  // AF_UNIX pair and the network hop's TCP pair.
   struct ModeCase {
     const char* name;
     Location source_location;
@@ -196,9 +207,10 @@ TEST_F(PayloadPlaneTest, ZeroLengthLegsInFanInGather) {
   EXPECT_EQ(ToString(*result), "[mid]");
 }
 
-TEST_F(PayloadPlaneTest, SplicePathCarriesPayloadLargerThanPipeBuffer) {
-  // The virtual data hose's pipe holds 1 MiB; a 3 MiB payload must chunk
-  // through vmsplice/splice without loss, through the real network-mode hop.
+TEST_F(PayloadPlaneTest, NetworkChainCarriesPayloadLargerThanSocketBuffers) {
+  // A 3 MiB frame is far larger than the loopback TCP pair's socket buffers:
+  // the one thread pumping the network-mode hop must interleave sends and
+  // receives, and the payload must arrive whole.
   constexpr size_t kPayload = 3 * 1024 * 1024;
   api::Runtime rt("wf");
   auto a = AddFunction(rt, "a", {"n1", ""}, ProduceBytes(kPayload));
@@ -221,58 +233,36 @@ TEST_F(PayloadPlaneTest, SplicePathCarriesPayloadLargerThanPipeBuffer) {
 }
 
 TEST_F(PayloadPlaneTest, HopForwardAndInvokeRunsTargetAndReleasesOnFailure) {
-  // The single-hop building block of the Hop interface: deliver a
-  // host-resident payload and invoke the target once. On handler failure the
-  // delivered input region must be released, not leaked in the sandbox.
-  core::WorkflowManager manager("wf");
-  const auto add = [&](const std::string& name, runtime::NativeHandler handler)
-      -> std::unique_ptr<Shim> {
-    auto shim = Shim::Create(Spec(name), Binary());
-    EXPECT_TRUE(shim.ok()) << shim.status();
-    EXPECT_TRUE((*shim)->Deploy(std::move(handler)).ok());
-    Endpoint endpoint;
-    endpoint.shim = shim->get();
-    endpoint.location = {"n1", ""};
-    EXPECT_TRUE(manager.Register(endpoint).ok());
-    return std::move(*shim);
-  };
-  auto source = add("src", AckSize());
-  auto ok_target = add("ok", [](ByteSpan input) -> Result<Bytes> {
+  // A chain node's hop delivers its predecessor's output over the kernel
+  // hop, then the node invokes its target once on it. On handler failure
+  // the delivered input region must be released, not leaked in the sandbox.
+  api::Runtime rt("wf");
+  auto src = AddFunction(rt, "src", {"n1", ""}, [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  auto ok = AddFunction(rt, "ok", {"n1", ""}, [](ByteSpan input) -> Result<Bytes> {
     return ToBytes(std::string(AsStringView(input)) + "|ok");
   });
-  auto bad_target = add("bad", [](ByteSpan) -> Result<Bytes> {
+  auto bad = AddFunction(rt, "bad", {"n1", ""}, [](ByteSpan) -> Result<Bytes> {
     return InternalError("handler exploded");
   });
-  Endpoint* src = *manager.Find("src");
-  Endpoint* ok_ep = *manager.Find("ok");
-  Endpoint* bad_ep = *manager.Find("bad");
 
-  const core::Payload payload(rr::Buffer::FromString("ping"));
-  auto ok_hop = manager.hops().Get(*src, *ok_ep);
-  ASSERT_TRUE(ok_hop.ok()) << ok_hop.status();
-  // ForwardAndInvoke targets a leased pool instance; the lease stays held
-  // until the outcome's output region has been consumed.
-  auto ok_lease = ok_ep->Lease();
-  ASSERT_TRUE(ok_lease.ok()) << ok_lease.status();
-  auto outcome = (*ok_hop)->ForwardAndInvoke(payload, **ok_lease);
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  auto view = ok_target->OutputView(outcome->output);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(AsStringView(*view), "ping|ok");
-  ASSERT_TRUE(ok_target->ReleaseRegion(outcome->output).ok());
-  ok_lease->Release();
+  auto succeeded = rt.Submit(api::ChainSpec{{"src", "ok"}}, AsBytes("ping"));
+  ASSERT_TRUE(succeeded.ok()) << succeeded.status();
+  const Result<rr::Buffer>& result = (*succeeded)->Wait();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(ToString(*result), "ping|ok");
 
-  auto bad_hop = manager.hops().Get(*src, *bad_ep);
-  ASSERT_TRUE(bad_hop.ok()) << bad_hop.status();
-  const size_t regions_before = bad_target->data().registered_region_count();
-  auto bad_lease = bad_ep->Lease();
-  ASSERT_TRUE(bad_lease.ok()) << bad_lease.status();
-  auto failed = (*bad_hop)->ForwardAndInvoke(payload, **bad_lease);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_NE(failed.status().message().find("handler exploded"),
-            std::string::npos);
+  const size_t regions_before = bad->data().registered_region_count();
+  auto failed = rt.Submit(api::ChainSpec{{"src", "bad"}}, AsBytes("ping"));
+  ASSERT_TRUE(failed.ok()) << failed.status();
+  const Result<rr::Buffer>& outcome = (*failed)->Wait();
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_NE(outcome.status().message().find("handler exploded"),
+            std::string::npos)
+      << outcome.status();
   // The delivered input region did not leak in the failing sandbox.
-  EXPECT_EQ(bad_target->data().registered_region_count(), regions_before);
+  EXPECT_EQ(bad->data().registered_region_count(), regions_before);
 }
 
 TEST_F(PayloadPlaneTest, SharedInputBufferDoesNotMultiplyResidentMemory) {

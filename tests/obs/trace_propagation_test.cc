@@ -1,11 +1,12 @@
 // Cross-process trace propagation: a remote (NodeAgent) chain must yield ONE
 // stitched trace — the agent's ingress/invoke spans carry the trace id the
-// submitting runtime minted, because the context rode the wire frame header.
-// Also covers wire tolerance: legacy headers without the trace extension and
-// trace-flagged frames with a zero id must deliver; a truncated extension
-// must fail cleanly, not desync into garbage.
+// submitting runtime minted, because the context rode the mux open frame.
+// Also covers the network hose's header, which carries no trace context: a
+// bare 16-byte header delivers without waiting for more, and a header still
+// carrying the retired trace flag fails cleanly instead of desyncing.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -166,8 +167,9 @@ std::unique_ptr<Shim> MakeTarget() {
 }
 
 TEST_F(TracePropagationTest, LegacyFrameWithoutExtensionDelivers) {
-  // A sender that predates the trace extension (or has tracing off) sends
-  // the bare 16-byte header; the receiver must not wait for more.
+  // The hose's header is 16 bytes (length + an ignored word: a peer that
+  // still stamps a correlation token there is fine) whether or not the
+  // sender traces; the receiver must not wait for an extension.
   auto target = MakeTarget();
   ASSERT_NE(target, nullptr);
   auto listener = core::NetworkChannelListener::Bind(0);
@@ -180,7 +182,7 @@ TEST_F(TracePropagationTest, LegacyFrameWithoutExtensionDelivers) {
   const Bytes payload = ToBytes("legacy");
   uint8_t header[16];
   StoreLE<uint64_t>(header, payload.size());
-  StoreLE<uint64_t>(header + 8, 0);
+  StoreLE<uint64_t>(header + 8, 7);
   ASSERT_TRUE(raw->Send(ByteSpan(header, 16)).ok());
   ASSERT_TRUE(raw->Send(ByteSpan(payload.data(), payload.size())).ok());
   auto delivered = receiver->ReceiveInto(*target);
@@ -188,35 +190,12 @@ TEST_F(TracePropagationTest, LegacyFrameWithoutExtensionDelivers) {
   EXPECT_EQ(delivered->length, payload.size());
 }
 
-TEST_F(TracePropagationTest, TraceFlaggedFrameWithZeroIdTolerated) {
-  // A flagged frame whose extension carries a zero trace id has no usable
-  // context; the payload must still land.
-  auto target = MakeTarget();
-  ASSERT_NE(target, nullptr);
-  auto listener = core::NetworkChannelListener::Bind(0);
-  ASSERT_TRUE(listener.ok());
-  auto raw = osal::TcpConnect("127.0.0.1", listener->port());
-  ASSERT_TRUE(raw.ok());
-  auto receiver = listener->Accept();
-  ASSERT_TRUE(receiver.ok());
-
-  const Bytes payload = ToBytes("flagged");
-  uint8_t header[32];
-  StoreLE<uint64_t>(header, payload.size() | core::kFrameTraceFlag);
-  StoreLE<uint64_t>(header + 8, 0);
-  StoreLE<uint64_t>(header + 16, 0);  // zero trace id: tolerated
-  StoreLE<uint64_t>(header + 24, 0);
-  ASSERT_TRUE(raw->Send(ByteSpan(header, 32)).ok());
-  ASSERT_TRUE(raw->Send(ByteSpan(payload.data(), payload.size())).ok());
-  auto delivered = receiver->ReceiveInto(*target);
-  ASSERT_TRUE(delivered.ok()) << delivered.status();
-  EXPECT_EQ(delivered->length, payload.size());
-}
-
 TEST_F(TracePropagationTest, TruncatedTraceExtensionFailsCleanly) {
-  // Malformed: the flag promises 16 extension bytes but the peer dies after
-  // 8. The receive must surface an error — never block forever on the body
-  // or misread payload bytes as header.
+  // Malformed: a peer that still sets the retired trace flag (bit 63 of the
+  // length) promises a 16-byte extension but dies after 8. The receive must
+  // surface a typed error — never block forever on the body or misread the
+  // extension bytes as payload — and place nothing in the target.
+  constexpr uint64_t kRetiredTraceFlag = uint64_t{1} << 63;
   auto target = MakeTarget();
   ASSERT_NE(target, nullptr);
   auto listener = core::NetworkChannelListener::Bind(0);
@@ -229,15 +208,20 @@ TEST_F(TracePropagationTest, TruncatedTraceExtensionFailsCleanly) {
   }
   auto receiver = listener->Accept();
   ASSERT_TRUE(receiver.ok());
+  receiver->set_transfer_deadline(std::chrono::seconds(2));
 
   uint8_t header[24];
-  StoreLE<uint64_t>(header, uint64_t{64} | core::kFrameTraceFlag);
+  StoreLE<uint64_t>(header, uint64_t{64} | kRetiredTraceFlag);
   StoreLE<uint64_t>(header + 8, 0);
   StoreLE<uint64_t>(header + 16, 0x1234);  // half the promised extension
   ASSERT_TRUE(raw->Send(ByteSpan(header, 24)).ok());
   raw.reset();  // peer dies mid-extension
+  const size_t regions_before = target->data().registered_region_count();
   auto delivered = receiver->ReceiveInto(*target);
-  EXPECT_FALSE(delivered.ok());
+  ASSERT_FALSE(delivered.ok());
+  EXPECT_EQ(delivered.status().code(), StatusCode::kDataLoss)
+      << delivered.status();
+  EXPECT_EQ(target->data().registered_region_count(), regions_before);
 }
 
 }  // namespace
