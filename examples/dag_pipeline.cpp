@@ -5,14 +5,17 @@
 // Placement puts `split` and `edge-detect` in one Wasm VM (user-space edge),
 // `blur` in a dedicated sandbox on the same node (kernel-space edge), and
 // `compose` on another node (network edges) — so one run exercises all three
-// transfer modes, each hop picked from placement alone, and prints the
-// per-edge telemetry the executor records.
+// transfer modes, each hop picked from placement alone. With tracing on, it
+// prints every edge's `edge:*` span beside the mode placement selects for it,
+// and the run's transfer phase.
 //
 //   $ ./dag_pipeline
 #include <cstdio>
+#include <map>
 
 #include "api/runtime.h"
 #include "dag/dag.h"
+#include "obs/trace.h"
 #include "runtime/function.h"
 
 using namespace rr;
@@ -72,8 +75,12 @@ int main() {
   if (!compose.ok()) return Fail(compose.status());
 
   // --- placement-driven registry -------------------------------------------
-  api::Runtime rt("pipeline");
-  const auto add = [&rt](core::Shim* shim, core::Location location) {
+  api::Runtime::Options options;
+  options.tracing = true;
+  api::Runtime rt("pipeline", options);
+  std::map<std::string, core::Location> placement;
+  const auto add = [&](core::Shim* shim, core::Location location) {
+    placement[shim->name()] = location;
     core::Endpoint endpoint;
     endpoint.shim = shim;
     endpoint.location = std::move(location);
@@ -98,19 +105,26 @@ int main() {
   if (!invocation.ok()) return Fail(invocation.status());
   const Result<rr::Buffer>& result = (*invocation)->Wait();
   if (!result.ok()) return Fail(result.status());
-  const telemetry::DagRunStats& stats = (*invocation)->stats().dag;
 
   std::printf("request : photo-0042\n");
   std::printf("response: %s\n", ToString(*result).c_str());
-  std::printf("\nper-edge transfers (%zu edges, transfer phase %.3f ms):\n",
-              stats.edges.size(), ToMillis(stats.transfer_phase));
-  std::printf("  %-14s %-14s %-13s %9s %12s\n", "source", "target", "mode",
-              "bytes", "latency(us)");
-  for (const auto& edge : stats.edges) {
-    std::printf("  %-14s %-14s %-13s %9llu %12.1f\n", edge.source.c_str(),
-                edge.target.c_str(), edge.mode.c_str(),
-                static_cast<unsigned long long>(edge.bytes),
-                ToMillis(edge.latency) * 1000.0);
+  std::printf("\nper-edge spans (transfer phase %.3f ms):\n",
+              ToMillis((*invocation)->stats().transfer_phase));
+  std::printf("  %-28s %-13s %12s\n", "span", "mode", "latency(us)");
+  // Every span of the run carries its trace id; a local edge's span is named
+  // "edge:<source>-><target>", and its mode follows from placement alone.
+  for (const obs::SpanRecord& span : obs::Tracer::Get().Snapshot()) {
+    if (span.trace_id != (*invocation)->trace_id() ||
+        span.name.rfind("edge:", 0) != 0) {
+      continue;
+    }
+    const size_t arrow = span.name.find("->");
+    const core::TransferMode mode =
+        core::SelectMode(placement[span.name.substr(5, arrow - 5)],
+                         placement[span.name.substr(arrow + 2)]);
+    std::printf("  %-28s %-13s %12.1f\n", span.name.c_str(),
+                std::string(core::TransferModeName(mode)).c_str(),
+                ToMillis(span.duration) * 1000.0);
   }
   return 0;
 }

@@ -208,19 +208,21 @@ Result<std::shared_ptr<Invocation>> Runtime::Enqueue(
   obs::ScopedTraceContext trace_ctx(
       obs::SpanContext{invocation->trace_id_, invocation->span_id_});
   Invocation& run = *invocation;
-  executor_.Start(run.dag_, run.input_, &run.stats_.dag, run.resilience_,
+  executor_.Start(run.dag_, run.input_, run.resilience_,
                   [this, invocation](Result<rr::Buffer> result,
-                                     TimePoint started) {
-                    Publish(*invocation, std::move(result), started);
+                                     TimePoint started, Nanos transfer_phase) {
+                    Publish(*invocation, std::move(result), started,
+                            transfer_phase);
                   });
   return invocation;
 }
 
 void Runtime::Publish(Invocation& invocation, Result<rr::Buffer> result,
-                      TimePoint started) {
+                      TimePoint started, Nanos transfer_phase) {
   const TimePoint now = Now();
   invocation.stats_.queued = started - invocation.submitted_;
   invocation.stats_.total = now - started;
+  invocation.stats_.transfer_phase = transfer_phase;
   SubmitLatency().Observe(ToSeconds(now - invocation.submitted_));
   // Recorded before the result publishes, so a caller returning from Wait()
   // finds the run span in the tracer.

@@ -37,7 +37,6 @@
 #include "dag/dag.h"
 #include "dag/executor.h"
 #include "obs/introspect.h"
-#include "telemetry/metrics.h"
 
 namespace rr::api {
 
@@ -64,7 +63,11 @@ struct RunStats {
   // That start -> the result publishing: every node, edge and sink egress,
   // on whichever threads retired them.
   Nanos total{0};
-  telemetry::DagRunStats dag;   // per-edge samples of the run
+  // The first edge's start -> the last edge's completion, across concurrent
+  // branches (a remote edge counts from its frame assembly to its delivery).
+  // Zero for a failed run or one without edges. Per-edge time is the run's
+  // `edge:*` trace spans.
+  Nanos transfer_phase{0};
 };
 
 // A future-like handle to one submitted run. Thread-safe; share freely.
@@ -115,9 +118,9 @@ class Invocation {
   uint64_t trace_id_ = 0;
   uint64_t span_id_ = 0;  // the run:<id> span, recorded when it publishes
   TimePoint submitted_{};
-  // Written only by the run (the executor's edge samples, then the
-  // publishing thread) before done_ is set under mutex_; read only by
-  // callers that observed Done(), so publication orders every access.
+  // Written only by the publishing thread before done_ is set under mutex_;
+  // read only by callers that observed Done(), so publication orders every
+  // access.
   RunStats stats_;
 
   mutable Mutex mutex_;
@@ -146,8 +149,8 @@ class Runtime {
     Nanos transfer_deadline = std::chrono::seconds(30);
     // Enables invocation tracing process-wide: Submit mints a trace id per
     // run, spans record into the obs::Tracer ring, frames carry the trace
-    // context to remote agents. Off by default — the disabled instrumentation
-    // costs one clock read per span site.
+    // context to remote agents. Off by default — a disabled span site costs
+    // one relaxed atomic load and reads no clock.
     bool tracing = false;
     // Ring capacity for finished spans when tracing is on (0 = keep the
     // tracer's current capacity).
@@ -220,7 +223,7 @@ class Runtime {
   // Publishes a finished run on the thread that finished it: stats, the
   // run span, the result, the Wait() wakeup and the NotifyDone callbacks.
   void Publish(Invocation& invocation, Result<rr::Buffer> result,
-               TimePoint started);
+               TimePoint started, Nanos transfer_phase);
 
   core::WorkflowManager manager_;
   dag::DagExecutor executor_;

@@ -1,5 +1,7 @@
 #include "core/endpoint.h"
 
+#include "obs/metrics.h"
+
 namespace rr::core {
 
 std::string_view TransferModeName(TransferMode mode) {
@@ -9,6 +11,15 @@ std::string_view TransferModeName(TransferMode mode) {
     case TransferMode::kNetwork: return "network";
   }
   return "?";
+}
+
+obs::Counter& ChannelBytes(TransferMode mode, const char* direction) {
+  const char* label = "user";
+  if (mode == TransferMode::kKernelSpace) label = "kernel";
+  if (mode == TransferMode::kNetwork) label = "network";
+  return *obs::Registry::Get().counter(
+      "rr_channel_bytes_total", "Payload bytes moved through data channels",
+      {{"mode", label}, {"direction", direction}});
 }
 
 TransferMode SelectMode(const Location& source, const Location& target) {

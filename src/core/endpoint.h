@@ -15,11 +15,20 @@
 #include "core/shim.h"
 #include "core/shim_pool.h"
 
+namespace rr::obs {
+class Counter;
+}  // namespace rr::obs
+
 namespace rr::core {
 
 enum class TransferMode { kUserSpace, kKernelSpace, kNetwork };
 
 std::string_view TransferModeName(TransferMode mode);
+
+// The rr_channel_bytes_total series every local channel and hop counts its
+// payload bytes in: `mode` "user", "kernel" or "network", `direction` "sent"
+// or "received". Each call is a registry lookup; keep the reference.
+obs::Counter& ChannelBytes(TransferMode mode, const char* direction);
 
 // Where a function instance lives, as the orchestrator reports it.
 struct Location {

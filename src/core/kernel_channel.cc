@@ -13,16 +13,6 @@
 namespace rr::core {
 namespace {
 
-// Channel traffic by mode: one family, one series per transfer mechanism
-// (`mode="kernel"` or `"network"` here — the pump serves both socket hops —
-// and "user" in the user-space channel).
-obs::Counter& ChannelBytes(TransferMode mode, const char* direction) {
-  return *obs::Registry::Get().counter(
-      "rr_channel_bytes_total", "Payload bytes moved through data channels",
-      {{"mode", mode == TransferMode::kNetwork ? "network" : "kernel"},
-       {"direction", direction}});
-}
-
 obs::Counter& KernelBytesSent() {
   static obs::Counter& counter =
       ChannelBytes(TransferMode::kKernelSpace, "sent");

@@ -41,7 +41,7 @@ const MemoryRegion* Payload::guest_region() const {
   return &state_->region;
 }
 
-Result<rr::Buffer> Payload::Materialize(Nanos* wasm_io) const {
+Result<rr::Buffer> Payload::Materialize() const {
   if (state_ == nullptr) return rr::Buffer{};
   MutexLock lock(state_->mutex);
   if (state_->materialized) return state_->buffer;
@@ -55,10 +55,8 @@ Result<rr::Buffer> Payload::Materialize(Nanos* wasm_io) const {
     // synchronizes this region read against that guest activity.
     MutexLock shim_lock(shim->exec_mutex());
     if (!fill.empty()) {
-      const Stopwatch egress_timer;
       RR_RETURN_IF_ERROR(shim->sandbox().ReadMemoryHost(state_->region.address,
                                                         fill));
-      if (wasm_io != nullptr) *wasm_io += egress_timer.Elapsed();
       rr::Buffer::CountExternalCopy(fill.size());
     }
     (void)shim->ReleaseRegion(state_->region);

@@ -63,10 +63,10 @@ class Payload {
   const MemoryRegion* guest_region() const;
 
   // The host-resident bytes. The first call egresses the guest region (one
-  // read_memory_host under the source shim's exec mutex, duration added to
-  // *wasm_io when non-null, bytes counted as the plane's payload copy) and
-  // releases it; later calls return the shared chunk for free.
-  Result<rr::Buffer> Materialize(Nanos* wasm_io = nullptr) const;
+  // read_memory_host under the source shim's exec mutex, bytes counted as
+  // the plane's payload copy) and releases it; later calls return the
+  // shared chunk for free.
+  Result<rr::Buffer> Materialize() const;
 
   // Drops this handle's claim without reading the bytes.
   void Reset() { state_.reset(); }

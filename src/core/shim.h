@@ -52,12 +52,6 @@ enum class CopyMode { kShimStaging, kDirectGuest };
 struct TransferTiming {
   Nanos wasm_io{0};   // guest<->host staging copies
   Nanos transfer{0};  // kernel/socket data movement
-
-  TransferTiming& operator+=(const TransferTiming& other) {
-    wasm_io += other.wasm_io;
-    transfer += other.transfer;
-    return *this;
-  }
 };
 
 class Shim {

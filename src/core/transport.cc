@@ -7,6 +7,7 @@
 #include "core/mux_client.h"
 #include "core/region_guard.h"
 #include "core/user_channel.h"
+#include "obs/metrics.h"
 #include "osal/reactor.h"
 
 namespace rr::core {
@@ -48,9 +49,7 @@ Result<MemoryRegion> CheckSlice(const MemoryRegion& into, uint64_t length) {
 class UserSpaceHop : public Hop {
  public:
   Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
-                               TransferTiming* timing,
                                const MemoryRegion* into) override {
-    (void)timing;  // one in-process copy; no kernel/socket phase to split out
     if (payload.guest_resident()) {
       // Classic §4.1 path: the single user-space copy between the two
       // linear memories, straight from the producer's registered region.
@@ -76,10 +75,15 @@ class UserSpaceHop : public Hop {
     }
     RR_RETURN_IF_ERROR(target.WriteInput(dest, buffer));
     guard.Dismiss();
+    bytes_sent_.Inc(buffer.size());
     return dest;
   }
 
   TransferMode mode() const override { return TransferMode::kUserSpace; }
+
+ private:
+  // The series UserSpaceChannel::Transfer counts the guest-direct path in.
+  obs::Counter& bytes_sent_ = ChannelBytes(TransferMode::kUserSpace, "sent");
 };
 
 class UserSpaceTransport : public Transport {
@@ -122,7 +126,6 @@ class KernelHop : public Hop {
   void Close() override { pump_.Shutdown(); }
 
   Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
-                               TransferTiming* timing,
                                const MemoryRegion* into) override {
     MutexLock hop_lock(mutex_);
     if (payload.guest_resident()) {
@@ -132,22 +135,20 @@ class KernelHop : public Hop {
       PairLock lock(source, target);
       RR_ASSIGN_OR_RETURN(const ByteSpan view,
                           source.OutputView(*payload.guest_region()));
-      return Deliver(view, target, timing, into);
+      return Deliver(view, target, into);
     }
     // Host-resident (a fan-out's shared chunk): Materialize is a refcount
     // bump, and the pump gathers the chunks as they are.
     RR_ASSIGN_OR_RETURN(const rr::Buffer buffer, payload.Materialize());
     MutexLock target_lock(target.exec_mutex());
-    return Deliver(buffer, target, timing, into);
+    return Deliver(buffer, target, into);
   }
 
  private:
   // Places the destination in `target` (whose exec mutex the caller holds),
   // then pumps the frame into it.
   Result<MemoryRegion> Deliver(const rr::BufferView& source, Shim& target,
-                               TransferTiming* timing,
                                const MemoryRegion* into) {
-    const Stopwatch place_timer;
     MemoryRegion dest;
     RegionGuard guard;
     if (into != nullptr) {
@@ -162,13 +163,7 @@ class KernelHop : public Hop {
       guard = RegionGuard(&target, dest);
     }
     RR_ASSIGN_OR_RETURN(const MutableByteSpan span, target.InputSpan(dest));
-    const Nanos place_time = place_timer.Elapsed();
-    const Stopwatch transfer_timer;
     RR_RETURN_IF_ERROR(pump_.Transfer(source, span));
-    if (timing != nullptr) {
-      timing->wasm_io += place_time;
-      timing->transfer += transfer_timer.Elapsed();
-    }
     guard.Dismiss();
     return dest;
   }
@@ -220,7 +215,6 @@ class MuxAgentHop : public Hop {
   void Close() override {}
 
   Result<MemoryRegion> Forward(const Payload& /*payload*/, Shim& /*target*/,
-                               TransferTiming* /*timing*/,
                                const MemoryRegion* /*into*/) override {
     return FailedPreconditionError(
         "delivery through a NodeAgent ingress is invoke-coupled; "

@@ -65,7 +65,6 @@ class Hop {
   // hops whose far side fuses delivery and invocation (Algorithm 1's
   // receive+invoke runs in the remote NodeAgent); those DispatchAsync.
   virtual Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
-                                       TransferTiming* timing = nullptr,
                                        const MemoryRegion* into = nullptr) = 0;
 
   // Receives the transfer's terminal status once the far side has spoken:

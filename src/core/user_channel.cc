@@ -2,19 +2,10 @@
 
 #include <cstring>
 
+#include "core/endpoint.h"
 #include "obs/metrics.h"
 
 namespace rr::core {
-namespace {
-
-obs::Counter& UserBytesTransferred() {
-  static obs::Counter* counter = obs::Registry::Get().counter(
-      "rr_channel_bytes_total", "Payload bytes moved through data channels",
-      {{"mode", "user"}, {"direction", "sent"}});
-  return *counter;
-}
-
-}  // namespace
 
 Result<UserSpaceChannel> UserSpaceChannel::Create(Shim* source, Shim* target) {
   if (source == nullptr || target == nullptr) {
@@ -52,7 +43,9 @@ Result<MemoryRegion> UserSpaceChannel::Transfer(const MemoryRegion& source_regio
     std::memcpy(dest_span.data(), source_view.data(), source_view.size());
   }
   bytes_transferred_ += source_view.size();
-  UserBytesTransferred().Inc(source_view.size());
+  static obs::Counter& bytes_sent =
+      ChannelBytes(TransferMode::kUserSpace, "sent");
+  bytes_sent.Inc(source_view.size());
   return dest;
 }
 

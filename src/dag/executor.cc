@@ -18,7 +18,6 @@ using core::MemoryRegion;
 using core::Payload;
 using core::Shim;
 using core::ShimLease;
-using core::TransferTiming;
 
 // Per-node execution state. The node's output lives in `payload` — a
 // ref-counted handle on the zero-copy plane. `remaining_consumers` counts
@@ -31,43 +30,7 @@ using core::TransferTiming;
 struct DagExecutor::NodeRun {
   Endpoint* endpoint = nullptr;
   Payload payload;
-  // Guest-egress time of an eager (fan-out) materialization, amortized over
-  // the successor edges' wasm_io samples — the per-edge staging read it
-  // replaced was timed per edge.
-  Nanos egress_wasm_io{0};
   std::atomic<size_t> remaining_consumers{0};
-};
-
-struct DagExecutor::StatsState {
-  telemetry::DagRunStats* out = nullptr;
-  Mutex mutex;
-  std::optional<TimePoint> phase_start RR_GUARDED_BY(mutex);
-  TimePoint phase_end RR_GUARDED_BY(mutex){};
-
-  // Called immediately before an edge transfer: the first caller anchors the
-  // transfer phase, so `transfer_phase` spans first edge start to last edge
-  // completion across all concurrent branches.
-  void MarkPhaseStart() {
-    if (out == nullptr) return;
-    MutexLock lock(mutex);
-    if (!phase_start.has_value()) phase_start = Now();
-  }
-
-  void Record(const std::string& source, const std::string& target,
-              core::TransferMode mode, uint64_t bytes, Nanos latency,
-              Nanos wasm_io) {
-    if (out == nullptr) return;
-    // Timestamp and sample construction (three string copies) stay outside
-    // the lock: with many concurrent runs recording edges, the critical
-    // section is just a comparison and a vector push.
-    const TimePoint now = Now();
-    telemetry::EdgeSample sample{source, target,
-                                 std::string(core::TransferModeName(mode)),
-                                 bytes, latency, wasm_io};
-    MutexLock lock(mutex);
-    phase_end = std::max(phase_end, now);
-    out->edges.push_back(std::move(sample));
-  }
 };
 
 // One run's state, from Start until the scheduler's completion frees it.
@@ -80,7 +43,6 @@ struct DagExecutor::RunContext {
   const Dag& dag;
   const rr::Buffer& input;
   std::vector<NodeRun> runs;
-  StatsState stats;
   RunResilience res;
   // Node tasks execute on the scheduler's pool threads; the starting
   // thread's trace context is re-installed there so every node/edge span
@@ -90,8 +52,35 @@ struct DagExecutor::RunContext {
   // claims `started_claimed`, before that node retires.
   std::atomic<bool> started_claimed{false};
   TimePoint started{};
+  // The transfer phase as two lock-free stamps (TimePoint{} = unset): the
+  // first edge's start and the latest edge completion across the run's
+  // concurrent branches. A local edge is stamped around its Forward, a
+  // remote edge from its frame assembly until its delivery.
+  std::atomic<TimePoint> first_edge_start{};
+  std::atomic<TimePoint> last_edge_end{};
   DoneFn done;
+
+  // The first caller anchors the phase.
+  void MarkEdgeStart() {
+    if (first_edge_start.load() != TimePoint{}) return;
+    TimePoint unset{};
+    first_edge_start.compare_exchange_strong(unset, Now());
+  }
+
+  void MarkEdgeEnd() {
+    const TimePoint now = Now();
+    TimePoint seen = last_edge_end.load();
+    while (seen < now && !last_edge_end.compare_exchange_weak(seen, now)) {
+    }
+  }
+
+  // Zero for a run without edges.
+  Nanos TransferPhase() const {
+    const TimePoint start = first_edge_start.load();
+    return start == TimePoint{} ? Nanos{0} : last_edge_end.load() - start;
+  }
 };
+static_assert(std::atomic<TimePoint>::is_always_lock_free);
 
 DagExecutor::~DagExecutor() {
   // Disarm the completion callbacks FIRST: a mux stream the deadline sweeper
@@ -110,13 +99,11 @@ DagExecutor::~DagExecutor() {
 }
 
 void DagExecutor::Start(
-    const Dag& dag, const rr::Buffer& input, telemetry::DagRunStats* stats,
+    const Dag& dag, const rr::Buffer& input,
     const std::optional<resilience::ResiliencePolicy>& policy_override,
     DoneFn done) {
-  if (stats != nullptr) *stats = telemetry::DagRunStats{};
   auto run = std::make_unique<RunContext>(
       dag, input, policy_override.value_or(policy_), std::move(done));
-  run->stats.out = stats;
   for (size_t i = 0; i < dag.size(); ++i) {
     Result<Endpoint*> endpoint = manager_->Find(dag.node(i).name);
     if (!endpoint.ok()) {
@@ -158,14 +145,7 @@ void DagExecutor::Finish(RunContext* context, Status status) {
       result.Append(*sink_buffer);
     }
   }
-  telemetry::DagRunStats* const stats = run->stats.out;
-  if (status.ok() && stats != nullptr) {
-    stats->total = Now() - run->started;
-    MutexLock lock(run->stats.mutex);
-    if (run->stats.phase_start.has_value()) {
-      stats->transfer_phase = run->stats.phase_end - *run->stats.phase_start;
-    }
-  }
+  const Nanos transfer_phase = status.ok() ? run->TransferPhase() : Nanos{0};
 
   // Free the run's state before the caller hears of it: `done` may release
   // the last owner of everything the run borrowed (the DAG, the input, the
@@ -174,9 +154,9 @@ void DagExecutor::Finish(RunContext* context, Status status) {
   const DoneFn done = std::move(run->done);
   run.reset();
   if (status.ok()) {
-    done(std::move(result), started);
+    done(std::move(result), started, transfer_phase);
   } else {
-    done(std::move(status), started);
+    done(std::move(status), started, transfer_phase);
   }
 }
 
@@ -248,18 +228,9 @@ Status DagExecutor::RunNode(RunContext& run, size_t index,
 Status DagExecutor::RunLocalNode(
     RunContext& run, size_t index,
     const std::vector<std::shared_ptr<Hop>>& pred_hops) {
-  const Dag& dag = run.dag;
-  const DagNode& node = dag.node(index);
+  const DagNode& node = run.dag.node(index);
   std::vector<NodeRun>& runs = run.runs;
-  StatsState& stats = run.stats;
   Endpoint& target = *runs[index].endpoint;
-
-  // This edge's share of the predecessor's eager-egress time (zero when the
-  // payload stayed guest-resident — the hop then times its own egress).
-  const auto egress_share = [&](size_t pred) {
-    return runs[pred].egress_wasm_io /
-           static_cast<int64_t>(dag.node(pred).succs.size());
-  };
 
   // A Forward whose wire died (a kernel or network loopback hop's frame
   // failed after its first byte left) leaves the hop dead in the cache:
@@ -285,26 +256,18 @@ Status DagExecutor::RunLocalNode(
     // chunk is gathered straight into the fresh input region).
     const size_t pred = node.preds.front();
     const Payload payload = runs[pred].payload;
-    TransferTiming timing;
-    stats.MarkPhaseStart();
-    // While tracing, the edge span doubles as the stats timer (End() returns
-    // the transfer's wall time); with tracing off the Stopwatch serves the
-    // EdgeSample alone and the span site costs one atomic load.
+    run.MarkEdgeStart();
     RR_TRACE_SPAN(edge_span, "dag",
                   "edge:" + runs[pred].endpoint->shim->name() + "->" +
                       target.shim->name());
-    const Stopwatch edge_timer;
     Result<MemoryRegion> delivered =
-        pred_hops.front()->Forward(payload, instance, &timing);
-    const Nanos edge_latency =
-        edge_span ? edge_span->End() : edge_timer.Elapsed();
+        pred_hops.front()->Forward(payload, instance);
+    if (edge_span) edge_span->End();
     if (!delivered.ok()) {
       evict_if_dead(*pred_hops.front());
       return delivered.status();
     }
-    stats.Record(runs[pred].endpoint->shim->name(), target.shim->name(),
-                 pred_hops.front()->mode(), delivered->length,
-                 edge_latency, timing.wasm_io + egress_share(pred));
+    run.MarkEdgeEnd();
     input_region = *delivered;
   } else {
     // Fan-in: one gather region of the summed predecessor sizes, every leg
@@ -333,25 +296,20 @@ Status DagExecutor::RunLocalNode(
       const Payload payload = runs[pred].payload;
       const MemoryRegion slice{merged.address + offset,
                                static_cast<uint32_t>(payload.size())};
-      TransferTiming timing;
-      stats.MarkPhaseStart();
+      run.MarkEdgeStart();
       RR_TRACE_SPAN(edge_span, "dag",
                     "edge:" + runs[pred].endpoint->shim->name() + "->" +
                         target.shim->name());
-      const Stopwatch edge_timer;
       Result<MemoryRegion> delivered =
-          pred_hops[i]->Forward(payload, instance, &timing, &slice);
-      const Nanos edge_latency =
-          edge_span ? edge_span->End() : edge_timer.Elapsed();
+          pred_hops[i]->Forward(payload, instance, &slice);
+      if (edge_span) edge_span->End();
       if (!delivered.ok()) {
         evict_if_dead(*pred_hops[i]);
         MutexLock shim_lock(instance.exec_mutex());
         (void)merged_guard.ReleaseNow();
         return delivered.status();
       }
-      stats.Record(runs[pred].endpoint->shim->name(), target.shim->name(),
-                   pred_hops[i]->mode(), slice.length, edge_latency,
-                   timing.wasm_io + egress_share(pred));
+      run.MarkEdgeEnd();
       offset += slice.length;
     }
     merged_guard.Dismiss();  // ownership continues as the node's input region
@@ -392,24 +350,20 @@ Status DagExecutor::RunRemoteNode(RunContext& run, size_t index,
   std::vector<NodeRun>& runs = run.runs;
   Endpoint& target = *runs[index].endpoint;
 
-  run.stats.MarkPhaseStart();
+  run.MarkEdgeStart();
   // Frame assembly. The agent invokes on every received frame, so a fan-in
   // join's input must travel as ONE frame — predecessor chunks concatenated
   // by reference and vectored onto the wire, no host-side merge copy. Egress
-  // is forced (and timed) HERE, not inside the hop, so the pending slot
-  // below is fully written before it publishes: once the frame is on the
-  // wire, the completion may race this thread. The slot keeps the assembled
-  // buffer for the attempt's lifetime — a redispatch re-sends the same
-  // immutable frame at refcount cost.
-  TransferTiming timing;
-  std::vector<uint64_t> part_bytes;
-  part_bytes.reserve(node.preds.size());
+  // is forced HERE, not inside the hop, so the pending slot below is fully
+  // written before it publishes: once the frame is on the wire, the
+  // completion may race this thread. The slot keeps the assembled buffer
+  // for the attempt's lifetime — a redispatch re-sends the same immutable
+  // frame at refcount cost.
   rr::Buffer wire;
   for (const size_t pred : node.preds) {
-    auto part = runs[pred].payload.Materialize(&timing.wasm_io);
+    auto part = runs[pred].payload.Materialize();
     RR_RETURN_IF_ERROR(part.status());
     wire.Append(*part);
-    part_bytes.push_back(part->size());
   }
 
   // Everything below the slot registration runs on borrowed time: the
@@ -451,8 +405,6 @@ Status DagExecutor::RunRemoteNode(RunContext& run, size_t index,
     slot.ticket = ticket;
     slot.run = &run;
     slot.index = index;
-    slot.part_bytes = std::move(part_bytes);
-    slot.frame_wasm_io = timing.wasm_io;
     slot.frame = std::move(wire);
     slot.trace_ctx = span_ctx;
     slot.phase = Pending::Phase::kInFlight;
@@ -689,8 +641,7 @@ Status DagExecutor::FinishNode(RunContext& run, size_t index,
   const DagNode& node = run.dag.node(index);
   if (node.succs.size() > 1) {
     RR_TRACE_SPAN(egress_span, "dag", "egress:" + node.name);
-    RR_RETURN_IF_ERROR(
-        node_run.payload.Materialize(&node_run.egress_wasm_io).status());
+    RR_RETURN_IF_ERROR(node_run.payload.Materialize().status());
   }
   return Status::Ok();
 }
@@ -730,26 +681,13 @@ Status DagExecutor::DeliverOutcome(const std::string& function,
                                            Status::Ok());
   }
 
-  // Resolve the deferred edge. Everything touching the run context (runs,
-  // stats, dag) happens BEFORE the ticket completes: completing the run's
-  // last node finishes the run and frees that context. Edge latency spans
-  // dispatch to delivery — the remote invoke is part of the edge on this
-  // path; a merged (fan-in) frame reports the shared wall time per
-  // contributing edge, with each edge's own byte count.
+  // Resolve the deferred edge. Everything touching the run context (its
+  // phase stamp, runs, dag) happens BEFORE the ticket completes: completing
+  // the run's last node finishes the run and frees that context. The
+  // delivery ends the edge's part of the transfer phase — the remote invoke
+  // is part of the edge on this path.
   RunContext& run = *slot->run;
-  const Dag& dag = run.dag;
-  const DagNode& node = dag.node(slot->index);
-  std::vector<NodeRun>& runs = run.runs;
-  const Nanos latency = Now() - slot->dispatched_at;
-  for (size_t i = 0; i < node.preds.size(); ++i) {
-    const size_t pred = node.preds[i];
-    run.stats.Record(
-        runs[pred].endpoint->shim->name(), slot->function,
-        core::TransferMode::kNetwork, slot->part_bytes[i], latency,
-        slot->frame_wasm_io +
-            runs[pred].egress_wasm_io /
-                static_cast<int64_t>(dag.node(pred).succs.size()));
-  }
+  run.MarkEdgeEnd();
   const Status finished = FinishNode(run, slot->index, instance.get(), outcome);
   slot->ticket.Complete(finished);
   // The instance lease drops when this returns — the agent-side instance

@@ -58,7 +58,7 @@
 // Execution is asynchronous and reentrant: Start returns at once, and
 // concurrent runs (api::Runtime keeps many invocations in flight) share the
 // worker pool, the hop cache, and the delivery mailbox. Each run's state —
-// node outputs, edge stats, retry state, trace context — lives in one heap
+// node outputs, phase stamps, retry state, trace context — lives in one heap
 // run context that the scheduler's completion frees after the last node
 // retires; a deferred node keeps its run unfinished, so that context stays
 // valid for as long as a pending slot can reach it. The run completes on the
@@ -88,7 +88,6 @@
 #include "dag/scheduler.h"
 #include "obs/trace.h"
 #include "resilience/policy.h"
-#include "telemetry/metrics.h"
 
 namespace rr::api {
 class Runtime;
@@ -143,12 +142,11 @@ class DagExecutor {
   friend class rr::api::Runtime;
 
   struct NodeRun;
-  struct StatsState;
   struct RunContext;
 
-  // Per-run resilience state, kept in the run context beside StatsState:
-  // the resolved policy, the shared retry budget, and the jitter stream
-  // (guarded by mail_mutex_ — backoff draws happen under it).
+  // Per-run resilience state, kept in the run context: the resolved policy,
+  // the shared retry budget, and the jitter stream (guarded by mail_mutex_ —
+  // backoff draws happen under it).
   struct RunResilience {
     resilience::ResiliencePolicy policy;
     resilience::RetryBudget budget;
@@ -160,9 +158,11 @@ class DagExecutor {
   };
 
   // A run's completion: the sink functions' outputs (or the first error),
-  // and when the run's first source node began on a worker.
-  using DoneFn =
-      std::function<void(Result<rr::Buffer> result, TimePoint started)>;
+  // when the run's first source node began on a worker, and the run's
+  // transfer phase — first edge start to last edge completion across its
+  // concurrent branches (zero when the run failed or has no edges).
+  using DoneFn = std::function<void(Result<rr::Buffer> result,
+                                    TimePoint started, Nanos transfer_phase)>;
 
   // Starts the DAG and returns at once: `input` is shared (never copied)
   // with every source node; the sink functions' outputs (concatenated in
@@ -171,12 +171,11 @@ class DagExecutor {
   // nodes never execute — and `done` gets the first error; the payload
   // plane's refcounts release every still-live output. `done` fires exactly
   // once, on the thread that retires the run's last node, after the run's
-  // own state is freed; `dag`, `input` and `stats` must stay valid until
-  // then. Reachable only through api::Runtime::Submit. `policy_override` (a
+  // own state is freed; `dag` and `input` must stay valid until then.
+  // Reachable only through api::Runtime::Submit. `policy_override` (a
   // per-DagSpec ResiliencePolicy) replaces the executor default for this
   // run.
   void Start(const Dag& dag, const rr::Buffer& input,
-             telemetry::DagRunStats* stats,
              const std::optional<resilience::ResiliencePolicy>& policy_override,
              DoneFn done);
   // The scheduler's completion of one run: assembles the result, frees the
@@ -214,10 +213,8 @@ class DagExecutor {
     RunContext* run = nullptr;
     size_t index = 0;
     std::shared_ptr<core::Hop> hop;
-    std::vector<uint64_t> part_bytes;  // per-predecessor frame contribution
-    Nanos frame_wasm_io{0};            // egress time of frame assembly
-    rr::Buffer frame;                  // immutable dispatch frame (refcounted)
-    obs::SpanContext trace_ctx{};      // re-installed around each redispatch
+    rr::Buffer frame;              // immutable dispatch frame (refcounted)
+    obs::SpanContext trace_ctx{};  // re-installed around each redispatch
     TimePoint dispatched_at{};
     // kInFlight: dispatched_at + remote_deadline_ per ATTEMPT, or
     // TimePoint::max() while the backstop is disabled or the dispatch has

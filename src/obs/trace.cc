@@ -141,19 +141,17 @@ Span::Span(const char* category, std::string name)
     ctx_.span_id = NewSpanId();
     parent_span_id_ = previous_.span_id;
     InstallContext(ctx_);
+    start_ = Now();
   } else {
     ctx_ = t_context;
   }
-  start_ = Now();
 }
 
 Span::~Span() { End(); }
 
-Nanos Span::End() {
-  if (ended_) return duration_;
-  ended_ = true;
-  duration_ = Now() - start_;
-  if (!recording_) return duration_;
+void Span::End() {
+  if (!recording_) return;
+  recording_ = false;
   InstallContext(previous_);
   SpanRecord record;
   record.name = std::move(name_);
@@ -164,9 +162,8 @@ Nanos Span::End() {
   record.pid = static_cast<int>(::getpid());
   record.tid = CurrentThreadTag();
   record.start = start_;
-  record.duration = duration_;
+  record.duration = Now() - start_;
   Tracer::Get().Record(std::move(record));
-  return duration_;
 }
 
 std::string ExportChromeTrace() {

@@ -11,10 +11,10 @@
 //     and restores the previous one when it ends. NodeAgent installs the
 //     context it decodes from a frame header around the remote
 //     receive+invoke, which is what stitches the two processes together.
-//   * Tracing is globally off by default. A disabled span costs one
-//     monotonic clock read (its Elapsed()/End() still serve the stats
-//     plane — telemetry::EdgeSample latencies are derived from spans, not
-//     separate timers) and records nothing.
+//   * Tracing is globally off by default. A disabled span reads no clock
+//     and records nothing; the RR_TRACE_SPAN guard used at instrumentation
+//     sites skips even the span's construction. Spans are the only per-edge
+//     timing the runtime keeps: an edge's wall time is its `edge:*` span.
 //   * Finished spans land in a bounded in-process ring buffer; when it
 //     wraps, the oldest spans are overwritten (dropped() counts them).
 //     Export is Chrome trace-event JSON — load it in Perfetto or
@@ -112,9 +112,9 @@ class ScopedTraceContext {
   SpanContext previous_;
 };
 
-// RAII span. Always usable as a timer (Elapsed/End return wall time, which
-// the telemetry plane consumes); records into the Tracer and participates
-// in context propagation only while tracing is enabled.
+// RAII span. Records into the Tracer and participates in context
+// propagation only while tracing is enabled; a span opened while tracing is
+// off is inert.
 class Span {
  public:
   Span(const char* category, std::string name);
@@ -123,12 +123,8 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  // Ends the span now (idempotent; the destructor calls it) and returns its
-  // duration. The first call fixes the recorded duration.
-  Nanos End();
-
-  // Wall time since the span opened; does not end it.
-  Nanos Elapsed() const { return Now() - start_; }
+  // Ends the span now and records it (idempotent; the destructor calls it).
+  void End();
 
   // This span's ids while recording; the ambient context otherwise.
   SpanContext context() const { return ctx_; }
@@ -140,9 +136,7 @@ class Span {
   uint64_t parent_span_id_ = 0;
   SpanContext previous_{};
   TimePoint start_{};
-  Nanos duration_{0};
-  bool recording_ = false;
-  bool ended_ = false;
+  bool recording_ = false;  // opened while tracing, not yet ended
 };
 
 // The Tracer's buffered spans as Chrome trace-event JSON (Perfetto-loadable):
@@ -151,11 +145,10 @@ std::string ExportChromeTrace();
 
 }  // namespace rr::obs
 
-// Guarded span for hot-path sites that never consume the duration: when
-// tracing is off the site costs one relaxed atomic load — the name
-// expression is not evaluated and no clock is read. `var` is a
-// std::optional<Span>; sites that do read the time use a plain Span (or a
-// Stopwatch fallback), since a disabled plain Span still serves as a timer.
+// Guarded span for instrumentation sites: when tracing is off the site costs
+// one relaxed atomic load — the name expression is not evaluated and no
+// clock is read. `var` is a std::optional<Span>, engaged only while
+// tracing.
 #define RR_TRACE_SPAN(var, category, name_expr)   \
   std::optional<rr::obs::Span> var;               \
   if (rr::obs::TracingEnabled()) {                \

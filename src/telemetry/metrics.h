@@ -33,45 +33,6 @@ struct LatencyBreakdown {
   }
 };
 
-// One edge of a DAG execution: which hop moved the payload, over which
-// transfer mode, and what it cost. Edges sharing a merged delivery (fan-in
-// into a remote NodeAgent ingress travels as one frame) report the shared
-// transfer's wall time with their own byte counts.
-struct EdgeSample {
-  std::string source;
-  std::string target;
-  std::string mode;   // "user-space" | "kernel-space" | "network"
-  uint64_t bytes = 0;
-  Nanos latency{0};   // wall time of the edge's delivery (transfer only)
-  Nanos wasm_io{0};   // guest<->host staging share of `latency`
-};
-
-// Aggregate telemetry of one DAG run (api::RunStats::dag).
-struct DagRunStats {
-  Nanos total{0};           // first source start -> sink egress wall time
-  Nanos transfer_phase{0};  // first edge start -> last edge completion
-  std::vector<EdgeSample> edges;
-
-  uint64_t bytes_moved() const {
-    uint64_t sum = 0;
-    for (const EdgeSample& edge : edges) sum += edge.bytes;
-    return sum;
-  }
-  Nanos max_edge_latency() const {
-    Nanos max{0};
-    for (const EdgeSample& edge : edges) max = std::max(max, edge.latency);
-    return max;
-  }
-  // Representative per-edge staging cost (edges run concurrently, so the
-  // per-edge mean — not the sum — matches the figures' "Wasm VM I/O" bar).
-  Nanos mean_edge_wasm_io() const {
-    if (edges.empty()) return Nanos{0};
-    Nanos sum{0};
-    for (const EdgeSample& edge : edges) sum += edge.wasm_io;
-    return sum / static_cast<int64_t>(edges.size());
-  }
-};
-
 // Summary over repeated samples.
 struct Summary {
   double mean = 0;

@@ -483,7 +483,6 @@ class RoadrunnerDagDriver : public ChainDriver {
     const Result<rr::Buffer>& result = (*invocation)->Wait();
     probe.Stop();
     RR_RETURN_IF_ERROR(result.status());
-    const telemetry::DagRunStats& stats = (*invocation)->stats().dag;
 
     // Every sink acknowledged with the payload checksum.
     if (result->size() != 8 * targets_.size()) {
@@ -502,11 +501,11 @@ class RoadrunnerDagDriver : public ChainDriver {
     // egress stay outside it), matching the hand-rolled drivers — except
     // that NodeAgent edges are invoke-coupled, so the network numbers also
     // carry each target's ack handler (a sampled checksum, O(1)-ish) and
-    // the delivery callback round-trip.
+    // the delivery callback round-trip. The engine does not split the phase
+    // into components: it is all reported as transfer.
     RunMetrics metrics;
-    metrics.latency.total = stats.transfer_phase;
-    metrics.latency.wasm_io = stats.mean_edge_wasm_io();
-    metrics.latency.transfer = metrics.latency.total - metrics.latency.wasm_io;
+    metrics.latency.total = (*invocation)->stats().transfer_phase;
+    metrics.latency.transfer = metrics.latency.total;
     metrics.cpu = probe.usage();
     metrics.rss_bytes = probe.rss_bytes();
     return metrics;

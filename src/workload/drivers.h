@@ -63,9 +63,11 @@ Result<std::unique_ptr<ChainDriver>> MakeWasmEdgeDriver(DriverOptions options = 
 // dag::DagExecutor over a WorkflowManager registry — per-edge mode selection
 // and the parallel hop scheduler replace the drivers' hand-rolled transfer
 // loops. The network variant routes every edge through a NodeAgent ingress
-// (optionally behind the emulated link). The timed section is the executor's
-// transfer phase (first edge start to last edge completion); `copy_mode` is
-// fixed at the paper's shim staging.
+// (optionally behind the emulated link). The timed section is the run's
+// api::RunStats::transfer_phase (first edge start to last edge completion,
+// a remote edge counted until its delivery), reported whole as `transfer`
+// with no Wasm VM I/O split; `copy_mode` is fixed at the paper's shim
+// staging.
 Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerDagUserDriver(DriverOptions options = {});
 Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerDagKernelDriver(DriverOptions options = {});
 Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerDagNetworkDriver(DriverOptions options = {});

@@ -227,8 +227,9 @@ TEST_F(RuntimeTest, StatsAccountQueueingAndExecution) {
   const RunStats& stats = (*invocation)->stats();
   EXPECT_GE(stats.queued.count(), 0);
   EXPECT_GT(stats.total.count(), 0);
-  ASSERT_EQ(stats.dag.edges.size(), 1u);  // the one a->b transfer
-  EXPECT_EQ(stats.dag.edges[0].mode, "user-space");
+  // The one a->b transfer is inside the run.
+  EXPECT_GT(stats.transfer_phase.count(), 0);
+  EXPECT_LE(stats.transfer_phase.count(), stats.total.count());
 }
 
 TEST_F(RuntimeTest, WaitForTimesOutWhileInFlightThenCompletes) {

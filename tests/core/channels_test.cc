@@ -430,7 +430,7 @@ TEST(KernelChannelTest, PlacerDeliversIntoProvidedSlice) {
   const MemoryRegion slice{gather.address + 2, 5};
   const Payload payload =
       Payload::FromGuest(source.get(), Stage(*source, AsBytes("SLICE")));
-  auto delivered = (*hop)->Forward(payload, *target, nullptr, &slice);
+  auto delivered = (*hop)->Forward(payload, *target, &slice);
   ASSERT_TRUE(delivered.ok()) << delivered.status();
   EXPECT_EQ(delivered->address, slice.address);
 

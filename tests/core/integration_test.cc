@@ -96,6 +96,37 @@ TEST(DriverIntegrationTest, FanoutDeliversToEveryTarget) {
   }
 }
 
+TEST(DriverIntegrationTest, RoadrunnerDagDriversTimeTheTransferPhase) {
+  // Figs. 9/10's DAG-engine drivers report the run's transfer phase whole.
+  workload::DriverOptions options;
+  options.fanout = 2;
+  constexpr size_t kPayload = size_t{1} << 20;
+  for (auto make : {workload::MakeRoadrunnerDagUserDriver,
+                    workload::MakeRoadrunnerDagKernelDriver}) {
+    auto driver = make(options);
+    ASSERT_TRUE(driver.ok()) << driver.status();
+    auto metrics = (*driver)->RunOnce(kPayload);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_GT(metrics->latency.total.count(), 0) << (*driver)->name();
+    EXPECT_EQ(metrics->latency.transfer, metrics->latency.total)
+        << (*driver)->name();
+  }
+
+  // Behind a 50 MB/s link the phase must reach the remote deliveries, not
+  // stop at dispatch: both payloads cross the link inside it.
+  netsim::LinkConfig link = netsim::LinkConfig::Unshaped();
+  link.bandwidth_bytes_per_sec = 50e6;
+  options.link = link;
+  auto network = workload::MakeRoadrunnerDagNetworkDriver(options);
+  ASSERT_TRUE(network.ok()) << network.status();
+  auto metrics = (*network)->RunOnce(kPayload);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  const double wire_floor_seconds =
+      static_cast<double>(options.fanout * kPayload) /
+      link.bandwidth_bytes_per_sec;
+  EXPECT_GE(metrics->total_seconds(), 0.75 * wire_floor_seconds);
+}
+
 TEST(DriverIntegrationTest, RoadrunnerBeatsWasmEdgeIntraNode) {
   // The paper's core claim at small scale: user-space Roadrunner transfers
   // are at least several times faster than the serialized WASI baseline.

@@ -12,6 +12,7 @@
 #include "api/runtime.h"
 #include "core/node_agent.h"
 #include "dag/dag.h"
+#include "obs/metrics.h"
 #include "resilience/fault_injector.h"
 #include "resilience/metrics.h"
 #include "runtime/function.h"
@@ -71,15 +72,25 @@ class DagExecutorTest : public ::testing::Test {
     return std::move(*shim);
   }
 
-  // Submits the DAG and waits; per-edge stats land in the invocation.
-  static Result<rr::Buffer> Execute(
-      api::Runtime& rt, const Dag& dag, ByteSpan input,
-      telemetry::DagRunStats* stats = nullptr) {
+  // Submits the DAG and waits; the run's stats land in `stats`.
+  static Result<rr::Buffer> Execute(api::Runtime& rt, const Dag& dag,
+                                    ByteSpan input,
+                                    api::RunStats* stats = nullptr) {
     RR_ASSIGN_OR_RETURN(const std::shared_ptr<api::Invocation> invocation,
                         rt.Submit(api::DagSpec{dag}, input));
     Result<rr::Buffer> result = invocation->Wait();
-    if (stats != nullptr) *stats = invocation->stats().dag;
+    if (stats != nullptr) *stats = invocation->stats();
     return result;
+  }
+
+  // Bytes sent so far under one `mode` of rr_channel_bytes_total ("user",
+  // "kernel" or "network"): which mode an edge took shows as the series its
+  // bytes moved.
+  static uint64_t SentBytes(const char* mode) {
+    return obs::Registry::Get()
+        .counter("rr_channel_bytes_total", "",
+                 {{"mode", mode}, {"direction", "sent"}})
+        ->Value();
   }
 };
 
@@ -108,7 +119,7 @@ TEST_F(DagExecutorTest, DiamondUserSpace) {
   EXPECT_EQ(d->invocations(), 1u);
 }
 
-TEST_F(DagExecutorTest, DiamondMixedModesRecordsPerEdgeStats) {
+TEST_F(DagExecutorTest, DiamondMixedModesCountsBytesUnderEachMode) {
   api::Runtime rt("wf");
   runtime::WasmVm vm("wf");
   auto a = AddFunction(rt, "a", {"n1", "vm1"}, &vm);
@@ -123,32 +134,22 @@ TEST_F(DagExecutorTest, DiamondMixedModesRecordsPerEdgeStats) {
                  .Build();
   ASSERT_TRUE(dag.ok()) << dag.status();
 
-  telemetry::DagRunStats stats;
+  const uint64_t user_before = SentBytes("user");
+  const uint64_t kernel_before = SentBytes("kernel");
+  const uint64_t network_before = SentBytes("network");
+  api::RunStats stats;
   auto result = Execute(rt, *dag, AsBytes("x"), &stats);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(ToString(*result), "x|a|bx|a|c|d");
 
-  ASSERT_EQ(stats.edges.size(), 4u);
-  const auto mode_of = [&](const std::string& source,
-                           const std::string& target) -> std::string {
-    for (const auto& edge : stats.edges) {
-      if (edge.source == source && edge.target == target) return edge.mode;
-    }
-    return "<missing>";
-  };
-  EXPECT_EQ(mode_of("a", "b"), "user-space");
-  EXPECT_EQ(mode_of("a", "c"), "kernel-space");
-  EXPECT_EQ(mode_of("b", "d"), "network");
-  EXPECT_EQ(mode_of("c", "d"), "network");
-  for (const auto& edge : stats.edges) {
-    EXPECT_GT(edge.bytes, 0u) << edge.source << "->" << edge.target;
-    EXPECT_GT(edge.latency.count(), 0) << edge.source << "->" << edge.target;
-  }
+  // a's fan-out output "x|a" is host-resident: its user edge to b is
+  // counted like its kernel edge to c; both legs into d are network.
+  EXPECT_EQ(SentBytes("user") - user_before, std::string("x|a").size());
+  EXPECT_EQ(SentBytes("kernel") - kernel_before, std::string("x|a").size());
+  EXPECT_EQ(SentBytes("network") - network_before,
+            std::string("x|a|b").size() + std::string("x|a|c").size());
   EXPECT_GE(stats.total.count(), stats.transfer_phase.count());
   EXPECT_GT(stats.transfer_phase.count(), 0);
-  EXPECT_EQ(stats.bytes_moved(),
-            std::string("x|a|b").size() + std::string("x|a|c").size() +
-                2 * std::string("x|a").size());
 }
 
 TEST_F(DagExecutorTest, WideFanOutIntranode) {
@@ -168,8 +169,8 @@ TEST_F(DagExecutorTest, WideFanOutIntranode) {
   auto dag = builder.Build();
   ASSERT_TRUE(dag.ok()) << dag.status();
 
-  telemetry::DagRunStats stats;
-  auto result = Execute(rt, *dag, AsBytes("p"), &stats);
+  const uint64_t kernel_before = SentBytes("kernel");
+  auto result = Execute(rt, *dag, AsBytes("p"));
   ASSERT_TRUE(result.ok()) << result.status();
 
   // All eight sinks' outputs, concatenated in declaration order.
@@ -180,8 +181,8 @@ TEST_F(DagExecutorTest, WideFanOutIntranode) {
   EXPECT_EQ(ToString(*result), expected);
   EXPECT_EQ(source->invocations(), 1u);
   for (const auto& target : targets) EXPECT_EQ(target->invocations(), 1u);
-  ASSERT_EQ(stats.edges.size(), kFanout);
-  for (const auto& edge : stats.edges) EXPECT_EQ(edge.mode, "kernel-space");
+  EXPECT_EQ(SentBytes("kernel") - kernel_before,
+            kFanout * std::string("p|src").size());
 }
 
 TEST_F(DagExecutorTest, InternodeFanOutViaNodeAgent) {
@@ -210,16 +211,20 @@ TEST_F(DagExecutorTest, InternodeFanOutViaNodeAgent) {
   auto dag = builder.Build();
   ASSERT_TRUE(dag.ok()) << dag.status();
 
-  telemetry::DagRunStats stats;
-  auto result = Execute(rt, *dag, AsBytes("w"), &stats);
+  const uint64_t user_before = SentBytes("user");
+  const uint64_t kernel_before = SentBytes("kernel");
+  const uint64_t network_before = SentBytes("network");
+  auto result = Execute(rt, *dag, AsBytes("w"));
   ASSERT_TRUE(result.ok()) << result.status();
 
   std::string expected;
   for (size_t i = 0; i < kFanout; ++i) expected += "w|src|r" + std::to_string(i);
   EXPECT_EQ(ToString(*result), expected);
   EXPECT_EQ((*agent)->transfers_completed(), kFanout);
-  ASSERT_EQ(stats.edges.size(), kFanout);
-  for (const auto& edge : stats.edges) EXPECT_EQ(edge.mode, "network");
+  // Every edge rode the agent's mux wire: no local channel moved a byte.
+  EXPECT_EQ(SentBytes("user"), user_before);
+  EXPECT_EQ(SentBytes("kernel"), kernel_before);
+  EXPECT_EQ(SentBytes("network"), network_before);
 }
 
 TEST_F(DagExecutorTest, InternodeDiamondJoinBehindNodeAgent) {
@@ -259,12 +264,13 @@ TEST_F(DagExecutorTest, CoLocatedEndpointsKeepFastPathDespiteIngressPort) {
 
   auto dag = DagBuilder().Chain({"a", "b"}).Build();
   ASSERT_TRUE(dag.ok()) << dag.status();
-  telemetry::DagRunStats stats;
-  auto result = Execute(rt, *dag, AsBytes("x"), &stats);
+  const uint64_t kernel_before = SentBytes("kernel");
+  const uint64_t network_before = SentBytes("network");
+  auto result = Execute(rt, *dag, AsBytes("x"));
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(ToString(*result), "x|a|b");
-  ASSERT_EQ(stats.edges.size(), 1u);
-  EXPECT_EQ(stats.edges[0].mode, "kernel-space");
+  EXPECT_EQ(SentBytes("kernel") - kernel_before, std::string("x|a").size());
+  EXPECT_EQ(SentBytes("network"), network_before);
 }
 
 TEST_F(DagExecutorTest, FanInConcatenatesInEdgeDeclarationOrder) {

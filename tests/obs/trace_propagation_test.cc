@@ -1,6 +1,7 @@
 // Cross-process trace propagation: a remote (NodeAgent) chain must yield ONE
 // stitched trace — the agent's ingress/invoke spans carry the trace id the
 // submitting runtime minted, because the context rode the mux open frame.
+// Local edges are timed by their own edge:* spans under the same trace.
 // Also covers the network hose's header, which carries no trace context: a
 // bare 16-byte header delivers without waiting for more, and a header still
 // carrying the retired trace flag fails cleanly instead of desyncing.
@@ -153,6 +154,31 @@ TEST_F(TracePropagationTest, TracingDisabledRemoteChainStillRuns) {
   EXPECT_EQ((*invocation)->trace_id(), 0u);
   EXPECT_EQ(Tracer::Get().recorded(), recorded_before);
   (*agent)->Shutdown();
+}
+
+TEST_F(TracePropagationTest, LocalEdgesAreTimedByTheirSpans) {
+  // A local edge's only timing is its edge:* span (a->b kernel, b->c the
+  // network loopback hop): one per edge, under the run's trace, inside the
+  // run's transfer phase.
+  api::Runtime::Options options;
+  options.tracing = true;
+  api::Runtime rt("wf", options);
+  auto a = AddFunction(rt, "a", {"n1", ""});
+  auto b = AddFunction(rt, "b", {"n1", ""});
+  auto c = AddFunction(rt, "c", {"n2", ""});
+
+  auto invocation = rt.Submit(api::ChainSpec{{"a", "b", "c"}}, AsBytes("in"));
+  ASSERT_TRUE(invocation.ok()) << invocation.status();
+  ASSERT_TRUE((*invocation)->Wait().ok());
+  const Nanos transfer_phase = (*invocation)->stats().transfer_phase;
+  for (const std::string& edge :
+       {std::string("edge:a->b"), std::string("edge:b->c")}) {
+    const auto spans = SpansNamed(edge);
+    ASSERT_EQ(spans.size(), 1u) << edge;
+    EXPECT_EQ(spans[0].trace_id, (*invocation)->trace_id()) << edge;
+    EXPECT_GT(spans[0].duration.count(), 0) << edge;
+    EXPECT_LE(spans[0].duration, transfer_phase) << edge;
+  }
 }
 
 std::unique_ptr<Shim> MakeTarget() {

@@ -35,12 +35,11 @@ class TraceTest : public ::testing::Test {
   }
 };
 
-TEST_F(TraceTest, DisabledSpansTimeButRecordNothing) {
+TEST_F(TraceTest, DisabledSpansRecordNothing) {
   const uint64_t recorded_before = Tracer::Get().recorded();
   Span span("test", "disabled");
   EXPECT_FALSE(span.context().valid());  // no ambient trace, none minted
-  const Nanos duration = span.End();
-  EXPECT_GE(duration.count(), 0);
+  span.End();
   EXPECT_EQ(Tracer::Get().recorded(), recorded_before);
   EXPECT_FALSE(CurrentSpanContext().valid());
 }
@@ -95,12 +94,11 @@ TEST_F(TraceTest, ScopedContextInstallsAndRestores) {
   EXPECT_FALSE(CurrentSpanContext().valid());
 }
 
-TEST_F(TraceTest, EndIsIdempotentAndFixesDuration) {
+TEST_F(TraceTest, EndIsIdempotent) {
   SetTracingEnabled(true);
   Span span("test", "once");
-  const Nanos first = span.End();
-  const Nanos second = span.End();
-  EXPECT_EQ(first.count(), second.count());
+  span.End();
+  span.End();
   // Only one record despite two End() calls (plus the destructor later).
   size_t occurrences = 0;
   for (const SpanRecord& record : Tracer::Get().Snapshot()) {
