@@ -6,9 +6,7 @@
 // shared hop cache (established channels are reused across runs and across
 // in-flight invocations), the shared DAG worker pool, and the polymorphic
 // Transport layer — callers never touch WorkflowManager, dag::DagExecutor,
-// or per-hop plumbing directly (the deprecated synchronous entries,
-// WorkflowManager::RunChain and the direct DagExecutor::Execute, are gone;
-// Submit is the only way to run a workflow).
+// or per-hop plumbing directly; Submit is the only way to run a workflow.
 //
 // Payloads ride the zero-copy plane end to end: Submit(spec, rr::Buffer)
 // shares the caller's chunks with every in-flight run (no per-submit copy —
@@ -133,8 +131,9 @@ class Invocation {
 class Runtime {
  public:
   struct Options {
-    // DAG scheduler worker pool, shared by every in-flight run: the only
-    // threads that execute runs. 0 = one per hardware thread.
+    // The DAG executor's worker pool, shared by every in-flight run: the
+    // only threads that execute runs. 0 = one per hardware thread, at
+    // least 2.
     size_t dag_workers = 0;
     // BACKSTOP on one remote (NodeAgent) edge: dispatch to delivery
     // callback, including the remote invoke. On the default mux wire a

@@ -50,11 +50,11 @@ Result<std::shared_ptr<Hop>> HopTable::Get(Endpoint& source,
     }
     transport = it->second;
     options = wire_options_;
-    slot = slots_
-               .try_emplace(PairKey{source.shim->name(), target.shim->name(),
-                                    replica},
-                            std::make_shared<Slot>())
-               .first->second;
+    // Look the pair up first: only a miss allocates its slot.
+    std::shared_ptr<Slot>& cached =
+        slots_[PairKey{source.shim->name(), target.shim->name(), replica}];
+    if (cached == nullptr) cached = std::make_shared<Slot>();
+    slot = cached;
   }
   // Establish under the slot's own mutex: concurrent first-use of distinct
   // pairs connects in parallel instead of serializing on the table lock.

@@ -24,7 +24,7 @@
 // instance's pool lease: the producing invocation returns its instance to
 // the pool immediately, and a region-consuming reader later synchronizes
 // with whatever invocation the pool admitted next through the instance's
-// exec mutex. (Holding the lease itself across scheduler dispatch
+// exec mutex. (Holding the lease itself across DAG worker dispatch
 // boundaries would deadlock a bounded pool against the bounded worker set:
 // the successor that frees the instance may never get a worker.) The last
 // handle to a never-materialized payload releases the guest region, so a

@@ -3,9 +3,7 @@
 //
 // WorkflowManager is the control-plane substrate the async façade
 // (api::Runtime) executes over — chains and DAG-shaped workflows both run
-// through Runtime::Submit on this registry and hop cache. (The former
-// synchronous RunChain entry is gone; Submit(ChainSpec, input) is the
-// replacement.)
+// through Runtime::Submit on this registry and hop cache.
 #pragma once
 
 #include <map>

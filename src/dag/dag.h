@@ -5,7 +5,7 @@
 // function's output replicated to parallel branches) and fan in (a join
 // function consuming every branch's output). DagBuilder captures that shape
 // and validates it — acyclicity, known endpoints, optionally a single
-// source/sink — producing an immutable Dag the scheduler can walk.
+// source/sink — producing an immutable Dag the executor can walk.
 #pragma once
 
 #include <map>

@@ -6,10 +6,26 @@
 
 #include "common/log.h"
 #include "core/region_guard.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/metrics.h"
 
 namespace rr::dag {
+namespace {
+
+constexpr size_t kNoNode = static_cast<size_t>(-1);
+
+// Ready nodes queued for a worker, summed over every executor in the
+// process: each queued node adds one, each pop subtracts one.
+obs::Gauge& QueueDepth() {
+  static obs::Gauge* gauge = obs::Registry::Get().gauge(
+      "rr_dag_queue_depth",
+      "Ready DAG nodes waiting for a pool worker (a successor its retiring "
+      "worker runs next never waits here)");
+  return *gauge;
+}
+
+}  // namespace
 
 using core::Endpoint;
 using core::Hop;
@@ -31,9 +47,10 @@ struct DagExecutor::NodeRun {
   Endpoint* endpoint = nullptr;
   Payload payload;
   std::atomic<size_t> remaining_consumers{0};
+  size_t remaining_preds = 0;  // unretired predecessors; under mutex_
 };
 
-// One run's state, from Start until the scheduler's completion frees it.
+// One run's state, from Start until Finish frees it.
 struct DagExecutor::RunContext {
   RunContext(const Dag& dag, const rr::Buffer& input,
              const resilience::ResiliencePolicy& policy, DoneFn done)
@@ -43,10 +60,15 @@ struct DagExecutor::RunContext {
   const Dag& dag;
   const rr::Buffer& input;
   std::vector<NodeRun> runs;
+  // Guarded by the executor's mutex_ until `outstanding` reaches 0; the
+  // thread that brings it there owns the run alone.
+  size_t outstanding = 0;  // queued + executing + deferred nodes
+  bool cancelled = false;
+  Status first_error;
   RunResilience res;
-  // Node tasks execute on the scheduler's pool threads; the starting
-  // thread's trace context is re-installed there so every node/edge span
-  // joins the run's trace instead of opening orphan traces per worker.
+  // Nodes execute on the pool's workers; the starting thread's trace
+  // context is re-installed there so every node/edge span joins the run's
+  // trace instead of opening orphan traces per worker.
   const obs::SpanContext trace_ctx;
   // When the first source node began; stamped once by whichever source
   // claims `started_claimed`, before that node retires.
@@ -82,6 +104,18 @@ struct DagExecutor::RunContext {
 };
 static_assert(std::atomic<TimePoint>::is_always_lock_free);
 
+DagExecutor::DagExecutor(core::WorkflowManager* manager, size_t workers)
+    : manager_(manager) {
+  life_->owner = this;
+  if (workers == 0) {
+    workers = std::max<size_t>(2, std::thread::hardware_concurrency());
+  }
+  workers_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+}
+
 DagExecutor::~DagExecutor() {
   // Disarm the completion callbacks FIRST: a mux stream the deadline sweeper
   // abandoned may still fire its DispatchAsync callback from a reactor
@@ -96,6 +130,12 @@ DagExecutor::~DagExecutor() {
   }
   sweep_cv_.notify_all();
   if (sweeper_.joinable()) sweeper_.join();
+  {
+    MutexLock lock(mutex_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 void DagExecutor::Start(
@@ -108,26 +148,114 @@ void DagExecutor::Start(
     Result<Endpoint*> endpoint = manager_->Find(dag.node(i).name);
     if (!endpoint.ok()) {
       run->started = Now();
-      Finish(run.release(), endpoint.status());
+      run->first_error = endpoint.status();
+      Finish(run.release());
       return;
     }
     run->runs[i].endpoint = *endpoint;
     run->runs[i].remaining_consumers.store(dag.node(i).succs.size(),
                                            std::memory_order_relaxed);
+    run->runs[i].remaining_preds = dag.node(i).preds.size();
   }
 
+  // A validated Dag is non-empty, so `outstanding` starts > 0 and reaches 0
+  // exactly when every reachable (non-cancelled) node has retired — deferred
+  // nodes included.
   RunContext* const context = run.release();
-  scheduler_.Start(
-      dag,
-      [this, context](size_t index, const DagScheduler::DeferFn& defer) {
-        obs::ScopedTraceContext trace(context->trace_ctx);
-        return RunNode(*context, index, defer);
-      },
-      [context](Status status) { Finish(context, std::move(status)); });
+  MutexLock lock(mutex_);
+  for (const size_t source : dag.sources()) {
+    queue_.emplace_back(context, source);
+    // One wakeup per queued node: notify_all would stampede the whole pool
+    // through the mutex for a run that may have a single source.
+    work_cv_.notify_one();
+  }
+  context->outstanding = dag.sources().size();
+  QueueDepth().Add(static_cast<int64_t>(dag.sources().size()));
 }
 
-void DagExecutor::Finish(RunContext* context, Status status) {
+void DagExecutor::WorkerLoop() {
+  MutexLock lock(mutex_);
+  for (;;) {
+    work_cv_.wait(lock, [this]() RR_REQUIRES(mutex_) {
+      return stopping_ || !queue_.empty();
+    });
+    if (stopping_) return;
+    RunContext* const run = queue_.front().first;
+    size_t index = queue_.front().second;
+    queue_.pop_front();
+    QueueDepth().Sub();
+
+    // Run to completion: keep executing the successor each retirement hands
+    // back until the run defers, branches out, fails or finishes.
+    while (index != kNoNode) {
+      Status status;
+      bool deferred = false;
+      if (!run->cancelled) {
+        lock.unlock();
+        {
+          obs::ScopedTraceContext trace(run->trace_ctx);
+          status = RunNode(*run, index, deferred);
+        }
+        lock.lock();
+      }
+      // else: the run failed before this node started — retire it unrun.
+
+      // A deferred node retires through its pending slot — possibly already
+      // has, on another thread, in which case the run may be GONE: it must
+      // not be touched past this point.
+      if (deferred) break;
+      index = RetireLocked(run, index, std::move(status), /*keep=*/true);
+      if (run->outstanding == 0) {
+        lock.unlock();
+        Finish(run);
+        lock.lock();
+      }
+    }
+  }
+}
+
+size_t DagExecutor::RetireLocked(RunContext* run, size_t index, Status status,
+                                 bool keep) {
+  size_t kept = kNoNode;
+  if (!status.ok()) {
+    if (run->first_error.ok()) {
+      run->first_error =
+          Status(status.code(), "node " + run->dag.node(index).name + ": " +
+                                    status.message());
+    }
+    run->cancelled = true;
+  } else if (!run->cancelled) {
+    for (const size_t succ : run->dag.node(index).succs) {
+      if (--run->runs[succ].remaining_preds != 0) continue;
+      ++run->outstanding;
+      if (keep && kept == kNoNode) {
+        kept = succ;
+        continue;
+      }
+      queue_.emplace_back(run, succ);
+      QueueDepth().Add();
+      // One notify per queued node engages exactly as many extra workers as
+      // there is work the retiring thread does not take itself.
+      work_cv_.notify_one();
+    }
+  }
+  --run->outstanding;
+  return kept;
+}
+
+void DagExecutor::RetireDeferred(RunContext* run, size_t index,
+                                 Status status) {
+  {
+    MutexLock lock(mutex_);
+    (void)RetireLocked(run, index, std::move(status), /*keep=*/false);
+    if (run->outstanding != 0) return;
+  }
+  Finish(run);
+}
+
+void DagExecutor::Finish(RunContext* context) {
   std::unique_ptr<RunContext> run(context);
+  Status status = std::move(run->first_error);
   // Assemble the result by chunk sharing: each sink's output is egressed
   // exactly once (here, if it was not already host-resident) and the
   // concatenation borrows the chunks — no merge allocation. Every other
@@ -160,8 +288,7 @@ void DagExecutor::Finish(RunContext* context, Status status) {
   }
 }
 
-Status DagExecutor::RunNode(RunContext& run, size_t index,
-                            const DagScheduler::DeferFn& defer) {
+Status DagExecutor::RunNode(RunContext& run, size_t index, bool& deferred) {
   const DagNode& node = run.dag.node(index);
   std::vector<NodeRun>& runs = run.runs;
   Endpoint& target = *runs[index].endpoint;
@@ -204,7 +331,7 @@ Status DagExecutor::RunNode(RunContext& run, size_t index,
     if (mode == core::TransferMode::kNetwork && target.port != 0) ++coupled;
   }
   if (coupled == node.preds.size()) {
-    return RunRemoteNode(run, index, defer);
+    return RunRemoteNode(run, index, deferred);
   }
   if (coupled != 0) {
     return FailedPreconditionError(
@@ -243,7 +370,7 @@ Status DagExecutor::RunLocalNode(
   // ONE lease spans the whole node invocation — the gather-region prepare,
   // every leg's delivery, and the invoke all land in the same instance. The
   // lease is released when this function returns (never held across a
-  // scheduler dispatch boundary, which could starve bounded pools); the
+  // worker dispatch boundary, which could starve bounded pools); the
   // node's output region stays behind in the instance, read later under its
   // exec mutex.
   RR_ASSIGN_OR_RETURN(ShimLease lease, target.Lease());
@@ -335,17 +462,17 @@ Status DagExecutor::RunLocalNode(
 }
 
 // Completion-driven remote node: assembles ONE frame, registers the pending
-// continuation slot, defers the node with the scheduler, and hands the token
-// to DispatchAttempt — then returns, freeing the worker. The node retires
-// when the slot resolves: DeliverOutcome (the agent's delivery callback,
-// carrying the outcome), the hop's DispatchAsync callback with an error (a
-// mux completion frame — a remote handler failure arrives here immediately),
-// or the remote_deadline sweeper (the backstop for a silent far side). With
-// the run's ResiliencePolicy enabled, a retryable attempt failure re-enters
-// the slot as a backoff ticket instead of completing it (see
+// continuation slot, marks the node deferred, and hands the token to
+// DispatchAttempt — then returns, freeing the worker. The node retires when
+// the slot is taken: DeliverOutcome (the agent's delivery callback, carrying
+// the outcome), the hop's DispatchAsync callback with an error (a mux
+// completion frame — a remote handler failure arrives here immediately), or
+// the remote_deadline sweeper (the backstop for a silent far side). With the
+// run's ResiliencePolicy enabled, a retryable attempt failure re-registers
+// the slot in backoff instead of retiring the node (see
 // ResolveAttemptFailure).
 Status DagExecutor::RunRemoteNode(RunContext& run, size_t index,
-                                  const DagScheduler::DeferFn& defer) {
+                                  bool& deferred) {
   const DagNode& node = run.dag.node(index);
   std::vector<NodeRun>& runs = run.runs;
   Endpoint& target = *runs[index].endpoint;
@@ -369,7 +496,7 @@ Status DagExecutor::RunRemoteNode(RunContext& run, size_t index,
   // Everything below the slot registration runs on borrowed time: the
   // moment the slot is published, ANY resolution path — a loopback
   // completion, or the sweeper under a very short remote_deadline — can
-  // complete the ticket and finish the run, freeing the context `runs` and
+  // retire the node and finish the run, freeing the context `runs` and
   // `target` live in (and, with it, possibly the DAG `node` lives in). So:
   // copy the names out, and drop this node's claim on its predecessors NOW
   // (the slot's frame holds the chunk refcounts).
@@ -392,17 +519,16 @@ Status DagExecutor::RunRemoteNode(RunContext& run, size_t index,
   }
 
   // Defer the node and register its continuation BEFORE the frame leaves:
-  // the completion may fire — and the ticket complete — before the dispatch
+  // the completion may fire — and the node retire — before the dispatch
   // call even returns. The slot publishes with its deadline DISARMED
   // (TimePoint::max()); DispatchAttempt arms it once a replica is chosen,
   // so the sweeper cannot expire an attempt that has not initiated.
-  DagScheduler::Ticket ticket = defer();
+  deferred = true;
   const uint64_t token = next_token_.fetch_add(1, std::memory_order_relaxed);
   {
     MutexLock lock(mail_mutex_);
     Pending slot;
     slot.function = function;
-    slot.ticket = ticket;
     slot.run = &run;
     slot.index = index;
     slot.frame = std::move(wire);
@@ -421,14 +547,14 @@ Status DagExecutor::RunRemoteNode(RunContext& run, size_t index,
 
 // One attempt of one pending transfer: select a replica (breaker-gated,
 // starting where the previous attempt left off), establish its hop, arm the
-// attempt deadline, initiate the dispatch. Runs on a scheduler worker for
-// the first attempt and on the sweeper thread for backoff redispatches.
+// attempt deadline, initiate the dispatch. Runs on a worker for the first
+// attempt and on the sweeper thread for backoff redispatches.
 void DagExecutor::DispatchAttempt(uint64_t token) {
   // Snapshot what the selection needs under the lock. The raw endpoint
   // pointers stay valid outside it: no resolution signal can fire for this
   // token until the dispatch below initiates (the deadline is disarmed, the
   // phase is in-flight so the sweeper won't redispatch, and the frame has
-  // not touched a wire), so the ticket cannot complete and the run context
+  // not touched a wire), so the node cannot retire and the run context
   // cannot be freed.
   std::string function;
   rr::Buffer frame;
@@ -513,7 +639,7 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
     // Non-positive remote_deadline means UNBOUNDED (no backstop — failures
     // still surface through completion frames and dead channels), never
     // "expire immediately": an already-expired slot would let the sweeper
-    // complete the ticket while this thread still runs.
+    // retire the node while this thread still runs.
     slot.deadline = remote_deadline_ > Nanos{0}
                         ? slot.dispatched_at + remote_deadline_
                         : TimePoint::max();
@@ -550,7 +676,7 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
   }
 }
 
-// Resolves one attempt's failure. Terminal — the ticket completes with the
+// Resolves one attempt's failure. Terminal — the node retires with the
 // attempt's own status — when the run's policy is disabled, the status is
 // not retryable, or the attempt ceiling (max_attempts × replicas) is
 // reached; terminal with a typed kUnavailable when the run's shared retry
@@ -591,12 +717,13 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
     // Terminal with the attempt's own status: callers (and tests) see the
     // real failure class — kDeadlineExceeded for a silent far side, the
     // typed refusal for a handler error — not a retry wrapper.
-    slot->ticket.Complete(status);
+    RetireDeferred(slot->run, slot->index, status);
     return;
   }
   if (!res.budget.TryConsume()) {
     resilience::RetryBudgetExhaustedTotal().Inc();
-    slot->ticket.Complete(
+    RetireDeferred(
+        slot->run, slot->index,
         UnavailableError("retry budget exhausted for run; last error: " +
                          status.ToString()));
     return;
@@ -682,14 +809,14 @@ Status DagExecutor::DeliverOutcome(const std::string& function,
   }
 
   // Resolve the deferred edge. Everything touching the run context (its
-  // phase stamp, runs, dag) happens BEFORE the ticket completes: completing
-  // the run's last node finishes the run and frees that context. The
-  // delivery ends the edge's part of the transfer phase — the remote invoke
-  // is part of the edge on this path.
+  // phase stamp, runs, dag) happens BEFORE the node retires: retiring the
+  // run's last node finishes the run and frees that context. The delivery
+  // ends the edge's part of the transfer phase — the remote invoke is part
+  // of the edge on this path.
   RunContext& run = *slot->run;
   run.MarkEdgeEnd();
-  const Status finished = FinishNode(run, slot->index, instance.get(), outcome);
-  slot->ticket.Complete(finished);
+  RetireDeferred(&run, slot->index,
+                 FinishNode(run, slot->index, instance.get(), outcome));
   // The instance lease drops when this returns — the agent-side instance
   // goes back to its pool; the output region it still hosts is pinned by
   // the node's payload and read under the instance's exec mutex.
@@ -702,10 +829,10 @@ Status DagExecutor::DeliverOutcome(const std::string& function,
 // (a dead agent, a lost frame); it routes through ResolveAttemptFailure so
 // the retry engine decides whether the edge is terminal. And the backoff
 // clock: a slot parked in kBackoff redispatches here when retry_at passes —
-// the ONLY redispatch site, so no scheduler worker ever sleeps a backoff
-// out. A redispatch to a disconnected agent may block this thread on the
-// client's inline reconnect; concurrent expiries slip by that much, which
-// the per-attempt deadlines absorb.
+// the ONLY redispatch site, so no worker ever sleeps a backoff out. A
+// redispatch to a disconnected agent may block this thread on the client's
+// inline reconnect; concurrent expiries slip by that much, which the
+// per-attempt deadlines absorb.
 void DagExecutor::SweeperLoop() {
   MutexLock lock(mail_mutex_);
   while (!sweeper_stop_) {

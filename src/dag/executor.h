@@ -1,4 +1,22 @@
-// DagExecutor: executes a validated Dag over a WorkflowManager's registry.
+// DagExecutor: the DAG engine. It executes validated Dags over a
+// WorkflowManager's registry on a fixed worker pool shared by every run.
+//
+// Scheduling. A node becomes ready when every predecessor retired
+// successfully; independent branches (fan-out replicas, parallel pipelines)
+// run concurrently while joins wait for all of their inputs, and workflow
+// width never turns into thread creation. Runs RUN TO COMPLETION: Start
+// queues a run's sources and returns, and a worker that retires a node runs
+// the first successor it made ready itself — no queueing, no wakeup —
+// queueing only the further ones, one notify_one each. So a chain runs start
+// to finish on one worker, and a fan-out engages one extra worker per extra
+// branch. The run finishes on the thread that retires its last node (a
+// worker, or the thread resolving a remote sink), which assembles the result
+// and hands it to the caller's `done` there. A run's state — dependency
+// counts, node outputs, phase stamps, retry state, trace context — lives in
+// one heap run context from Start until that moment; runs share nothing but
+// the ready queue's lock, the hop cache and the pending-slot mailbox. The
+// first error wins (prefixed `node <name>: `) and cancels the run: queued
+// nodes retire unrun, downstream nodes never run.
 //
 // Per edge it obtains the placement-selected hop from the shared HopTable
 // (the same cached channels chains use) and speaks only the polymorphic Hop
@@ -9,8 +27,8 @@
 //    producer's output is egressed exactly once and every successor's
 //    delivery reads the same ref-counted chunk, so an N-way fan-out performs
 //    O(1) payload copies — and the successors' ingress writes proceed in
-//    parallel on the scheduler's workers because the producer's shim is no
-//    longer locked during the wire phase.
+//    parallel on the workers because the producer's shim is no longer
+//    locked during the wire phase.
 //  * Fan-in gathers predecessor payloads directly into ONE pre-allocated
 //    region of the join function's memory (each leg delivered over its own
 //    placement-selected hop into its slice, in edge-declaration order) —
@@ -23,10 +41,10 @@
 // Functions behind a remote NodeAgent ingress are served by invoke-coupled
 // hops, COMPLETION-DRIVEN: the executor assembles one frame (a fan-in's
 // predecessor chunks vectored without a host merge copy), registers a
-// continuation slot keyed by a fresh correlation token, DEFERS the node with
-// the scheduler (DagScheduler::Ticket), and initiates the transfer with
-// Hop::DispatchAsync — then the worker moves on. The node retires when the
-// first of three signals resolves the slot:
+// pending slot keyed by a fresh correlation token, marks the node DEFERRED,
+// and initiates the transfer with Hop::DispatchAsync — then the worker moves
+// on, so a parked node costs a map entry, not a parked thread. The node
+// retires when the first of three signals takes the slot:
 //
 //  * the agent's delivery callback (DeliverySink -> DeliverOutcome) carrying
 //    the remote invocation's outcome and output lease — the success path;
@@ -36,15 +54,18 @@
 //  * the remote_deadline sweeper — now a BACKSTOP for a far side that went
 //    fully silent (dead agent, lost frame).
 //
-// No scheduler worker ever parks on a wire wait, so in-flight remote edges
+// Taking the slot (TakePending, first taker wins) is the node's only
+// completion handle: whoever takes it retires the node, exactly once, and a
+// deferred node retiring queues every successor — its thread is usually not
+// a worker. No worker ever parks on a wire wait, so in-flight remote edges
 // are bounded by memory, not pool width. Tokens make the attribution exact:
 // a completion belonging to a timed-out or cancelled transfer matches no
 // pending token and is rejected with kTokenMismatch (its output released),
 // never claimed by a later run.
 //
 // FAILURE RECOVERY (resilience/policy.h): when a run's ResiliencePolicy is
-// enabled, a retryable attempt failure does not complete the ticket — the
-// slot re-registers under a FRESH token in a backoff phase and the sweeper
+// enabled, a retryable attempt failure does not retire the node — the slot
+// re-registers under a FRESH token in a backoff phase and the sweeper
 // re-dispatches it when the (decorrelated-jitter) delay passes, so no
 // worker parks in a backoff sleep and a late completion of the failed
 // attempt can only miss (its token is gone → kTokenMismatch, counted in
@@ -55,21 +76,12 @@
 // frame is a ref-counted immutable rr::Buffer held by the slot, so a
 // redispatch costs refcounts, not copies.
 //
-// Execution is asynchronous and reentrant: Start returns at once, and
-// concurrent runs (api::Runtime keeps many invocations in flight) share the
-// worker pool, the hop cache, and the delivery mailbox. Each run's state —
-// node outputs, phase stamps, retry state, trace context — lives in one heap
-// run context that the scheduler's completion frees after the last node
-// retires; a deferred node keeps its run unfinished, so that context stays
-// valid for as long as a pending slot can reach it. The run completes on the
-// thread that retires its last node (a DAG worker, or the thread resolving a
-// remote sink), which assembles the result and hands it to the caller's
-// `done` there. There is no public entry — api::Runtime::Submit is the way
-// to run a DAG.
+// There is no public entry — api::Runtime::Submit is the way to run a DAG.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -78,6 +90,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -85,7 +98,6 @@
 #include "core/payload.h"
 #include "core/workflow.h"
 #include "dag/dag.h"
-#include "dag/scheduler.h"
 #include "obs/trace.h"
 #include "resilience/policy.h"
 
@@ -97,12 +109,16 @@ namespace rr::dag {
 
 class DagExecutor {
  public:
-  // `manager` must outlive the executor. 0 workers = hardware concurrency.
-  explicit DagExecutor(core::WorkflowManager* manager, size_t workers = 0)
-      : manager_(manager), scheduler_(workers) {
-    life_->owner = this;
-  }
+  // `manager` must outlive the executor. 0 workers = one per hardware
+  // thread, at least 2 (so a single-core host still overlaps a slow hop with
+  // an independent branch).
+  explicit DagExecutor(core::WorkflowManager* manager, size_t workers = 0);
+  // Joins the workers. Every started run must have finished (its `done`
+  // returned) first.
   ~DagExecutor();
+
+  DagExecutor(const DagExecutor&) = delete;
+  DagExecutor& operator=(const DagExecutor&) = delete;
 
   // Delivery callback for NodeAgent-registered functions: routes the remote
   // invoke's outcome back into the executor so the DAG can continue past the
@@ -110,10 +126,10 @@ class DagExecutor {
   core::NodeAgent::DeliveryCallback DeliverySink();
 
   // Routes one remote completion to the transfer that dispatched `token`,
-  // resolving its continuation slot: the outcome finishes the node and the
-  // scheduler releases its successors. `instance` is the agent-side pool
-  // lease holding the outcome's output region; a matched completion hands it
-  // to the node (which pins it in the node's payload), an unmatched one —
+  // taking its pending slot: the outcome retires the node, releasing its
+  // successors. `instance` is the agent-side pool lease holding the
+  // outcome's output region; a matched completion hands it to the node
+  // (which pins it in the node's payload), an unmatched one —
   // late completion of a timed-out edge, a cancelled run, or an untracked
   // sender — returns kTokenMismatch, releasing the output region and the
   // instance. Exposed for DeliverySink and for protocol tests.
@@ -136,7 +152,7 @@ class DagExecutor {
     policy_ = policy;
   }
 
-  size_t worker_count() const { return scheduler_.worker_count(); }
+  size_t worker_count() const { return workers_.size(); }
 
  private:
   friend class rr::api::Runtime;
@@ -170,35 +186,49 @@ class DagExecutor {
   // `done` as one buffer. On any node failure the run cancels — downstream
   // nodes never execute — and `done` gets the first error; the payload
   // plane's refcounts release every still-live output. `done` fires exactly
-  // once, on the thread that retires the run's last node, after the run's
-  // own state is freed; `dag` and `input` must stay valid until then.
+  // once, with no executor lock held, on the thread that retires the run's
+  // last node, after the run's own state is freed; `dag` and `input` must
+  // stay valid until then.
   // Reachable only through api::Runtime::Submit. `policy_override` (a
   // per-DagSpec ResiliencePolicy) replaces the executor default for this
   // run.
   void Start(const Dag& dag, const rr::Buffer& input,
              const std::optional<resilience::ResiliencePolicy>& policy_override,
              DoneFn done);
-  // The scheduler's completion of one run: assembles the result, frees the
-  // run context, then calls its `done`.
-  static void Finish(RunContext* run, Status status);
+  // Completes one finished run: assembles the result (or takes the run's
+  // first error), frees the run context, then calls its `done`.
+  static void Finish(RunContext* run);
 
-  Status RunNode(RunContext& run, size_t index,
-                 const DagScheduler::DeferFn& defer);
+  void WorkerLoop();
+  // Retirement bookkeeping (mutex_ held): records a failure (first error
+  // wins, cancelling the run) or releases a success's newly-ready
+  // successors. With `keep`, the first of them is returned for the caller to
+  // run next instead of being queued (kNoNode when there is none); every
+  // other one is queued with one wakeup. The run is finished when its
+  // `outstanding` reads 0 afterwards.
+  size_t RetireLocked(RunContext* run, size_t index, Status status, bool keep)
+      RR_REQUIRES(mutex_);
+  // Retires a deferred node on whichever thread took its pending slot, and
+  // finishes the run there when that was its last node.
+  void RetireDeferred(RunContext* run, size_t index, Status status);
+
+  // Runs one node. Sets `deferred` when the node's completion moved to a
+  // pending slot: the return value is then meaningless, and the run may
+  // already be gone.
+  Status RunNode(RunContext& run, size_t index, bool& deferred);
   Status RunLocalNode(RunContext& run, size_t index,
                       const std::vector<std::shared_ptr<core::Hop>>& pred_hops);
-  Status RunRemoteNode(RunContext& run, size_t index,
-                       const DagScheduler::DeferFn& defer);
+  Status RunRemoteNode(RunContext& run, size_t index, bool& deferred);
   static Status FinishNode(RunContext& run, size_t index,
                            core::Shim* instance, core::InvokeOutcome outcome);
   static void ReleaseConsumedPreds(const DagNode& node,
                                    std::vector<NodeRun>& runs);
 
   // One pending invoke-coupled transfer: the deferred node's continuation,
-  // registered before its frame is dispatched. `run` points into the run's
-  // heap context, valid until the ticket completes (the run cannot finish
-  // while the node is outstanding, and completing its last node frees the
-  // context) — so every resolution path touches it strictly BEFORE
-  // Ticket::Complete.
+  // registered before its frame is dispatched. `run` is the run's heap
+  // context, valid until the node retires (the run cannot finish while the
+  // node is outstanding, and retiring its last node frees the context) — so
+  // whoever took the slot touches it strictly BEFORE RetireDeferred.
   //
   // With retries, a slot cycles between two phases under a CHANGING token:
   // kInFlight (dispatched, waiting on a signal) and kBackoff (waiting for
@@ -209,7 +239,6 @@ class DagExecutor {
     enum class Phase { kInFlight, kBackoff };
 
     std::string function;  // target function = hop-cache eviction key
-    DagScheduler::Ticket ticket;
     RunContext* run = nullptr;
     size_t index = 0;
     std::shared_ptr<core::Hop> hop;
@@ -234,10 +263,10 @@ class DagExecutor {
   // find nothing and no-op). Resolution then runs outside the lock.
   std::optional<Pending> TakePending(uint64_t token);
   // Selects a replica (breaker-gated), establishes its hop, arms the attempt
-  // deadline, and initiates the transfer. Runs on a scheduler worker for
-  // attempt 1 and on the sweeper thread for retries.
+  // deadline, and initiates the transfer. Runs on a worker for attempt 1 and
+  // on the sweeper thread for retries.
   void DispatchAttempt(uint64_t token);
-  // Resolves one attempt's failure: terminal (ticket completes) when the
+  // Resolves one attempt's failure: terminal (the node retires) when the
   // status is non-retryable, attempts/budget are spent, or the run's policy
   // is disabled; otherwise the slot re-registers under a fresh token in
   // backoff phase. Evicts the hop when the wire died (`force_evict` for
@@ -259,8 +288,14 @@ class DagExecutor {
   };
 
   core::WorkflowManager* manager_;
-  DagScheduler scheduler_;
   const std::shared_ptr<LifeGuard> life_ = std::make_shared<LifeGuard>();
+
+  // The ready queue: (run, node) pairs waiting for a worker. The runs'
+  // dependency counts are guarded by mutex_ too.
+  Mutex mutex_;
+  CondVar work_cv_;
+  bool stopping_ RR_GUARDED_BY(mutex_) = false;
+  std::deque<std::pair<RunContext*, size_t>> queue_ RR_GUARDED_BY(mutex_);
 
   Mutex mail_mutex_;
   std::map<uint64_t, Pending> pending_ RR_GUARDED_BY(mail_mutex_);
@@ -276,6 +311,9 @@ class DagExecutor {
   std::thread sweeper_;
   bool sweeper_stop_ RR_GUARDED_BY(mail_mutex_) = false;
   TimePoint sweep_next_ RR_GUARDED_BY(mail_mutex_) = TimePoint::max();
+
+  // Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace rr::dag

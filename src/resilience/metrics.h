@@ -12,8 +12,8 @@
 
 namespace rr::resilience {
 
-// Retries scheduled by the executor's policy engine (each one re-enters the
-// scheduler as a deferred ticket).
+// Retries scheduled by the executor's policy engine (each one re-registers
+// the node's pending slot in backoff).
 obs::Counter& RetryAttemptsTotal();
 
 // Dispatches that moved to a different replica than the previous attempt.

@@ -4,10 +4,9 @@
 // A failed dispatch whose status is retryable (Status::IsRetryable, plus
 // kDataLoss for a wire that died mid-frame — the frame is immutable and its
 // correlation token was never completed, so resending cannot duplicate work)
-// re-enters the scheduler as a deferred ticket: the executor re-registers the
-// pending slot under a FRESH token with a backoff deadline and the sweeper
-// re-dispatches when it passes. No scheduler worker ever parks in a backoff
-// sleep, and a late completion of a previous attempt matches no pending
+// keeps its node deferred: the executor re-registers the pending slot under a
+// FRESH token with a backoff deadline and the sweeper re-dispatches when it
+// passes. No DAG worker ever parks in a backoff sleep, and a late completion of a previous attempt matches no pending
 // token — it is rejected with kTokenMismatch instead of double-completing
 // the node.
 //
@@ -92,7 +91,7 @@ Nanos NextBackoff(const ResiliencePolicy& policy, Nanos prev, rr::Rng& rng);
 
 // The per-run retry budget: a plain atomic down-counter shared by every
 // edge of one run (resolution paths race on it from reactor threads, the
-// sweeper, and scheduler workers).
+// sweeper, and DAG workers).
 class RetryBudget {
  public:
   explicit RetryBudget(uint32_t budget = 0) : remaining_(budget) {}

@@ -17,6 +17,7 @@
 
 #include "core/node_agent.h"
 #include "dag/dag.h"
+#include "obs/metrics.h"
 #include "runtime/function.h"
 
 namespace rr::api {
@@ -410,6 +411,56 @@ TEST_F(RuntimeTest, StartsNoThreadBeyondTheDagWorkers) {
   const Result<rr::Buffer>& result = (*invocation)->Wait();
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(ToString(*result), "w|a|b");
+}
+
+TEST_F(RuntimeTest, QueueDepthGaugeSumsEveryRuntimeInTheProcess) {
+  // rr_dag_queue_depth sums every runtime's ready-queue backlog: a second
+  // runtime finishing a run must not hide the first one's queued runs.
+  std::promise<void> started;
+  std::atomic<bool> first{true};
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  Runtime::Options options;
+  options.dag_workers = 1;
+  Runtime busy("wf", options);
+  auto a = AddFunction(busy, "a", {"n1", ""}, nullptr, 0,
+                       [&started, &first, released](ByteSpan input)
+                           -> Result<Bytes> {
+                         if (first.exchange(false)) started.set_value();
+                         released.wait();
+                         return Bytes(input.begin(), input.end());
+                       });
+  // No assertion may return before the gate opens: ~Runtime would wait on
+  // the blocked runs forever.
+  std::vector<std::shared_ptr<Invocation>> invocations;
+  const auto submit = [&busy, &invocations] {
+    auto invocation = busy.Submit(ChainSpec{{"a"}}, AsBytes("q"));
+    EXPECT_TRUE(invocation.ok()) << invocation.status();
+    if (invocation.ok()) invocations.push_back(std::move(*invocation));
+  };
+
+  // The one worker is inside the first run's source; two more runs queue.
+  submit();
+  started.get_future().wait();
+  obs::Gauge& depth = *obs::Registry::Get().gauge("rr_dag_queue_depth");
+  const int64_t baseline = depth.Value();
+  submit();
+  submit();
+  EXPECT_EQ(depth.Value(), baseline + 2);
+
+  {
+    Runtime other("wf");
+    auto b = AddFunction(other, "b", {"n1", ""});
+    auto invocation = other.Submit(ChainSpec{{"b"}}, AsBytes("x"));
+    EXPECT_TRUE(invocation.ok() && (*invocation)->Wait().ok());
+  }
+  EXPECT_EQ(depth.Value(), baseline + 2);
+
+  release.set_value();
+  for (const auto& invocation : invocations) {
+    EXPECT_TRUE(invocation->Wait().ok()) << invocation->Wait().status();
+  }
+  EXPECT_EQ(depth.Value(), baseline);
 }
 
 TEST_F(RuntimeTest, UnregisterEvictsEndpointFromRegistry) {

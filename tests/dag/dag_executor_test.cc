@@ -1,12 +1,11 @@
-// DAG engine behavior, driven through api::Runtime::Submit — the only
-// execution entry since the direct synchronous DagExecutor::Execute was
-// removed with WorkflowManager::RunChain.
+// DAG engine behavior, driven through api::Runtime::Submit.
 #include "dag/executor.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "api/runtime.h"
@@ -335,6 +334,52 @@ TEST_F(DagExecutorTest, BranchFailureCancelsDownstream) {
   EXPECT_NE(result.status().message().find("branch exploded"), std::string::npos);
   // The join never ran: its failing predecessor cancelled the wavefront.
   EXPECT_EQ(d->invocations(), 0u);
+}
+
+TEST_F(DagExecutorTest, RemoteBranchRetiresIntoARunItsSiblingCancelled) {
+  // a -> {r, c} -> d: the remote branch r is still in flight when its local
+  // sibling c fails and cancels the run, so r's pending slot retires it into
+  // a cancelled run. The run reports c's error, r runs once, d never runs.
+  api::Runtime rt("wf");
+  auto agent = core::NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  std::promise<void> failed;
+  const std::shared_future<void> c_failed = failed.get_future().share();
+
+  auto a = AddFunction(rt, "a", {"n1", ""});
+  auto r = AddFunction(rt, "r", {"n2", ""}, nullptr, (*agent)->port(),
+                       [c_failed](ByteSpan input) -> Result<Bytes> {
+                         c_failed.wait();
+                         // Let c's worker retire it before r answers.
+                         std::this_thread::sleep_for(
+                             std::chrono::milliseconds(20));
+                         return Bytes(input.begin(), input.end());
+                       });
+  ASSERT_TRUE((*agent)->RegisterFunction(r.get(), rt.DeliverySink()).ok());
+  auto c = AddFunction(rt, "c", {"n1", ""}, nullptr, 0,
+                       [&failed](ByteSpan) -> Result<Bytes> {
+                         failed.set_value();
+                         return InternalError("branch exploded");
+                       });
+  auto d = AddFunction(rt, "d", {"n1", ""});
+
+  auto dag = DagBuilder("remote-branch")
+                 .AddNode("a")
+                 .FanOut("a", {"r", "c"})
+                 .FanIn({"r", "c"}, "d")
+                 .Build();
+  ASSERT_TRUE(dag.ok()) << dag.status();
+
+  auto result = Execute(rt, *dag, AsBytes("x"));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("node c: "), std::string::npos)
+      << result.status();
+  EXPECT_NE(result.status().message().find("branch exploded"),
+            std::string::npos);
+  EXPECT_EQ(r->invocations(), 1u);
+  EXPECT_EQ(d->invocations(), 0u);
+  EXPECT_EQ(rt.in_flight(), 0u);
+  (*agent)->Shutdown();
 }
 
 TEST_F(DagExecutorTest, UnregisteredNodeFailsFast) {
