@@ -41,11 +41,14 @@ Buffer Buffer::ForOverwrite(size_t size, MutableByteSpan* fill) {
     if (fill != nullptr) *fill = MutableByteSpan{};
     return buffer;
   }
-  auto storage = std::make_shared<Bytes>(size);
+  // One allocation holding the refcount and the bytes, left uninitialized:
+  // the creator overwrites every byte before the Buffer is shared.
+  std::shared_ptr<uint8_t[]> storage =
+      std::make_shared_for_overwrite<uint8_t[]>(size);
   g_bytes_allocated.fetch_add(size, std::memory_order_relaxed);
-  if (fill != nullptr) *fill = MutableByteSpan(storage->data(), size);
+  if (fill != nullptr) *fill = MutableByteSpan(storage.get(), size);
   Chunk chunk;
-  chunk.data = storage->data();
+  chunk.data = storage.get();
   chunk.size = size;
   chunk.owner = std::move(storage);
   buffer.chunks_.push_back(std::move(chunk));

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 #include "common/log.h"
@@ -32,13 +33,20 @@ constexpr uint8_t kMaxWireStatusCode =
 
 constexpr size_t kMaxMuxFunctionName = 256;
 
-Bytes EncodeCancel(uint32_t stream_id) {
-  MuxFrameHeader h;
-  h.type = kMuxFrameCancel;
-  h.stream_id = stream_id;
-  Bytes out(kMuxFrameHeaderBytes);
-  EncodeMuxFrameHeader(h, out.data());
-  return out;
+// Appends iovecs covering payload bytes [offset, offset + length).
+void AppendPayloadRange(const rr::Buffer& payload, size_t offset,
+                        size_t length, std::vector<iovec>* iov) {
+  for (size_t i = 0; i < payload.chunk_count() && length > 0; ++i) {
+    const ByteSpan chunk = payload.chunk(i);
+    if (offset >= chunk.size()) {
+      offset -= chunk.size();
+      continue;
+    }
+    const size_t take = std::min(chunk.size() - offset, length);
+    iov->push_back({const_cast<uint8_t*>(chunk.data() + offset), take});
+    length -= take;
+    offset = 0;
+  }
 }
 
 }  // namespace
@@ -122,14 +130,14 @@ Status MuxClient::StartStream(const std::string& function, rr::Buffer payload,
     const uint32_t id = next_stream_id_++;
     const bool traced = trace.trace_id != 0;
     const size_t open_len = 18 + function.size() + (traced ? 16 : 0);
-    Bytes open(kMuxFrameHeaderBytes + open_len);
+    uint8_t* const open = AppendControlLocked(kMuxFrameHeaderBytes + open_len);
     MuxFrameHeader h;
     h.type = kMuxFrameOpen;
     h.flags = traced ? kMuxFlagTrace : 0;
     h.stream_id = id;
     h.payload_length = static_cast<uint32_t>(open_len);
-    EncodeMuxFrameHeader(h, open.data());
-    uint8_t* p = open.data() + kMuxFrameHeaderBytes;
+    EncodeMuxFrameHeader(h, open);
+    uint8_t* p = open + kMuxFrameHeaderBytes;
     StoreLE<uint64_t>(p, token);
     StoreLE<uint64_t>(p + 8, payload.size());
     StoreLE<uint16_t>(p + 16, static_cast<uint16_t>(function.size()));
@@ -146,7 +154,6 @@ Status MuxClient::StartStream(const std::string& function, rr::Buffer payload,
     s.last_progress = Now();
     s.done = std::move(done);
     streams_.emplace(id, std::move(s));
-    control_.push_back(std::move(open));
     if (has_body) ring_.push_back(id);
     if (resilience::FaultInjector::Instance().ShouldFire(
             resilience::FaultSite::kMuxConnReset)) {
@@ -184,7 +191,7 @@ Status MuxClient::InstallLocked(osal::Connection conn) {
   rneed_ = kMuxFrameHeaderBytes;
   rgot_ = 0;
   rheader_pending_ = false;
-  out_ = OutFrame{};
+  ResetWireLocked();
   const auto reactor = reactor_.lock();
   if (reactor == nullptr) {
     fd_.Reset();
@@ -304,53 +311,56 @@ bool MuxClient::HandleFrameLocked(std::vector<Fired>* fired) {
                  ? Status::Ok()
                  : Status(code, detail.empty() ? "remote invocation failed"
                                                : detail)};
-  streams_.erase(it);
+  EraseStreamLocked(it);
   fired->push_back(std::move(done));
   return true;
 }
 
 bool MuxClient::PumpLocked() {
   while (true) {
-    if (!out_.active) {
-      if (!StageNextLocked()) {
-        SetWritableLocked(false);
+    if (iov_next_ == iov_.size() && !StageBatchLocked()) {
+      SetWritableLocked(false);
+      return true;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov_.data() + iov_next_;
+    msg.msg_iovlen = std::min<size_t>(iov_.size() - iov_next_, IOV_MAX);
+    const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        SetWritableLocked(true);
         return true;
       }
+      return false;
     }
-    while (out_.part < out_.parts.size()) {
-      const ByteSpan p = out_.parts[out_.part];
-      if (out_.part_offset == p.size()) {
-        ++out_.part;
-        out_.part_offset = 0;
-        continue;
-      }
-      const ssize_t n =
-          ::send(fd_.get(), p.data() + out_.part_offset,
-                 p.size() - out_.part_offset, MSG_DONTWAIT | MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          SetWritableLocked(true);
-          return true;
-        }
-        return false;
-      }
-      out_.part_offset += static_cast<size_t>(n);
+    // Advance the cursor: whole entries first, then trim the one the write
+    // ended inside.
+    size_t left = static_cast<size_t>(n);
+    while (left > 0) {
+      iovec& v = iov_[iov_next_];
+      const size_t take = std::min(left, v.iov_len);
+      v.iov_base = static_cast<uint8_t*>(v.iov_base) + take;
+      v.iov_len -= take;
+      left -= take;
+      if (v.iov_len == 0) ++iov_next_;
     }
-    out_ = OutFrame{};  // frame fully flushed
   }
 }
 
-bool MuxClient::StageNextLocked() {
+// Called once the last batch is fully written. Releases what that batch
+// pinned, then stages the next: every pending control frame, then one
+// quantum of the next stream in the ring. False when there is nothing to
+// send.
+bool MuxClient::StageBatchLocked() {
+  iov_.clear();
+  iov_next_ = 0;
+  batch_control_.clear();
+  batch_stream_ = 0;
+  batch_orphan_ = rr::Buffer();
   if (!control_.empty()) {
-    out_.active = true;
-    out_.control = std::move(control_.front());
-    control_.pop_front();
-    out_.body_ref = rr::Buffer();
-    out_.parts.assign(1, ByteSpan(out_.control.data(), out_.control.size()));
-    out_.part = 0;
-    out_.part_offset = 0;
-    return true;
+    std::swap(control_, batch_control_);
+    iov_.push_back({batch_control_.data(), batch_control_.size()});
   }
   // Fair round-robin: one quantum per turn per stream.
   while (!ring_.empty()) {
@@ -373,19 +383,11 @@ bool MuxClient::StageNextLocked() {
     h.type = kMuxFrameData;
     h.stream_id = id;
     h.payload_length = static_cast<uint32_t>(n);
-    EncodeMuxFrameHeader(h, out_.header);
-    out_.active = true;
-    out_.control.clear();
-    // The frame references the payload's chunks directly (no byte copy);
-    // body_ref keeps that storage alive even if the stream dies mid-write.
-    out_.body_ref = s.payload.Slice(s.offset, n);
-    out_.parts.clear();
-    out_.parts.emplace_back(out_.header, kMuxFrameHeaderBytes);
-    for (size_t i = 0; i < out_.body_ref.chunk_count(); ++i) {
-      out_.parts.push_back(out_.body_ref.chunk(i));
-    }
-    out_.part = 0;
-    out_.part_offset = 0;
+    EncodeMuxFrameHeader(h, data_header_);
+    iov_.push_back({data_header_, kMuxFrameHeaderBytes});
+    // The frame references the payload's chunks directly (no byte copy).
+    AppendPayloadRange(s.payload, s.offset, n, &iov_);
+    batch_stream_ = id;
     s.offset += n;
     s.window -= n;
     s.last_progress = Now();
@@ -397,9 +399,32 @@ bool MuxClient::StageNextLocked() {
         StreamStalls().Inc();
       }
     }
-    return true;
+    break;
   }
-  return false;
+  return !iov_.empty();
+}
+
+uint8_t* MuxClient::AppendControlLocked(size_t length) {
+  const size_t at = control_.size();
+  control_.resize(at + length);
+  return control_.data() + at;
+}
+
+void MuxClient::EraseStreamLocked(
+    std::unordered_map<uint32_t, Stream>::iterator it) {
+  if (it->first == batch_stream_) {
+    batch_orphan_ = std::move(it->second.payload);
+  }
+  streams_.erase(it);
+}
+
+void MuxClient::ResetWireLocked() {
+  control_.clear();
+  batch_control_.clear();
+  iov_.clear();
+  iov_next_ = 0;
+  batch_stream_ = 0;
+  batch_orphan_ = rr::Buffer();
 }
 
 void MuxClient::SetWritableLocked(bool writable) {
@@ -438,8 +463,11 @@ void MuxClient::SweepDeadlines() {
           DeadlineExceededError(
               "stream made no progress within the transfer deadline "
               "(flow-control starved or agent wedged)"));
-      streams_.erase(it);
-      control_.push_back(EncodeCancel(id));
+      EraseStreamLocked(it);
+      MuxFrameHeader h;
+      h.type = kMuxFrameCancel;
+      h.stream_id = id;
+      EncodeMuxFrameHeader(h, AppendControlLocked(kMuxFrameHeaderBytes));
     }
     if (!expired.empty() && !PumpLocked()) {
       ConnDeadLocked(&fired, UnavailableError("mux agent connection lost"));
@@ -455,8 +483,7 @@ void MuxClient::ConnDeadLocked(std::vector<Fired>* fired,
   }
   streams_.clear();
   ring_.clear();
-  control_.clear();
-  out_ = OutFrame{};
+  ResetWireLocked();
   if (connected_) {
     // A dead lock() means the reactor is tearing down; closing the fd below
     // removes it from the epoll set anyway.

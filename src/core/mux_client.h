@@ -8,6 +8,11 @@
 //    through the shared reactor's event loop as chunk frames, fair
 //    round-robin across all active streams — one quantum (kMuxMaxChunk) per
 //    turn, so a 64 MiB transfer cannot head-of-line-block a 4 KiB one.
+//  * One write per batch: the pump gathers every pending control frame
+//    (opens, cancels) and at most one data quantum into a batch and writes it
+//    with one sendmsg, so a small stream leaves in a single loopback
+//    segment. A partial write advances a cursor across the batch's frames;
+//    the batch's storage is reused, so pumping allocates nothing per frame.
 //  * A stream that exhausts its flow-control window leaves the send ring
 //    (counted in rr_agent_stream_stalls_total) until the agent's next
 //    window-update frame; the other streams keep the wire busy.
@@ -28,6 +33,8 @@
 // the caller's thread (failures during StartStream's own pump) — never with
 // the client's lock held, and exactly once per OK StartStream.
 #pragma once
+
+#include <sys/uio.h>
 
 #include <deque>
 #include <functional>
@@ -83,24 +90,12 @@ class MuxClient : public std::enable_shared_from_this<MuxClient> {
  private:
   struct Stream {
     rr::Buffer payload;
-    size_t offset = 0;          // payload bytes fully handed to the kernel
+    size_t offset = 0;          // payload bytes staged into a batch
     size_t window = kMuxInitialWindow;
     bool stalled = false;       // out of the ring, waiting on a window update
     Nanos progress_budget{0};   // non-positive = unbounded
     TimePoint last_progress;
     DoneFn done;
-  };
-
-  // One wire frame mid-write: a self-contained span list, so the stream it
-  // came from may complete or be cancelled without corrupting the wire.
-  struct OutFrame {
-    bool active = false;
-    uint8_t header[kMuxFrameHeaderBytes];
-    Bytes control;          // control frames own their bytes here
-    rr::Buffer body_ref;    // keeps a data frame's chunk storage alive
-    std::vector<ByteSpan> parts;
-    size_t part = 0;
-    size_t part_offset = 0;
   };
 
   // A done callback captured under the lock, fired after it is released.
@@ -121,7 +116,14 @@ class MuxClient : public std::enable_shared_from_this<MuxClient> {
   bool HandleFrameLocked(std::vector<Fired>* fired) RR_REQUIRES(mutex_);
   // false = the connection died mid-write.
   bool PumpLocked() RR_REQUIRES(mutex_);
-  bool StageNextLocked() RR_REQUIRES(mutex_);
+  bool StageBatchLocked() RR_REQUIRES(mutex_);
+  // Appends a `length`-byte control frame to the next batch; returns where
+  // its bytes go.
+  uint8_t* AppendControlLocked(size_t length) RR_REQUIRES(mutex_);
+  // Drops a stream. A batch still carrying its quantum keeps the payload.
+  void EraseStreamLocked(std::unordered_map<uint32_t, Stream>::iterator it)
+      RR_REQUIRES(mutex_);
+  void ResetWireLocked() RR_REQUIRES(mutex_);
   void SetWritableLocked(bool writable) RR_REQUIRES(mutex_);
   void ConnDeadLocked(std::vector<Fired>* fired, const Status& reason)
       RR_REQUIRES(mutex_);
@@ -151,9 +153,24 @@ class MuxClient : public std::enable_shared_from_this<MuxClient> {
   std::unordered_map<uint32_t, Stream> streams_ RR_GUARDED_BY(mutex_);
   // Streams with sendable bytes + window.
   std::deque<uint32_t> ring_ RR_GUARDED_BY(mutex_);
-  // Opens and cancels, sent first.
-  std::deque<Bytes> control_ RR_GUARDED_BY(mutex_);
-  OutFrame out_ RR_GUARDED_BY(mutex_);
+  // Encoded opens and cancels waiting for the next batch, which sends them
+  // ahead of its data quantum.
+  Bytes control_ RR_GUARDED_BY(mutex_);
+
+  // The batch on the wire: iov_ gathers its control frames (batch_control_),
+  // then at most one data frame (data_header_ plus the quantum's payload
+  // chunks); iov_next_ is the first entry with unwritten bytes, and a partial
+  // write trims that entry in place. Every member keeps its capacity from
+  // batch to batch.
+  Bytes batch_control_ RR_GUARDED_BY(mutex_);
+  uint8_t data_header_[kMuxFrameHeaderBytes] RR_GUARDED_BY(mutex_);
+  std::vector<iovec> iov_ RR_GUARDED_BY(mutex_);
+  size_t iov_next_ RR_GUARDED_BY(mutex_) = 0;
+  // The stream whose quantum the batch carries (0 = none). If that stream
+  // completes or is cancelled mid-write, its payload moves to batch_orphan_
+  // so the chunks the iovecs point into live until the batch is out.
+  uint32_t batch_stream_ RR_GUARDED_BY(mutex_) = 0;
+  rr::Buffer batch_orphan_ RR_GUARDED_BY(mutex_);
 
   // Receive state: a frame header, then (completions only) its detail.
   uint8_t racc_[kMuxFrameHeaderBytes + kMuxMaxCompletionDetail]

@@ -1014,22 +1014,17 @@ struct NodeAgent::ReactorPlane {
       }
     }
 
-    // Report the outcome on the wire: a completion frame either way, so the
-    // invocation result reaches the sender immediately.
+    // Deliver, then acknowledge: on success the consumer gets the output
+    // before the completion frame is queued, so an in-process consumer
+    // finishes its run without waiting on the frame's trip through the
+    // sender's reactor. A failure sends the completion frame alone. Either
+    // way the frame carries the invocation result to the sender.
     if (outcome.has_value()) {
-      // Count BEFORE the completion leaves: a sender that observed the
-      // completion frame must also observe the count (the same contract the
-      // refusal counter keeps above).
+      // Count BEFORE the output or the completion leaves: whoever observed
+      // either must also observe the count (the same contract the refusal
+      // counter keeps above).
       agent->transfers_completed_.fetch_add(1, std::memory_order_relaxed);
       AgentTransfersCompleted().Inc();
-    }
-    AgentCompletionFrames().Inc();
-    if (!result.ok()) AgentCompletionErrors().Inc();
-    const bool sent =
-        job.write->SendFrame(EncodeCompletion(job.stream_id, result));
-    AgentStreamsInFlight().Sub(1);
-
-    if (outcome.has_value()) {
       if (job.entry.on_delivery) {
         job.entry.on_delivery(job.function, *outcome, job.token,
                               std::move(instance));
@@ -1042,6 +1037,11 @@ struct NodeAgent::ReactorPlane {
     } else {
       RR_LOG(Debug) << "node agent: transfer failed: " << result;
     }
+    AgentCompletionFrames().Inc();
+    if (!result.ok()) AgentCompletionErrors().Inc();
+    const bool sent =
+        job.write->SendFrame(EncodeCompletion(job.stream_id, result));
+    AgentStreamsInFlight().Sub(1);
 
     // Bookkeeping belongs to the owning shard's loop; a completion that
     // could not be queued dooms the connection. Post after Stop is a benign

@@ -73,13 +73,16 @@ class NodeAgent {
     size_t max_conn_staged_bytes = 0;  // (128 MiB)
   };
 
-  // Called after a payload has been delivered and the function invoked. The
-  // outcome's output region lives in `instance` — the pool lease the agent
-  // acquired for this stream; the consumer keeps it until the output is
-  // egressed or released (dropping it returns the instance to the pool).
-  // `token` is the stream's correlation token: the consumer matches the
-  // completion to the exact transfer that sent it (0 = sender did not track
-  // the transfer).
+  // Called after a payload has been delivered and the function invoked
+  // successfully, on the invoke worker, BEFORE the stream's completion frame
+  // is queued: a sender that observes the completion knows the callback has
+  // returned. Whatever the consumer does here (finishing a run, say) delays
+  // that frame. The outcome's output region lives in `instance` — the pool
+  // lease the agent acquired for this stream; the consumer keeps it until
+  // the output is egressed or released (dropping it returns the instance to
+  // the pool). `token` is the stream's correlation token: the consumer
+  // matches the completion to the exact transfer that sent it (0 = sender
+  // did not track the transfer).
   using DeliveryCallback =
       std::function<void(const std::string& function, InvokeOutcome outcome,
                          uint64_t token, ShimLease instance)>;

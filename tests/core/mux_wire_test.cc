@@ -7,15 +7,21 @@
 // malformed frames and connections that never speak the protocol), no
 // leaked guest regions after a failed invoke, flow-control window
 // exhaustion surfacing typed instead of hanging, fair interleaving of small
-// streams past large ones, and the idle-connection sweep being invisible to
-// senders (transparent reconnect).
+// streams past large ones, one write per client batch, byte-exact bodies
+// across short writes and across a stream that ends mid-write, the output
+// reaching its consumer before the completion frame leaves, and the
+// idle-connection sweep being invisible to senders (transparent reconnect).
 #include <gtest/gtest.h>
+#include <linux/tcp.h>
+#include <netinet/in.h>
 
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +32,7 @@
 #include "core/mux_protocol.h"
 #include "core/node_agent.h"
 #include "core/shim_pool.h"
+#include "netsim/shaped_link.h"
 #include "obs/metrics.h"
 #include "osal/socket.h"
 #include "runtime/function.h"
@@ -152,8 +159,9 @@ TEST(NodeAgentTest, RoutesTransferToNamedFunction) {
   ASSERT_TRUE(done->WaitFor(kEventBound));
   ASSERT_TRUE(done->Get().ok()) << done->Get();
 
-  // The completion frame leaves before the delivery callback runs; poll
-  // briefly.
+  // The agent runs the delivery callback before it queues the completion
+  // frame, so the payload is already recorded; the poll only guards against
+  // a regression of that order turning into a flake.
   for (int i = 0; i < 200; ++i) {
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -200,6 +208,54 @@ TEST(NodeAgentTest, MultipleTransfersOnOneChannel) {
   EXPECT_TRUE(client->connected());
   EXPECT_EQ((*agent)->active_connections(), 1u);
   EXPECT_EQ((*agent)->transfers_completed(), 5u);
+
+  client->Close();
+  (*agent)->Shutdown();
+}
+
+TEST(NodeAgentTest, OutputIsDeliveredBeforeItsCompletionFrame) {
+  // Deliver, then acknowledge: the sender's `done` fires only after the
+  // delivery callback returned, however long the consumer takes. Shared
+  // with both callbacks so a late fire never touches a dead stack frame.
+  auto delivered = std::make_shared<std::atomic<bool>>(false);
+  auto seen_at_done = std::make_shared<std::atomic<bool>>(false);
+
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("slow-consumer", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)
+                  ->RegisterFunction(
+                      *pool,
+                      [delivered](const std::string&, InvokeOutcome outcome,
+                                  uint64_t, ShimLease instance) {
+                        (void)instance->ReleaseRegion(outcome.output);
+                        PreciseSleep(std::chrono::milliseconds(50));
+                        delivered->store(true);
+                      })
+                  .ok());
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+  auto done = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("slow-consumer",
+                                rr::Buffer::FromString("result"),
+                                /*token=*/1, kFailureBound,
+                                [delivered, seen_at_done,
+                                 fire = done->Arm(done)](Status status) {
+                                  seen_at_done->store(delivered->load());
+                                  fire(std::move(status));
+                                })
+                  .ok());
+  ASSERT_TRUE(done->WaitFor(kEventBound));
+  ASSERT_TRUE(done->Get().ok()) << done->Get();
+  EXPECT_TRUE(seen_at_done->load())
+      << "the completion frame left before the output was delivered";
+  EXPECT_EQ((*agent)->transfers_completed(), 1u);
 
   client->Close();
   (*agent)->Shutdown();
@@ -525,6 +581,268 @@ TEST(MuxWireTest, SmallStreamCompletesWhileLargeStreamDrains) {
 
   client->Close();
   (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, SmallStreamLeavesInOneSegment) {
+  // One write per batch: a raw listener stands in for the agent and counts
+  // the TCP segments the client's writes arrived in. The preamble is one
+  // (written at connect); a small stream's open frame, data header and body
+  // must be one more.
+  auto listener = osal::TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", listener->port());
+
+  const std::string function = "sink";
+  constexpr size_t kBody = 1024;
+  Bytes body(kBody);
+  Rng rng(5);
+  rng.Fill(body);
+  auto done = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream(function, rr::Buffer::Copy(body),
+                                /*token=*/1, kFailureBound, done->Arm(done))
+                  .ok());
+  auto peer = listener->Accept();
+  ASSERT_TRUE(peer.ok()) << peer.status();
+
+  // Untraced: the open frame carries no trace extension.
+  const size_t open_len = 18 + function.size();
+  Bytes got(kMuxPreambleBytes + kMuxFrameHeaderBytes + open_len +
+            kMuxFrameHeaderBytes + kBody);
+  ASSERT_TRUE(peer->Receive(got, Now() + kEventBound).ok());
+  const uint8_t* open = got.data() + kMuxPreambleBytes;
+  EXPECT_EQ(DecodeMuxFrameHeader(open).type, kMuxFrameOpen);
+  const uint8_t* data = open + kMuxFrameHeaderBytes + open_len;
+  const MuxFrameHeader data_header = DecodeMuxFrameHeader(data);
+  EXPECT_EQ(data_header.type, kMuxFrameData);
+  EXPECT_EQ(data_header.payload_length, kBody);
+  EXPECT_EQ(std::memcmp(data + kMuxFrameHeaderBytes, body.data(), kBody), 0);
+
+  tcp_info info{};
+  socklen_t info_len = sizeof(info);
+  ASSERT_EQ(::getsockopt(peer->fd(), IPPROTO_TCP, TCP_INFO, &info, &info_len),
+            0);
+  EXPECT_EQ(info.tcpi_data_segs_in, 2u)
+      << "preamble + one write expected; each extra segment is a frame part "
+         "written on its own";
+
+  client->Close();
+  ASSERT_TRUE(done->WaitFor(kEventBound));
+}
+
+TEST(MuxWireTest, MixedSizeConcurrentStreamsArriveByteExact) {
+  // Bodies straddling the quantum and the window, started from three
+  // threads on one connection, drain as interleaved batches. Each thread
+  // starts every size kRounds times, so the streams' open windows exceed
+  // what the sockets buffer, and a shaped relay between client and agent
+  // reads slower than the client writes: the client's socket fills and
+  // takes batches in short writes ending anywhere inside a frame. The
+  // agent's handler hashes its input; every token's hash must be the
+  // sender's.
+  constexpr size_t kThreads = 3;
+  constexpr size_t kRounds = 4;
+  const std::vector<size_t> sizes = {0,     1,          1023,
+                                     65535, 65536,      65537,
+                                     300 * 1024, 1024 * 1024};
+  struct Hashes {
+    std::mutex mutex;
+    std::map<uint64_t, uint64_t> by_token;
+  };
+  auto received = std::make_shared<Hashes>();
+
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("hash", [](ByteSpan input) -> Result<Bytes> {
+    Bytes out(8);
+    StoreLE<uint64_t>(out.data(), Fnv1a(input));
+    return out;
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)
+                  ->RegisterFunction(
+                      *pool,
+                      [received](const std::string&, InvokeOutcome outcome,
+                                 uint64_t token, ShimLease instance) {
+                        auto view = instance->OutputView(outcome.output);
+                        const uint64_t hash =
+                            view.ok() && view->size() == 8
+                                ? LoadLE<uint64_t>(view->data())
+                                : 0;
+                        (void)instance->ReleaseRegion(outcome.output);
+                        std::lock_guard<std::mutex> lock(received->mutex);
+                        received->by_token[token] = hash;
+                      })
+                  .ok());
+
+  netsim::LinkConfig shaping;
+  shaping.bandwidth_bytes_per_sec = 100e6;
+  shaping.one_way_delay = Nanos(0);
+  shaping.chunk_bytes = 4093;  // odd-sized relay reads
+  shaping.buffer_bytes = 64 * 1024;
+  auto link = netsim::ShapedLink::Start((*agent)->port(), shaping);
+  ASSERT_TRUE(link.ok()) << link.status();
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*link)->port());
+
+  std::mutex sent_mutex;
+  std::map<uint64_t, uint64_t> sent;  // token -> hash of the body
+  std::vector<std::shared_ptr<Completion>> done(kThreads * kRounds *
+                                               sizes.size());
+  std::vector<std::thread> starters;
+  for (size_t t = 0; t < kThreads; ++t) {
+    starters.emplace_back([&, t] {
+      Rng rng(100 + t);
+      for (size_t i = 0; i < kRounds * sizes.size(); ++i) {
+        const size_t slot = t * kRounds * sizes.size() + i;
+        const uint64_t token = slot + 1;
+        Bytes body(sizes[i % sizes.size()]);
+        rng.Fill(body);
+        {
+          std::lock_guard<std::mutex> lock(sent_mutex);
+          sent[token] = Fnv1a(body);
+        }
+        done[slot] = std::make_shared<Completion>();
+        const Status started = client->StartStream(
+            "hash", rr::Buffer::Adopt(std::move(body)), token, kEventBound,
+            done[slot]->Arm(done[slot]));
+        EXPECT_TRUE(started.ok()) << started;
+      }
+    });
+  }
+  for (std::thread& starter : starters) starter.join();
+  for (size_t slot = 0; slot < done.size(); ++slot) {
+    ASSERT_TRUE(done[slot]->WaitFor(kEventBound)) << "token " << slot + 1;
+    EXPECT_TRUE(done[slot]->Get().ok())
+        << "token " << slot + 1 << ": " << done[slot]->Get();
+  }
+  {
+    std::lock_guard<std::mutex> lock(received->mutex);
+    EXPECT_EQ(received->by_token.size(), sent.size());
+    for (const auto& [token, hash] : sent) {
+      const auto it = received->by_token.find(token);
+      ASSERT_NE(it, received->by_token.end()) << "token " << token;
+      EXPECT_EQ(it->second, hash) << "token " << token << " arrived altered";
+    }
+  }
+
+  client->Close();
+  (*link)->Shutdown();
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, StreamEndedMidWriteStillLeavesItsWholeQuantum) {
+  // A stream can end (here: a typed refusal) while the batch carrying its
+  // quantum waits behind a full socket. The batch keeps the payload alive
+  // and writes the quantum whole, so the wire stays framed and every byte on
+  // it is the sender's. A raw peer plays the agent and reads nothing until
+  // every stream is refused; the streams' open windows (48 x 256 KiB) exceed
+  // what the two socket buffers hold, so the client's pump stops at EAGAIN
+  // with a batch in flight.
+  constexpr uint32_t kStreams = 48;
+  constexpr size_t kBody = kMuxInitialWindow;
+  auto listener = osal::TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", listener->port());
+
+  std::vector<Bytes> bodies(kStreams, Bytes(kBody));
+  std::vector<std::shared_ptr<Completion>> done(kStreams);
+  std::optional<osal::Connection> peer;
+  for (uint32_t i = 0; i < kStreams; ++i) {
+    Rng rng(200 + i);
+    rng.Fill(bodies[i]);
+    done[i] = std::make_shared<Completion>();
+    // The stream holds the only reference to its copy of the body.
+    ASSERT_TRUE(client
+                    ->StartStream("sink", rr::Buffer::Copy(bodies[i]),
+                                  /*token=*/i + 1, kEventBound,
+                                  done[i]->Arm(done[i]))
+                    .ok());
+    if (!peer.has_value()) {
+      auto accepted = listener->Accept();
+      ASSERT_TRUE(accepted.ok()) << accepted.status();
+      peer = std::move(*accepted);
+    }
+  }
+
+  // Stream ids count from 1 on a fresh client.
+  for (uint32_t id = 1; id <= kStreams; ++id) {
+    MuxFrameHeader h;
+    h.type = kMuxFrameCompletion;
+    h.stream_id = id;
+    h.aux = static_cast<uint32_t>(StatusCode::kResourceExhausted);
+    uint8_t frame[kMuxFrameHeaderBytes];
+    EncodeMuxFrameHeader(h, frame);
+    ASSERT_TRUE(peer->Send(ByteSpan(frame, sizeof(frame))).ok());
+  }
+  for (uint32_t i = 0; i < kStreams; ++i) {
+    ASSERT_TRUE(done[i]->WaitFor(kEventBound)) << "stream " << i + 1;
+    EXPECT_EQ(done[i]->Get().code(), StatusCode::kResourceExhausted);
+  }
+
+  // Drain what the client still writes: until it goes quiet at a frame
+  // boundary, or the bound passes (a wire that ends inside a frame then
+  // fails the checks below).
+  Bytes wire;
+  const auto ends_at_frame_boundary = [&wire] {
+    size_t at = kMuxPreambleBytes;
+    while (at + kMuxFrameHeaderBytes <= wire.size()) {
+      at += kMuxFrameHeaderBytes +
+            DecodeMuxFrameHeader(wire.data() + at).payload_length;
+    }
+    return at == wire.size();
+  };
+  uint8_t buf[64 * 1024];
+  const TimePoint give_up = Now() + kEventBound;
+  while (Now() < give_up) {
+    if (!osal::WaitReadable(peer->fd(), Now() + std::chrono::milliseconds(300))
+             .ok()) {
+      if (ends_at_frame_boundary()) break;
+      continue;
+    }
+    auto n = peer->ReceiveSome(MutableByteSpan(buf, sizeof(buf)));
+    ASSERT_TRUE(n.ok()) << n.status();
+    if (*n == 0) break;
+    wire.insert(wire.end(), buf, buf + *n);
+  }
+  ASSERT_GE(wire.size(), kMuxPreambleBytes);
+  std::vector<bool> opened(kStreams, false);
+  std::vector<size_t> offset(kStreams, 0);
+  size_t data_frames = 0;
+  size_t at = kMuxPreambleBytes;
+  while (at < wire.size()) {
+    ASSERT_LE(at + kMuxFrameHeaderBytes, wire.size())
+        << "the wire ends inside a frame header";
+    const MuxFrameHeader h = DecodeMuxFrameHeader(wire.data() + at);
+    at += kMuxFrameHeaderBytes;
+    ASSERT_LE(at + h.payload_length, wire.size())
+        << "the wire ends inside a frame";
+    ASSERT_GE(h.stream_id, 1u);
+    ASSERT_LE(h.stream_id, kStreams);
+    const size_t s = h.stream_id - 1;
+    if (h.type == kMuxFrameOpen) {
+      opened[s] = true;
+    } else {
+      ASSERT_EQ(h.type, kMuxFrameData);
+      ASSERT_TRUE(opened[s]) << "data before its open frame";
+      ASSERT_LE(offset[s] + h.payload_length, kBody);
+      EXPECT_EQ(std::memcmp(wire.data() + at, bodies[s].data() + offset[s],
+                            h.payload_length),
+                0)
+          << "stream " << h.stream_id << " at offset " << offset[s];
+      offset[s] += h.payload_length;
+      ++data_frames;
+    }
+    at += h.payload_length;
+  }
+  EXPECT_GT(data_frames, 0u);
+
+  client->Close();
 }
 
 TEST(MuxWireTest, WindowExhaustionStallsThenFailsTypedNotHung) {

@@ -117,8 +117,9 @@ TEST(ReplayWireTest, StaleWireDeliveriesRejectedAndRegionsRecycled) {
     ASSERT_TRUE(completion->WaitFor(kEventBound)) << "token " << token;
   }
 
-  // The completion frame and the delivery callback race on the agent side:
-  // the sender may observe the completion before DeliverOutcome returns.
+  // The agent runs the delivery callback before it queues the completion
+  // frame, so DeliverOutcome has already counted both rejections; the poll
+  // only guards against a regression of that order turning into a flake.
   const TimePoint poll_deadline = Now() + kEventBound;
   while ((mismatches.load() < 2 ||
           resilience::StaleDeliveriesTotal().Value() - stale0 < 2) &&
