@@ -4,9 +4,9 @@
 // Submit(ChainSpec | DagSpec, input) returns an Invocation handle
 // immediately. Any number of invocations proceed concurrently over the
 // shared hop cache (established channels are reused across runs and across
-// in-flight invocations), the shared DAG worker pool, and the polymorphic
-// Transport layer — callers never touch WorkflowManager, dag::DagExecutor,
-// or per-hop plumbing directly; Submit is the only way to run a workflow.
+// in-flight invocations), the shared DAG worker pool, and the transport
+// layer — callers never touch WorkflowManager, dag::DagExecutor, or per-hop
+// plumbing directly; Submit is the only way to run a workflow.
 //
 // Payloads ride the zero-copy plane end to end: Submit(spec, rr::Buffer)
 // shares the caller's chunks with every in-flight run (no per-submit copy —
@@ -142,7 +142,8 @@ class Runtime {
     // silent (dead agent, lost frame).
     Nanos remote_deadline = std::chrono::seconds(60);
     // Bound on one wire transfer's blocking waits (header/body/ack), applied
-    // to every hop this runtime establishes (core::TransportOptions). A
+    // to every hop this runtime establishes and every agent stream it
+    // starts (core::TransportOptions). A
     // receiver that dies mid-body or never acks fails the edge with
     // kDeadlineExceeded within this bound. Non-positive = unbounded.
     Nanos transfer_deadline = std::chrono::seconds(30);

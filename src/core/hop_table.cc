@@ -3,14 +3,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/mux_client.h"
+#include "osal/reactor.h"
 #include "resilience/metrics.h"
 
 namespace rr::core {
 
-HopTable::HopTable() {
-  (void)RegisterTransport(MakeUserSpaceTransport());
-  (void)RegisterTransport(MakeKernelTransport());
-  (void)RegisterTransport(MakeNetworkTransport());
+HopTable::~HopTable() {
+  for (auto& [address, client] : clients_) client->Close();
+  clients_.clear();
+  if (client_reactor_ != nullptr) client_reactor_->Stop();
 }
 
 void HopTable::set_wire_options(TransportOptions options) {
@@ -18,41 +20,27 @@ void HopTable::set_wire_options(TransportOptions options) {
   wire_options_ = options;
 }
 
+TransportOptions HopTable::wire_options() const {
+  MutexLock lock(mutex_);
+  return wire_options_;
+}
+
 void HopTable::set_breaker_options(resilience::BreakerOptions options) {
   MutexLock lock(mutex_);
   breaker_options_ = options;
 }
 
-Status HopTable::RegisterTransport(std::unique_ptr<Transport> transport) {
-  if (transport == nullptr) return InvalidArgumentError("null transport");
-  MutexLock lock(mutex_);
-  transports_[transport->mode()] = std::move(transport);
-  return Status::Ok();
-}
-
-Result<std::shared_ptr<Hop>> HopTable::Get(Endpoint& source,
-                                           const Endpoint& target,
-                                           size_t replica) {
+Result<std::shared_ptr<Hop>> HopTable::Get(const Endpoint& source,
+                                           const Endpoint& target) {
   const TransferMode mode = SelectMode(source.location, target.location);
-  if (replica >= target.replica_count()) {
-    return InvalidArgumentError("replica index out of range for function " +
-                                target.shim->name());
-  }
   std::shared_ptr<Slot> slot;
-  std::shared_ptr<Transport> transport;
   TransportOptions options;
   {
     MutexLock lock(mutex_);
-    const auto it = transports_.find(mode);
-    if (it == transports_.end()) {
-      return UnimplementedError(std::string("no transport registered for ") +
-                                std::string(TransferModeName(mode)));
-    }
-    transport = it->second;
     options = wire_options_;
     // Look the pair up first: only a miss allocates its slot.
     std::shared_ptr<Slot>& cached =
-        slots_[PairKey{source.shim->name(), target.shim->name(), replica}];
+        slots_[PairKey{source.shim->name(), target.shim->name()}];
     if (cached == nullptr) cached = std::make_shared<Slot>();
     slot = cached;
   }
@@ -60,21 +48,22 @@ Result<std::shared_ptr<Hop>> HopTable::Get(Endpoint& source,
   // pairs connects in parallel instead of serializing on the table lock.
   MutexLock slot_lock(slot->mutex);
   if (slot->hop == nullptr) {
-    // A failover replica connects to its own ingress address: same pool,
-    // same placement, different agent.
-    std::unique_ptr<Hop> hop;
-    if (replica == 0) {
-      RR_ASSIGN_OR_RETURN(hop, transport->Connect(source, target, options));
-    } else {
-      Endpoint alternate = target;
-      const AgentAddress address = target.replica_address(replica);
-      alternate.host = address.host;
-      alternate.port = address.port;
-      RR_ASSIGN_OR_RETURN(hop, transport->Connect(source, alternate, options));
-    }
-    slot->hop = std::move(hop);
+    RR_ASSIGN_OR_RETURN(slot->hop, ConnectHop(mode, source, target, options));
   }
   return slot->hop;
+}
+
+Result<std::shared_ptr<MuxClient>> HopTable::AgentClient(
+    const AgentAddress& address) {
+  MutexLock lock(clients_mutex_);
+  if (client_reactor_ == nullptr) {
+    RR_ASSIGN_OR_RETURN(client_reactor_, osal::Reactor::Start("mux-client"));
+  }
+  std::shared_ptr<MuxClient>& client = clients_[address];
+  if (client == nullptr) {
+    client = MuxClient::Create(client_reactor_, address.host, address.port);
+  }
+  return client;
 }
 
 size_t HopTable::Evict(const std::string& name) {
@@ -82,7 +71,7 @@ size_t HopTable::Evict(const std::string& name) {
   {
     MutexLock lock(mutex_);
     for (auto it = slots_.begin(); it != slots_.end();) {
-      if (std::get<0>(it->first) == name || std::get<1>(it->first) == name) {
+      if (it->first.first == name || it->first.second == name) {
         removed.push_back(it->second);
         it = slots_.erase(it);
       } else {

@@ -1,12 +1,16 @@
-// HopTable: the per-pair cache of established hops, shared by every executor
-// that moves data between registered functions.
+// HopTable: the per-pair cache of established local hops, plus one client
+// per remote agent, shared by every executor that moves data between
+// registered functions.
 //
-// The table fronts the polymorphic Transport layer (core/transport.h):
-// placement selects the mode, the mode's Transport establishes a Hop on a
-// pair's first use, and executors speak only the Hop interface. Hops
-// persist across runs, so steady-state transfers never pay connection
-// setup, and additional backends register without executor changes.
-// The table also hosts the failure-recovery plane's per-hop CIRCUIT
+// Local hops (core/transport.h): placement selects the mode, ConnectHop
+// establishes the Hop on a pair's first use, and the cached hop serves
+// every subsequent run, so steady-state transfers never pay connection
+// setup. Agent clients (core/mux_client.h): a function behind a remote
+// NodeAgent is reached through one MuxClient per agent address — one
+// connection carrying every transfer to that agent as a stream — all
+// running on one lazily started `mux-client` reactor. The executor looks
+// the client up per dispatch (AgentClient) and starts the stream itself.
+// The table also hosts the failure-recovery plane's per-replica CIRCUIT
 // BREAKERS (resilience/breaker.h), keyed by (target function, replica):
 // AdmitDispatch gates a dispatch in microseconds when a replica has proven
 // dead, RecordDispatchOutcome feeds the state machine, and the snapshot /
@@ -21,6 +25,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -29,36 +34,50 @@
 #include "core/transport.h"
 #include "resilience/breaker.h"
 
+namespace rr::osal {
+class Reactor;
+}  // namespace rr::osal
+
 namespace rr::core {
+
+class MuxClient;
 
 class HopTable {
  public:
-  // Installs the three built-in transports (user / kernel / network).
-  HopTable();
+  HopTable() = default;
+  // Closes every agent client first — their in-flight streams fail with
+  // kUnavailable and fire their callbacks — then stops the reactor they ran
+  // on.
+  ~HopTable();
 
-  // Sets the wire options (per-transfer deadlines) applied to hops
-  // established from now on. Already-established hops keep the options they
-  // connected with — Evict the affected pairs to re-establish. api::Runtime
-  // threads its Options here before any hop exists.
+  HopTable(const HopTable&) = delete;
+  HopTable& operator=(const HopTable&) = delete;
+
+  // Sets the wire options (per-transfer deadlines). Hops established from
+  // now on apply them; already-established hops keep the options they
+  // connected with — Evict the affected pairs to re-establish. Agent streams
+  // read them at each dispatch. api::Runtime threads its Options here before
+  // any hop exists.
   void set_wire_options(TransportOptions options);
+  TransportOptions wire_options() const;
 
-  // Installs `transport` as the backend for its mode, replacing the built-in.
-  // Safe while transfers are in flight: an establishment already running on
-  // the old backend completes on it (shared ownership), and
-  // already-established hops keep serving until evicted — callers that swap
-  // a backend mid-flight should Evict the affected endpoints.
-  Status RegisterTransport(std::unique_ptr<Transport> transport);
+  // Returns the cached local hop for (source → target), establishing it with
+  // ConnectHop in the placement-selected mode on first use. Establishment of
+  // distinct pairs proceeds in parallel (per-slot mutex, not the table-wide
+  // lock). The returned reference is shared: a concurrent Evict closes the
+  // hop's wire but the object outlives every holder, so in-flight transfers
+  // fail cleanly instead of touching freed memory. A target behind an agent
+  // port on another node has no local hop (see ConnectHop): reach it through
+  // AgentClient.
+  Result<std::shared_ptr<Hop>> Get(const Endpoint& source,
+                                   const Endpoint& target);
 
-  // Returns the cached hop for (source → target), establishing it through
-  // the placement-selected transport on first use. Establishment of distinct
-  // pairs proceeds in parallel (per-slot mutex, not the table-wide lock).
-  // The returned reference is shared: a concurrent Evict closes the hop's
-  // wire but the object outlives every holder, so in-flight transfers fail
-  // cleanly instead of touching freed memory. `replica` > 0 connects to the
-  // target's failover address of that index instead of its primary
-  // (host, port) — each replica gets its own cache slot and its own wire.
-  Result<std::shared_ptr<Hop>> Get(Endpoint& source, const Endpoint& target,
-                                   size_t replica = 0);
+  // The shared client for the NodeAgent at `address`, created on first use
+  // (the connection itself is dialed by its first stream), together with
+  // the `mux-client` reactor every client runs on. Clients live until the
+  // table dies: a dead connection fails its streams and the next stream
+  // redials, so there is nothing to evict.
+  Result<std::shared_ptr<MuxClient>> AgentClient(const AgentAddress& address);
 
   // --- circuit breakers (failure-recovery plane) ----------------------------
 
@@ -93,17 +112,16 @@ class HopTable {
 
   // Drops (and Close()s) every cached hop whose source or target is `name`,
   // so no hop keeps a connection whose peer is being replaced (control
-  // plane) or has proven dead (a remote delivery timeout). Transfers still
-  // in flight on an evicted hop fail with the closed wire and release their
-  // shared ownership; the next Get establishes a fresh hop. Returns the
-  // number evicted.
+  // plane) or whose wire has died. Transfers still in flight on an evicted
+  // hop fail with the closed wire and release their shared ownership; the
+  // next Get establishes a fresh hop. Returns the number evicted.
   size_t Evict(const std::string& name);
 
   size_t size() const;
 
  private:
-  // (source function, target function, target replica index).
-  using PairKey = std::tuple<std::string, std::string, size_t>;
+  // (source function, target function).
+  using PairKey = std::pair<std::string, std::string>;
 
   // One cache slot per pair. The slot mutex serializes establishment so
   // concurrent first-use of distinct pairs connects in parallel instead of
@@ -124,15 +142,27 @@ class HopTable {
   TransportOptions wire_options_ RR_GUARDED_BY(mutex_);
   resilience::BreakerOptions breaker_options_ RR_GUARDED_BY(mutex_){
       .failure_threshold = 0};
-  std::map<TransferMode, std::shared_ptr<Transport>> transports_
-      RR_GUARDED_BY(mutex_);
   std::map<PairKey, std::shared_ptr<Slot>> slots_ RR_GUARDED_BY(mutex_);
-  // Breakers are created once and never erased (state must survive hop
-  // eviction — eviction is exactly when a breaker matters); unique_ptr keeps
-  // them address-stable under map rebalancing.
+  // Breakers are created once and never erased (a replica's state must
+  // outlive the runs that saw it fail); unique_ptr keeps them address-stable
+  // under map rebalancing.
   std::map<std::pair<std::string, size_t>,
            std::unique_ptr<resilience::CircuitBreaker>>
       breakers_ RR_GUARDED_BY(mutex_);
+
+  // Agent clients, keyed by (host, port). The table owns the reactor: a
+  // client holds it only weakly (see MuxClient::reactor_), so the teardown
+  // order — clients closed, then the reactor stopped — stays off the loop
+  // thread.
+  struct AddressLess {
+    bool operator()(const AgentAddress& a, const AgentAddress& b) const {
+      return std::tie(a.host, a.port) < std::tie(b.host, b.port);
+    }
+  };
+  Mutex clients_mutex_;
+  std::shared_ptr<osal::Reactor> client_reactor_ RR_GUARDED_BY(clients_mutex_);
+  std::map<AgentAddress, std::shared_ptr<MuxClient>, AddressLess> clients_
+      RR_GUARDED_BY(clients_mutex_);
 };
 
 }  // namespace rr::core

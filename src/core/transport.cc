@@ -1,14 +1,11 @@
 #include "core/transport.h"
 
-#include <map>
-
 #include "common/mutex.h"
 #include "core/kernel_channel.h"
-#include "core/mux_client.h"
 #include "core/region_guard.h"
 #include "core/user_channel.h"
 #include "obs/metrics.h"
-#include "osal/reactor.h"
+#include "osal/socket.h"
 
 namespace rr::core {
 
@@ -86,30 +83,14 @@ class UserSpaceHop : public Hop {
   obs::Counter& bytes_sent_ = ChannelBytes(TransferMode::kUserSpace, "sent");
 };
 
-class UserSpaceTransport : public Transport {
- public:
-  TransferMode mode() const override { return TransferMode::kUserSpace; }
-
-  Result<std::unique_ptr<Hop>> Connect(Endpoint& source,
-                                       const Endpoint& target,
-                                       const TransportOptions& /*options*/) override {
-    // Validate the trust precondition once, at establishment. (No wire, no
-    // deadline: the transfer is two in-process memory operations.)
-    RR_RETURN_IF_ERROR(
-        UserSpaceChannel::Create(source.shim, target.shim).status());
-    return std::unique_ptr<Hop>(new UserSpaceHop());
-  }
-};
-
 // --- kernel space -----------------------------------------------------------
 // The calling worker drives both ends of the hop's socket pair itself
 // (KernelChannelPump): the frame moves from the producer's linear memory —
 // or a fan-out's shared chunks — through the kernel straight into the
 // target's linear memory, with no transfer thread and no host staging
 // buffer. The destination is placed before the first byte is sent, so a
-// placement failure never touches the wire. The kernel transport pumps an
-// AF_UNIX pair; the network transport's loopback hop is this same hop over
-// a 127.0.0.1 TCP pair.
+// placement failure never touches the wire. The kernel hop pumps an AF_UNIX
+// pair; the network loopback hop is this same hop over a 127.0.0.1 TCP pair.
 class KernelHop : public Hop {
  public:
   KernelHop(std::pair<osal::Connection, osal::Connection> ends,
@@ -172,89 +153,33 @@ class KernelHop : public Hop {
   KernelChannelPump pump_;
 };
 
-class KernelTransport : public Transport {
- public:
-  TransferMode mode() const override { return TransferMode::kKernelSpace; }
+}  // namespace
 
-  Result<std::unique_ptr<Hop>> Connect(Endpoint& /*source*/,
-                                       const Endpoint& /*target*/,
-                                       const TransportOptions& options) override {
-    RR_ASSIGN_OR_RETURN(auto ends, osal::ConnectedPair());
-    return std::unique_ptr<Hop>(new KernelHop(
-        std::move(ends), options.transfer_deadline, TransferMode::kKernelSpace));
-  }
-};
-
-// --- network ----------------------------------------------------------------
-// Two shapes, chosen by the target's ingress at Connect time: a loopback hop
-// (target port 0) is a KernelHop over a 127.0.0.1 TCP pair held in-process;
-// an agent hop (port != 0) opens streams on the shared connection to the
-// remote NodeAgent, which owns receive + invoke (§4.3, Algorithm 1).
-
-// The agent hop: a thin facade over the per-agent MuxClient that the
-// transport shares across every (source, target) pair bound for the same
-// host:port. Dispatch is fully async — DispatchAsync's callback carries the
-// remote *invocation* outcome (completion frame), so a handler failure fails
-// the edge immediately instead of waiting out a delivery deadline.
-class MuxAgentHop : public Hop {
- public:
-  MuxAgentHop(std::shared_ptr<MuxClient> client, std::string function,
-              Nanos transfer_deadline)
-      : client_(std::move(client)),
-        function_(std::move(function)),
-        transfer_deadline_(transfer_deadline) {}
-
-  TransferMode mode() const override { return TransferMode::kNetwork; }
-
-  // Always healthy: the shared client reconnects transparently on the next
-  // stream (an agent-side idle sweep is absorbed, not an eviction event).
-  // Eviction of this hop object is therefore harmless churn — Close is a
-  // no-op because the client (and its wire) belongs to every hop bound for
-  // this agent, not to this pair.
-  bool healthy() const override { return true; }
-  void Close() override {}
-
-  Result<MemoryRegion> Forward(const Payload& /*payload*/, Shim& /*target*/,
-                               const MemoryRegion* /*into*/) override {
-    return FailedPreconditionError(
-        "delivery through a NodeAgent ingress is invoke-coupled; "
-        "DispatchAsync the payload and consume the agent's delivery callback");
-  }
-
-  Status DispatchAsync(const Payload& payload, uint64_t token,
-                       DispatchDoneFn done) override {
-    RR_ASSIGN_OR_RETURN(const rr::Buffer buffer, payload.Materialize());
-    // The stream holds a refcount on the payload's chunks; the caller may
-    // release its own reference as soon as this returns OK.
-    return client_->StartStream(function_, buffer, token, transfer_deadline_,
-                                std::move(done));
-  }
-
- private:
-  const std::shared_ptr<MuxClient> client_;
-  const std::string function_;
-  const Nanos transfer_deadline_;
-};
-
-class NetworkTransport : public Transport {
- public:
-  ~NetworkTransport() override {
-    // Close clients first (their in-flight streams fail with kUnavailable
-    // and fire their callbacks), then stop the loop they ran on.
-    for (auto& [key, client] : clients_) client->Close();
-    clients_.clear();
-    if (client_reactor_ != nullptr) client_reactor_->Stop();
-  }
-
-  TransferMode mode() const override { return TransferMode::kNetwork; }
-
-  Result<std::unique_ptr<Hop>> Connect(Endpoint& /*source*/,
-                                       const Endpoint& target,
-                                       const TransportOptions& options) override {
-    if (target.port == 0) {
-      // No external ingress registered: the in-process stand-in for the
-      // remote node's shim port is a loopback TCP pair, pumped like a
-      // kernel hop's AF_UNIX pair.
+Result<std::unique_ptr<Hop>> ConnectHop(TransferMode mode,
+                                        const Endpoint& source,
+                                        const Endpoint& target,
+                                        const TransportOptions& options) {
+  switch (mode) {
+    case TransferMode::kUserSpace:
+      // Validate the trust precondition once, at establishment. (No wire, no
+      // deadline: the transfer is two in-process memory operations.)
+      RR_RETURN_IF_ERROR(
+          UserSpaceChannel::Create(source.shim, target.shim).status());
+      return std::unique_ptr<Hop>(new UserSpaceHop());
+    case TransferMode::kKernelSpace: {
+      RR_ASSIGN_OR_RETURN(auto ends, osal::ConnectedPair());
+      return std::unique_ptr<Hop>(new KernelHop(
+          std::move(ends), options.transfer_deadline, TransferMode::kKernelSpace));
+    }
+    case TransferMode::kNetwork: {
+      if (target.port != 0) {
+        return FailedPreconditionError(
+            "function " + target.shim->name() + " is served by the NodeAgent at " +
+            target.host + ":" + std::to_string(target.port) +
+            "; stream to its agent client instead of a local hop");
+      }
+      // The in-process stand-in for the remote node's shim port: a loopback
+      // TCP pair, pumped like a kernel hop's AF_UNIX pair.
       RR_ASSIGN_OR_RETURN(osal::TcpListener listener, osal::TcpListener::Bind(0));
       RR_ASSIGN_OR_RETURN(osal::Connection send_end,
                           osal::TcpConnect("127.0.0.1", listener.port()));
@@ -265,50 +190,8 @@ class NetworkTransport : public Transport {
           {std::move(send_end), std::move(recv_end)}, options.transfer_deadline,
           TransferMode::kNetwork));
     }
-    // Route through the target node's agent: one shared client (one
-    // connection, one reactor) per remote agent, every pair's transfers
-    // interleaved as streams.
-    RR_ASSIGN_OR_RETURN(std::shared_ptr<MuxClient> client,
-                        ClientFor(target.host, target.port));
-    return std::unique_ptr<Hop>(new MuxAgentHop(
-        std::move(client), target.shim->name(), options.transfer_deadline));
   }
-
- private:
-  Result<std::shared_ptr<MuxClient>> ClientFor(const std::string& host,
-                                               uint16_t port) {
-    MutexLock lock(clients_mutex_);
-    if (client_reactor_ == nullptr) {
-      RR_ASSIGN_OR_RETURN(client_reactor_, osal::Reactor::Start("mux-client"));
-    }
-    const std::string key = host + ":" + std::to_string(port);
-    auto& client = clients_[key];
-    if (client == nullptr) {
-      client = MuxClient::Create(client_reactor_, host, port);
-    }
-    return client;
-  }
-
-  Mutex clients_mutex_;
-  std::shared_ptr<osal::Reactor> client_reactor_;
-  std::map<std::string, std::shared_ptr<MuxClient>> clients_;
-};
-
-}  // namespace
-
-Status Hop::DispatchAsync(const Payload& /*payload*/, uint64_t /*token*/,
-                          DispatchDoneFn /*done*/) {
-  return FailedPreconditionError("hop is not invoke-coupled; use Forward");
-}
-
-std::unique_ptr<Transport> MakeUserSpaceTransport() {
-  return std::make_unique<UserSpaceTransport>();
-}
-std::unique_ptr<Transport> MakeKernelTransport() {
-  return std::make_unique<KernelTransport>();
-}
-std::unique_ptr<Transport> MakeNetworkTransport() {
-  return std::make_unique<NetworkTransport>();
+  return InvalidArgumentError("unknown transfer mode");
 }
 
 }  // namespace rr::core

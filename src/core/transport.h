@@ -1,18 +1,19 @@
-// The polymorphic transport layer: one `Transport`/`Hop` interface over the
-// three placement-selected transfer mechanisms (user space, kernel space,
-// network — §3.2.3), so executors move data without ever switching on the
-// mode and future backends (shared-memory ring, RDMA-sim, ...) plug into the
-// HopTable without touching executor code.
+// The local transport layer: one `Hop` interface over the placement-selected
+// transfer mechanisms that deliver into a leased local instance (user space,
+// kernel space, the in-process network loopback — §3.2.3), established by one
+// function, ConnectHop, so executors move data without ever switching on the
+// mode. A function behind a remote NodeAgent is not reached through a hop:
+// the executor streams its frame to the agent's MuxClient, which the HopTable
+// holds one of per agent address (core/hop_table.h).
 //
-// A Transport knows how to *establish* a channel for its mode; a Hop is one
-// established, cached channel between a (source, target) pair. Hops speak
-// the zero-copy payload plane (core/payload.h): a guest-resident payload is
-// read in place from the producer's linear memory by every local hop (the
-// single user-space copy, or one socket frame pumped guest to guest by the
-// kernel hop and the network loopback hop), while a host-resident payload —
-// the shared chunk an N-way fan-out hands to every successor — is read
-// zero-copy from its ref-counted storage, with the socket hops performing
-// vectored writes over the chunks.
+// A Hop is one established, cached channel between a (source, target) pair.
+// Hops speak the zero-copy payload plane (core/payload.h): a guest-resident
+// payload is read in place from the producer's linear memory by every hop
+// (the single user-space copy, or one socket frame pumped guest to guest by
+// the kernel hop and the network loopback hop), while a host-resident
+// payload — the shared chunk an N-way fan-out hands to every successor — is
+// read zero-copy from its ref-counted storage, with the socket hops
+// performing vectored writes over the chunks.
 //
 // Hops are internally synchronized: concurrent workflow invocations may
 // forward over the same hop (a hop's single wire is what they serialize
@@ -23,7 +24,6 @@
 // readers of regions still resident in that instance.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "core/endpoint.h"
@@ -31,9 +31,10 @@
 
 namespace rr::core {
 
-// Wire-behavior knobs a transport applies to the hops it establishes.
-// Threaded HopTable -> Transport::Connect so api::Runtime::Options can set
-// them once for every channel of a workflow.
+// Wire-behavior knobs applied to the hops ConnectHop establishes and to the
+// streams the executor starts on agent clients. Threaded through the
+// HopTable so api::Runtime::Options can set them once for every channel of a
+// workflow.
 struct TransportOptions {
   // Bound on one transfer's blocking waits. A dead or stalled peer surfaces
   // as kDeadlineExceeded within this bound instead of hanging the transfer.
@@ -42,7 +43,7 @@ struct TransportOptions {
   //    poll, which waits this long only when neither end of the hop's socket
   //    pair can make progress — a frame of any size that keeps moving is
   //    never cut off.
-  //  * agent-bound hops: a progress bound on the stream's body drain; the
+  //  * agent streams: a progress bound on the stream's body drain; the
   //    remote invocation itself is bounded by the caller's backstop.
   Nanos transfer_deadline = std::chrono::seconds(30);
 };
@@ -61,29 +62,8 @@ class Hop {
   // `into` is non-null it names a destination region of exactly
   // payload.size() bytes covered by an existing registration (one slice of a
   // fan-in gather region); otherwise the hop allocates a fresh input region.
-  // Fails with kFailedPrecondition on invoke-coupled hops — agent-bound
-  // hops whose far side fuses delivery and invocation (Algorithm 1's
-  // receive+invoke runs in the remote NodeAgent); those DispatchAsync.
   virtual Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
                                        const MemoryRegion* into = nullptr) = 0;
-
-  // Receives the transfer's terminal status once the far side has spoken:
-  // the remote *invocation* outcome, carried by the agent's completion
-  // frame (a handler failure arrives here immediately). On success the
-  // output itself still travels through the agent's delivery callback.
-  using DispatchDoneFn = std::function<void(Status)>;
-
-  // Invoke-coupled, completion-driven dispatch: sends the payload as one
-  // stream stamped with the per-transfer correlation `token` (a segmented
-  // fan-in payload travels as one stream, chunked over its segments) and
-  // returns without waiting for the wire. Returns non-OK only when the
-  // dispatch could not be initiated — `done` then never fires. On OK,
-  // `done` fires exactly once (possibly before this call returns, and
-  // possibly on a reactor thread — it must not block on the dispatching
-  // thread's locks). The base implementation fails with
-  // kFailedPrecondition: local hops complete synchronously through Forward.
-  virtual Status DispatchAsync(const Payload& payload, uint64_t token,
-                               DispatchDoneFn done);
 
   // False once the hop's underlying wire has died — torn down by Close, or
   // killed by a transfer that failed after its frame started to move. A
@@ -101,25 +81,19 @@ class Hop {
   virtual void Close() {}
 };
 
-// A transport backend: establishes hops for one transfer mode.
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  virtual TransferMode mode() const = 0;
-
-  // Establishes a channel between two registered endpoints. Called lazily on
-  // a pair's first transfer; the returned hop is cached by the HopTable and
-  // reused by every subsequent run. `options` carries the table's wire
-  // options (deadlines) for the hop to apply.
-  virtual Result<std::unique_ptr<Hop>> Connect(
-      Endpoint& source, const Endpoint& target,
-      const TransportOptions& options) = 0;
-};
-
-// The built-in backends (installed by HopTable's constructor).
-std::unique_ptr<Transport> MakeUserSpaceTransport();
-std::unique_ptr<Transport> MakeKernelTransport();
-std::unique_ptr<Transport> MakeNetworkTransport();
+// Establishes the hop for one (source → target) pair in `mode` — the mode
+// placement selects for the pair. Called lazily on a pair's first transfer;
+// the HopTable caches the hop for every subsequent run. `options` carries
+// the table's wire options (deadlines) for the hop to apply.
+//  * user space: the trust check, then a hop with no wire state at all;
+//  * kernel space: an AF_UNIX pair;
+//  * network: a 127.0.0.1 TCP pair, the in-process stand-in for the remote
+//    node's shim port. A target with an agent port is refused: its node's
+//    NodeAgent receives and invokes, so it is reached through the agent's
+//    client, never through a local hop.
+Result<std::unique_ptr<Hop>> ConnectHop(TransferMode mode,
+                                        const Endpoint& source,
+                                        const Endpoint& target,
+                                        const TransportOptions& options);
 
 }  // namespace rr::core

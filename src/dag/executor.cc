@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/log.h"
+#include "core/mux_client.h"
 #include "core/region_guard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -118,8 +119,8 @@ DagExecutor::DagExecutor(core::WorkflowManager* manager, size_t workers)
 
 DagExecutor::~DagExecutor() {
   // Disarm the completion callbacks FIRST: a mux stream the deadline sweeper
-  // abandoned may still fire its DispatchAsync callback from a reactor
-  // thread while (or after) this executor tears down.
+  // abandoned may still fire its stream callback from a reactor thread
+  // while (or after) this executor tears down.
   {
     MutexLock lock(life_->mutex);
     life_->owner = nullptr;
@@ -316,10 +317,10 @@ Status DagExecutor::RunNode(RunContext& run, size_t index, bool& deferred) {
   // Decide coupling per predecessor FIRST, from placement alone: a network
   // edge into a published ingress port is invoke-coupled (the frame lands at
   // a remote NodeAgent whose worker performs receive+invoke); everything
-  // else is a local hop that delivers here. The invoke-coupled path defers
-  // hop establishment to DispatchAttempt — the hop to a dead replica must
-  // fail INSIDE the retry/failover engine, not up here — so only local
-  // predecessors establish eagerly. The agent ingress only carries edges the
+  // else is a local hop that delivers here. The invoke-coupled path leaves
+  // the replica choice to DispatchAttempt — a dead replica must fail INSIDE
+  // the retry/failover engine, not up here — so only local predecessors
+  // establish hops. The agent ingress only carries edges the
   // placement makes network anyway, so a co-located predecessor keeps its
   // user/kernel fast path even when the target publishes an ingress port; a
   // genuinely mixed predecessor set is rejected regardless of
@@ -465,7 +466,7 @@ Status DagExecutor::RunLocalNode(
 // continuation slot, marks the node deferred, and hands the token to
 // DispatchAttempt — then returns, freeing the worker. The node retires when
 // the slot is taken: DeliverOutcome (the agent's delivery callback, carrying
-// the outcome), the hop's DispatchAsync callback with an error (a mux
+// the outcome), the agent client's stream callback with an error (a mux
 // completion frame — a remote handler failure arrives here immediately), or
 // the remote_deadline sweeper (the backstop for a silent far side). With the
 // run's ResiliencePolicy enabled, a retryable attempt failure re-registers
@@ -481,8 +482,8 @@ Status DagExecutor::RunRemoteNode(RunContext& run, size_t index,
   // Frame assembly. The agent invokes on every received frame, so a fan-in
   // join's input must travel as ONE frame — predecessor chunks concatenated
   // by reference and vectored onto the wire, no host-side merge copy. Egress
-  // is forced HERE, not inside the hop, so the pending slot below is fully
-  // written before it publishes: once the frame is on the wire, the
+  // is forced HERE, before the pending slot below publishes, so the slot is
+  // fully written first: once the frame is on the wire, the
   // completion may race this thread. The slot keeps the assembled buffer
   // for the attempt's lifetime — a redispatch re-sends the same immutable
   // frame at refcount cost.
@@ -546,20 +547,19 @@ Status DagExecutor::RunRemoteNode(RunContext& run, size_t index,
 }
 
 // One attempt of one pending transfer: select a replica (breaker-gated,
-// starting where the previous attempt left off), establish its hop, arm the
-// attempt deadline, initiate the dispatch. Runs on a worker for the first
-// attempt and on the sweeper thread for backoff redispatches.
+// starting where the previous attempt left off), look up its agent client,
+// arm the attempt deadline, and start the stream. Runs on a worker for the
+// first attempt and on the sweeper thread for backoff redispatches.
 void DagExecutor::DispatchAttempt(uint64_t token) {
   // Snapshot what the selection needs under the lock. The raw endpoint
-  // pointers stay valid outside it: no resolution signal can fire for this
-  // token until the dispatch below initiates (the deadline is disarmed, the
+  // pointer stays valid outside it: no resolution signal can fire for this
+  // token until the stream below starts (the deadline is disarmed, the
   // phase is in-flight so the sweeper won't redispatch, and the frame has
   // not touched a wire), so the node cannot retire and the run context
   // cannot be freed.
   std::string function;
   rr::Buffer frame;
   size_t start_replica = 0;
-  Endpoint* source = nullptr;
   Endpoint* target = nullptr;
   obs::SpanContext trace_ctx{};
   {
@@ -572,49 +572,48 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
     function = slot.function;
     frame = slot.frame;
     start_replica = slot.replica;
-    const std::vector<NodeRun>& runs = slot.run->runs;
-    source = runs[slot.run->dag.node(slot.index).preds.front()].endpoint;
-    target = runs[slot.index].endpoint;
+    target = slot.run->runs[slot.index].endpoint;
     trace_ctx = slot.trace_ctx;
   }
 
-  // Replica selection. A breaker refusal skips the replica in microseconds;
-  // a failed establishment is that replica's wire failure — it feeds the
-  // replica's breaker and the selection moves on, so a dead primary fails
-  // over on the CONNECT, before any deadline is spent.
+  // Replica selection. A breaker refusal skips the replica in microseconds.
+  // The client dials inside StartStream, so a dead replica is not skipped
+  // here: its dial fails this attempt's dispatch at once (no deadline is
+  // spent), and the walk moves on only once that replica's max_attempts are
+  // spent (ResolveAttemptFailure).
   core::HopTable& hops = manager_->hops();
   const size_t replica_count = target->replica_count();
-  std::shared_ptr<Hop> hop;
+  std::shared_ptr<core::MuxClient> client;
   size_t chosen = 0;
   Status last_refusal =
       UnavailableError("no dispatchable replica for function " + function);
-  for (size_t k = 0; k < replica_count && hop == nullptr; ++k) {
+  for (size_t k = 0; k < replica_count && client == nullptr; ++k) {
     const size_t r = (start_replica + k) % replica_count;
     const Status admitted = hops.AdmitDispatch(function, r);
     if (!admitted.ok()) {
       last_refusal = admitted;
       continue;
     }
-    auto established = hops.Get(*source, *target, r);
-    if (!established.ok()) {
-      hops.RecordDispatchOutcome(function, r, established.status());
-      last_refusal = established.status();
+    auto found = hops.AgentClient(target->replica_address(r));
+    if (!found.ok()) {
+      last_refusal = found.status();
       continue;
     }
-    hop = *std::move(established);
+    client = *std::move(found);
     chosen = r;
   }
-  if (hop == nullptr) {
-    // Every replica refused (or failed to connect). The refused round counts
-    // as an attempt so an all-open breaker set converges on max_attempts ×
-    // replicas instead of spinning until the budget drains.
+  if (client == nullptr) {
+    // Every replica refused (or no client could start its reactor). The
+    // refused round counts as an attempt so an all-open breaker set
+    // converges on max_attempts × replicas instead of spinning until the
+    // budget drains.
     {
       MutexLock lock(mail_mutex_);
       const auto it = pending_.find(token);
       if (it == pending_.end()) return;
       ++it->second.total_attempts;
     }
-    ResolveAttemptFailure(token, last_refusal, /*force_evict=*/false);
+    ResolveAttemptFailure(token, last_refusal);
     return;
   }
 
@@ -634,7 +633,7 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
         chosen == slot.last_replica ? slot.attempts_on_replica + 1 : 1;
     slot.last_replica = slot.replica = chosen;
     ++slot.total_attempts;
-    slot.hop = hop;
+    slot.dispatched = true;
     slot.dispatched_at = Now();
     // Non-positive remote_deadline means UNBOUNDED (no backstop — failures
     // still surface through completion frames and dead channels), never
@@ -648,15 +647,16 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
   if (wake_sweeper) sweep_cv_.notify_all();
   if (failover) resilience::FailoverTotal().Inc();
 
-  // Keep the recorded dispatch span's context installed while the frame
-  // captures its header, so agent-side spans parent under it on every
-  // attempt — retries included.
+  // Keep the recorded dispatch span's context installed while the stream
+  // captures its open frame's header, so agent-side spans parent under it on
+  // every attempt — retries included. The stream holds a refcount on the
+  // frame's chunks.
   std::optional<obs::ScopedTraceContext> dispatch_ctx;
   if (trace_ctx.valid()) dispatch_ctx.emplace(trace_ctx);
-  const Payload payload{std::move(frame)};
   const std::shared_ptr<LifeGuard> life = life_;
-  const Status sent = hop->DispatchAsync(
-      payload, token, [life, token](Status outcome) {
+  const Status sent = client->StartStream(
+      function, std::move(frame), token, hops.wire_options().transfer_deadline,
+      [life, token](Status outcome) {
         // OK = the wire accepted the transfer; the node's real outcome
         // arrives through the delivery callback. An error is terminal for
         // the ATTEMPT (completion frame, dead channel, drain deadline):
@@ -665,14 +665,13 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
         if (outcome.ok()) return;
         MutexLock lock(life->mutex);
         if (life->owner == nullptr) return;
-        life->owner->ResolveAttemptFailure(token, outcome,
-                                           /*force_evict=*/false);
+        life->owner->ResolveAttemptFailure(token, outcome);
       });
   if (!sent.ok()) {
-    // Initiation failed: `done` never fires. Resolve through the engine —
-    // which no-ops if a sweeper with a very short deadline already took the
-    // slot.
-    ResolveAttemptFailure(token, sent, /*force_evict=*/false);
+    // Initiation failed (a dead replica's dial lands here): the callback
+    // never fires. Resolve through the engine — which no-ops if a sweeper
+    // with a very short deadline already took the slot.
+    ResolveAttemptFailure(token, sent);
   }
 }
 
@@ -684,26 +683,19 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
 // backoff phase and the sweeper redispatches it at retry_at: no worker
 // parks, and any late signal for the failed attempt finds its old token
 // gone.
-void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
-                                        bool force_evict) {
+void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status) {
   std::optional<Pending> slot = TakePending(token);
   if (!slot.has_value()) return;  // already resolved: the first signal won
 
-  // A null hop means the attempt never dispatched (every replica refused
-  // admission): there is no new wire outcome — the connect failures already
-  // fed their breakers inside the selection loop, and re-recording the
-  // refusal would double-penalize the previously used replica.
-  if (slot->hop != nullptr) {
+  // Only an attempt that reached a replica has a wire outcome to feed that
+  // replica's breaker. One that never dispatched (every replica refused
+  // admission) has none, and re-recording the refusal would double-penalize
+  // the previously used replica. Nothing is evicted: the agent client
+  // redials on its next stream, and the function's local hops carry other
+  // edges.
+  if (slot->dispatched) {
     manager_->hops().RecordDispatchOutcome(slot->function, slot->last_replica,
                                            status);
-  }
-  // A backstop expiry (force_evict) evicts the attempt's hop; a late
-  // completion for it matches no pending token and is rejected. Other
-  // failures evict only when the wire actually died — a typed stream-fatal
-  // refusal (remote pool exhausted, unknown function) leaves the channel
-  // healthy and the transfers sharing it unharmed.
-  if (force_evict || (slot->hop != nullptr && !slot->hop->healthy())) {
-    manager_->hops().Evict(slot->function);
   }
 
   RunResilience& res = slot->run->res;
@@ -734,7 +726,7 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
   if (slot->attempts_on_replica >= policy.max_attempts && replica_count > 1) {
     slot->replica = (slot->last_replica + 1) % replica_count;
   }
-  slot->hop.reset();
+  slot->dispatched = false;
   bool wake_sweeper = false;
   {
     MutexLock lock(mail_mutex_);
@@ -865,8 +857,7 @@ void DagExecutor::SweeperLoop() {
             token,
             DeadlineExceededError("no delivery from node agent for function " +
                                   function + " (token " +
-                                  std::to_string(token) + ")"),
-            /*force_evict=*/true);
+                                  std::to_string(token) + ")"));
       }
       for (const uint64_t token : due) DispatchAttempt(token);
       lock.lock();

@@ -18,8 +18,8 @@
 // first error wins (prefixed `node <name>: `) and cancels the run: queued
 // nodes retire unrun, downstream nodes never run.
 //
-// Per edge it obtains the placement-selected hop from the shared HopTable
-// (the same cached channels chains use) and speaks only the polymorphic Hop
+// Per local edge it obtains the placement-selected hop from the shared
+// HopTable (the same cached channels chains use) and speaks only the Hop
 // interface — no transfer-mode switches live here. Payloads move on the
 // zero-copy plane (core/payload.h):
 //
@@ -38,19 +38,21 @@
 //    stays guest-resident and a user-space hop performs the classic single
 //    copy between the two linear memories.
 //
-// Functions behind a remote NodeAgent ingress are served by invoke-coupled
-// hops, COMPLETION-DRIVEN: the executor assembles one frame (a fan-in's
-// predecessor chunks vectored without a host merge copy), registers a
-// pending slot keyed by a fresh correlation token, marks the node DEFERRED,
-// and initiates the transfer with Hop::DispatchAsync — then the worker moves
-// on, so a parked node costs a map entry, not a parked thread. The node
-// retires when the first of three signals takes the slot:
+// A function behind a remote NodeAgent ingress is reached as a client of
+// that agent, COMPLETION-DRIVEN: placement alone marks the node
+// invoke-coupled (the agent receives and invokes), and the executor
+// assembles one frame (a fan-in's predecessor chunks vectored without a host
+// merge copy), registers a pending slot keyed by a fresh correlation token,
+// marks the node DEFERRED, and starts a stream on the chosen replica's
+// MuxClient (HopTable::AgentClient) — then the worker moves on, so a parked
+// node costs a map entry, not a parked thread. The node retires when the
+// first of three signals takes the slot:
 //
 //  * the agent's delivery callback (DeliverySink -> DeliverOutcome) carrying
 //    the remote invocation's outcome and output lease — the success path;
-//  * the hop's DispatchAsync callback with an error — on the mux wire this
-//    is the agent's completion frame, so a remote HANDLER failure fails the
-//    edge immediately instead of waiting out the deadline;
+//  * the agent client's stream callback with an error — the agent's
+//    completion frame, so a remote HANDLER failure fails the edge
+//    immediately instead of waiting out the deadline, or a dead connection;
 //  * the remote_deadline sweeper — now a BACKSTOP for a far side that went
 //    fully silent (dead agent, lost frame).
 //
@@ -238,10 +240,10 @@ class DagExecutor {
   struct Pending {
     enum class Phase { kInFlight, kBackoff };
 
-    std::string function;  // target function = hop-cache eviction key
+    std::string function;  // target function = the breakers' key
     RunContext* run = nullptr;
     size_t index = 0;
-    std::shared_ptr<core::Hop> hop;
+    bool dispatched = false;       // this attempt reached a replica
     rr::Buffer frame;              // immutable dispatch frame (refcounted)
     obs::SpanContext trace_ctx{};  // re-installed around each redispatch
     TimePoint dispatched_at{};
@@ -262,26 +264,23 @@ class DagExecutor {
   // Extracts the slot under mail_mutex_ (first taker wins; later signals
   // find nothing and no-op). Resolution then runs outside the lock.
   std::optional<Pending> TakePending(uint64_t token);
-  // Selects a replica (breaker-gated), establishes its hop, arms the attempt
-  // deadline, and initiates the transfer. Runs on a worker for attempt 1 and
-  // on the sweeper thread for retries.
+  // Selects a replica (breaker-gated), looks up its agent client, arms the
+  // attempt deadline, and starts the stream. Runs on a worker for attempt 1
+  // and on the sweeper thread for retries.
   void DispatchAttempt(uint64_t token);
   // Resolves one attempt's failure: terminal (the node retires) when the
   // status is non-retryable, attempts/budget are spent, or the run's policy
   // is disabled; otherwise the slot re-registers under a fresh token in
-  // backoff phase. Evicts the hop when the wire died (`force_evict` for
-  // deadline expiry, which always tears the channel down). Unknown tokens
-  // no-op.
-  void ResolveAttemptFailure(uint64_t token, const Status& status,
-                             bool force_evict);
+  // backoff phase. Unknown tokens no-op.
+  void ResolveAttemptFailure(uint64_t token, const Status& status);
   void SweeperLoop();
 
-  // Shared with every DispatchAsync callback: hops (and their mux clients)
-  // may fire completion callbacks after this executor is gone — the runtime
-  // destroys the executor before the transports, and a stream the deadline
-  // sweeper abandoned can complete arbitrarily late. The guard outlives the
-  // executor; the destructor clears `owner` under the mutex, turning late
-  // callbacks into no-ops instead of use-after-free.
+  // Shared with every stream callback: the agent clients may fire them after
+  // this executor is gone — the runtime destroys the executor before the hop
+  // table that owns the clients, and a stream the deadline sweeper abandoned
+  // can complete arbitrarily late. The guard outlives the executor; the
+  // destructor clears `owner` under the mutex, turning late callbacks into
+  // no-ops instead of use-after-free.
   struct LifeGuard {
     Mutex mutex;
     DagExecutor* owner RR_GUARDED_BY(mutex) = nullptr;

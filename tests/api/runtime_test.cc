@@ -250,8 +250,8 @@ TEST_F(RuntimeTest, WaitForTimesOutWhileInFlightThenCompletes) {
 
 TEST_F(RuntimeTest, RemoteAgentTargetsUnderConcurrency) {
   // Functions behind a NodeAgent ingress: eight runs in flight dispatch
-  // token-stamped frames over one shared invoke-coupled hop; the delivery
-  // sink routes each completion back to exactly its own run.
+  // token-stamped frames over one shared agent client; the delivery sink
+  // routes each completion back to exactly its own run.
   constexpr size_t kInFlight = 8;
   Runtime rt("wf");
   auto a = AddFunction(rt, "a", {"n1", ""});
@@ -277,15 +277,15 @@ TEST_F(RuntimeTest, RemoteAgentTargetsUnderConcurrency) {
   (*agent)->Shutdown();
 }
 
-TEST_F(RuntimeTest, ConcurrentRemoteTimeoutsEvictSafely) {
-  // Every run targets a function the agent never registered, so every
-  // delivery times out and every run races to Evict the shared hop while
-  // the others still hold it. The hops are shared-owned and eviction only
-  // shuts the wire down, so each run must fail cleanly (deadline or the
-  // closed channel) — never crash or hang.
+TEST_F(RuntimeTest, ConcurrentRunsToAnUnregisteredRemoteFunctionFailTyped) {
+  // Every run targets a function the agent never registered. The agent
+  // refuses each stream with a typed kNotFound completion frame, so all runs
+  // share one agent client and each fails at once with that refusal, naming
+  // the function. The backstop is far longer than the test, so a timeout
+  // cannot stand in for the refusal.
   constexpr size_t kInFlight = 8;
   Runtime::Options options;
-  options.remote_deadline = std::chrono::milliseconds(200);
+  options.remote_deadline = std::chrono::seconds(10);
   Runtime rt("wf", options);
   auto a = AddFunction(rt, "a", {"n1", ""});
 
@@ -302,7 +302,12 @@ TEST_F(RuntimeTest, ConcurrentRemoteTimeoutsEvictSafely) {
   }
   for (size_t i = 0; i < kInFlight; ++i) {
     const Result<rr::Buffer>& result = invocations[i]->Wait();
-    EXPECT_FALSE(result.ok()) << "run " << i;
+    ASSERT_FALSE(result.ok()) << "run " << i;
+    EXPECT_EQ(result.status().code(), StatusCode::kNotFound)
+        << "run " << i << ": " << result.status();
+    EXPECT_NE(result.status().message().find("no such function: b"),
+              std::string::npos)
+        << "run " << i << ": " << result.status();
   }
   (*agent)->Shutdown();
 }

@@ -423,7 +423,7 @@ TEST(KernelChannelTest, PlacerDeliversIntoProvidedSlice) {
   to.shim = target.get();
   TransportOptions options;
   options.transfer_deadline = std::chrono::seconds(2);
-  auto hop = MakeKernelTransport()->Connect(from, to, options);
+  auto hop = ConnectHop(TransferMode::kKernelSpace, from, to, options);
   ASSERT_TRUE(hop.ok()) << hop.status();
 
   const MemoryRegion gather = Stage(*target, AsBytes("0123456789"));

@@ -1,6 +1,6 @@
-// The runtime's in-process socket hops, one suite over both transports that
-// build them: the kernel hop (an AF_UNIX pair) and the network transport's
-// loopback hop (a 127.0.0.1 TCP pair, target port 0). On both, one calling
+// The runtime's in-process socket hops, one suite over both modes ConnectHop
+// builds them for: the kernel hop (an AF_UNIX pair) and the network loopback
+// hop (a 127.0.0.1 TCP pair, target port 0). On both, one calling
 // thread pumps the pair, reading a guest-resident payload in place from the
 // producer's linear memory (or a host-resident payload's shared chunks) and
 // receiving straight into the target's linear memory. Covers frames larger
@@ -52,7 +52,6 @@ MemoryRegion Stage(Shim& shim, ByteSpan data) {
 
 struct TransportCase {
   const char* name;
-  std::unique_ptr<Transport> (*make)();
   TransferMode mode;
   const char* mode_label;  // rr_channel_bytes_total's `mode`
 };
@@ -64,8 +63,8 @@ void PrintTo(const TransportCase& transport, std::ostream* os) {
 
 class SocketHopTest : public ::testing::TestWithParam<TransportCase> {
  protected:
-  // Both endpoints carry port 0: the network transport pairs them over
-  // loopback TCP instead of routing through an agent.
+  // Both endpoints carry port 0: the network mode pairs them over loopback
+  // TCP (a target with an agent port has no local hop).
   std::unique_ptr<Hop> Connect(Shim& source, Shim& target) {
     Endpoint from;
     from.shim = &source;
@@ -73,7 +72,7 @@ class SocketHopTest : public ::testing::TestWithParam<TransportCase> {
     to.shim = &target;
     TransportOptions options;
     options.transfer_deadline = kDeadline;
-    auto hop = GetParam().make()->Connect(from, to, options);
+    auto hop = ConnectHop(GetParam().mode, from, to, options);
     EXPECT_TRUE(hop.ok()) << hop.status();
     if (!hop.ok()) return nullptr;
     EXPECT_EQ((*hop)->mode(), GetParam().mode);
@@ -304,10 +303,24 @@ TEST_P(SocketHopTest, ConcurrentForwardsShareTheWire) {
 
 INSTANTIATE_TEST_SUITE_P(
     Transports, SocketHopTest,
-    ::testing::Values(TransportCase{"Kernel", &MakeKernelTransport,
-                                    TransferMode::kKernelSpace, "kernel"},
-                      TransportCase{"Network", &MakeNetworkTransport,
-                                    TransferMode::kNetwork, "network"}));
+    ::testing::Values(
+        TransportCase{"Kernel", TransferMode::kKernelSpace, "kernel"},
+        TransportCase{"Network", TransferMode::kNetwork, "network"}));
+
+// A target with an agent port has no local hop: its NodeAgent receives and
+// invokes, so the network mode refuses it instead of pairing a loopback wire.
+TEST(ConnectHopTest, NetworkModeRefusesATargetWithAnAgentPort) {
+  auto source = MakeShim("a");
+  auto target = MakeShim("b");
+  Endpoint from;
+  from.shim = source.get();
+  Endpoint to;
+  to.shim = target.get();
+  to.port = 9;
+  auto hop = ConnectHop(TransferMode::kNetwork, from, to, TransportOptions{});
+  ASSERT_FALSE(hop.ok());
+  EXPECT_EQ(hop.status().code(), StatusCode::kFailedPrecondition);
+}
 
 }  // namespace
 }  // namespace rr::core

@@ -181,6 +181,77 @@ TEST_F(ChaosTest, AgentDropCompletionBackstopRetries) {
   EXPECT_EQ(b->invocations(), 1u);  // the dropped frame was never invoked
 }
 
+// A backstop expiry retries the remote node and touches nothing else: the
+// local kernel hop out of the remote function (b -> c, both on n2) keeps its
+// wire and its cache slot. Only the silent agent's attempt failed; the
+// function's other edges carry other runs.
+TEST_F(ChaosTest, BackstopRetryKeepsTheRemoteFunctionsLocalHops) {
+  api::Runtime::Options options;
+  options.resilience = FastPolicy(/*max_attempts=*/3);
+  options.remote_deadline = std::chrono::milliseconds(300);
+  api::Runtime rt("wf", options);
+
+  auto a = AddFunction(rt, "a", {"n1", ""});
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto b = AddFunction(rt, "b", {"n2", ""}, (*agent)->port());
+  ASSERT_TRUE((*agent)->RegisterFunction(b.get(), rt.DeliverySink()).ok());
+  auto c = AddFunction(rt, "c", {"n2", ""});
+
+  const auto run = [&](const std::string& input) -> Result<rr::Buffer> {
+    auto dag = dag::DagBuilder().Chain({"a", "b", "c"}).Build();
+    EXPECT_TRUE(dag.ok()) << dag.status();
+    RR_ASSIGN_OR_RETURN(const std::shared_ptr<api::Invocation> invocation,
+                        rt.Submit(api::DagSpec{*dag}, AsBytes(input)));
+    return invocation->Wait();
+  };
+  auto warm = run("warm");
+  ASSERT_TRUE(warm.ok()) << warm.status();
+
+  auto b_endpoint = rt.manager().Find("b");
+  auto c_endpoint = rt.manager().Find("c");
+  ASSERT_TRUE(b_endpoint.ok() && c_endpoint.ok());
+  auto held = rt.manager().hops().Get(**b_endpoint, **c_endpoint);
+  ASSERT_TRUE(held.ok()) << held.status();
+  ASSERT_EQ((*held)->mode(), core::TransferMode::kKernelSpace);
+
+  FaultInjector::Instance().Arm(FaultSite::kAgentDropCompletion,
+                                FaultPlan{.period = 1, .max_fires = 1});
+  auto result = run("y");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(ToString(*result), "y|a|b|c");
+  EXPECT_EQ(RetryDelta(), 1u);
+  EXPECT_TRUE((*held)->healthy());
+  auto again = rt.manager().hops().Get(**b_endpoint, **c_endpoint);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->get(), held->get());
+}
+
+// A dead primary is not skipped at selection: the client dials inside
+// StartStream, so each attempt on it fails its dispatch at once, and the
+// walk moves to the failover replica only once the primary's max_attempts
+// are spent — exactly two retries and one failover here.
+TEST_F(ChaosTest, DeadPrimaryFailsOverOnceItsAttemptsAreSpent) {
+  api::Runtime::Options options;
+  options.resilience = FastPolicy(/*max_attempts=*/2);
+  options.remote_deadline = std::chrono::seconds(5);
+  api::Runtime rt("wf", options);
+
+  auto a = AddFunction(rt, "a", {"n1", ""});
+  auto replica = NodeAgent::Start(0);
+  ASSERT_TRUE(replica.ok()) << replica.status();
+  auto b = AddFunction(rt, "b", {"n2", ""}, DeadPort(),
+                       {{"127.0.0.1", (*replica)->port()}});
+  ASSERT_TRUE((*replica)->RegisterFunction(b.get(), rt.DeliverySink()).ok());
+
+  auto result = RunChain(rt, AsBytes("x"));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(ToString(*result), "x|a|b");
+  EXPECT_EQ(RetryDelta(), 2u);
+  EXPECT_EQ(FailoverDelta(), 1u);
+  EXPECT_EQ(b->invocations(), 1u);
+}
+
 // Kill the primary agent between runs: every subsequent run must fail over
 // to the replica and degrade ZERO completions once retries drain. After the
 // breaker trips on the dead primary, later runs skip it in admission.

@@ -91,6 +91,30 @@ class RegionGuardTest(unittest.TestCase):
         self.assertEqual(run_on("region_guard_good.cc", "region-guard"), [])
 
 
+class MetricDocTest(unittest.TestCase):
+    # The fixtures' nearest README is fixtures/metric_doc/README.md.
+    def test_fires_on_undocumented_series(self):
+        findings = run_on(os.path.join("metric_doc", "metric_doc_bad.cc"),
+                          "metric-doc")
+        # Line 7 is missing outright; line 9 is a label list glued onto a
+        # name. Line 8 names a series only inside a comment.
+        self.assertEqual(sorted(f.line for f in findings), [7, 9], findings)
+        self.assertIn("rr_fixture_dropped_total", findings[0].message)
+
+    def test_documented_shorthand_and_suppressed_are_clean(self):
+        self.assertEqual(
+            run_on(os.path.join("metric_doc", "metric_doc_good.cc"),
+                   "metric-doc"), [])
+
+    def test_readme_tokens_expand_shorthand_and_drop_label_lists(self):
+        self.assertEqual(rr_lint.expand_series("rr_a_{x,y}_total"),
+                         ["rr_a_x_total", "rr_a_y_total"])
+        self.assertEqual(rr_lint.expand_series("rr_b_total{mode,direction}"),
+                         ["rr_b_total"])
+        self.assertEqual(rr_lint.expand_series("rr_c_{x,y}_total{code}"),
+                         ["rr_c_x_total", "rr_c_y_total"])
+
+
 class CliTest(unittest.TestCase):
     def cli(self, *args):
         return subprocess.run(

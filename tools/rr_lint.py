@@ -34,6 +34,14 @@ raw-mutex
     thread-safety capability annotations; a raw std::mutex is invisible
     to the analysis, so everything it guards silently loses checking.
 
+metric-doc
+    Every "rr_..." series name literal must appear in the README.md of
+    the nearest ancestor directory — an operator reads the metrics table
+    there, so a series nobody documented is one nobody can interpret.
+    README tokens expand brace shorthand (`rr_wire_bytes_{sent,received}
+    _total` documents both names); a `{...}` that ends a token is a label
+    list (`rr_channel_bytes_total{mode,direction}`), not shorthand.
+
 Suppression
 -----------
 Append `// rr-lint: allow(<rule>)` to a line to suppress one finding,
@@ -54,12 +62,13 @@ Exit status: 0 = clean, 1 = findings, 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 try:  # pragma: no cover - environment-dependent
     import clang.cindex  # type: ignore
@@ -81,6 +90,9 @@ RULES = {
     ),
     "raw-mutex": (
         "raw std:: synchronization primitive outside common/mutex.h"
+    ),
+    "metric-doc": (
+        "rr_* series name missing from the nearest ancestor README.md"
     ),
 }
 
@@ -132,6 +144,12 @@ RAW_MUTEX_RE = re.compile(
     r"\bstd::(?:mutex|timed_mutex|recursive_mutex|shared_mutex|"
     r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock)\b"
 )
+
+# A whole string literal naming a series, e.g. "rr_submit_total".
+SERIES_LITERAL_RE = re.compile(r'"(rr_[a-z0-9_]+)"')
+# A series token in a README: word characters with optional `{...}` groups,
+# e.g. rr_wire_bytes_{sent,received}_total or rr_channel_bytes_total{mode}.
+README_SERIES_RE = re.compile(r"rr_\w*(?:\{[^{}\s]*\}\w*)*")
 
 REACTOR_ENTRY_MARK = "rr-lint: reactor-thread"
 ALLOW_RE = re.compile(r"rr-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
@@ -520,11 +538,70 @@ def check_reactor_blocking(sf: SourceFile) -> Iterable[Finding]:
             )
 
 
+def expand_series(token: str) -> List[str]:
+    """The series names one README token documents: brace shorthand expands
+    to every alternative, and a trailing `{...}` (a label list) is dropped."""
+    m = re.search(r"\{([^{}]*)\}", token)
+    if m is None:
+        return [token]
+    if m.end() == len(token):
+        return [token[: m.start()]]
+    names: List[str] = []
+    for alternative in m.group(1).split(","):
+        names.extend(expand_series(
+            token[: m.start()] + alternative.strip() + token[m.end():]))
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def documented_series(readme: str) -> FrozenSet[str]:
+    with open(readme, "r", encoding="utf-8", errors="replace") as f:
+        text = f.read()
+    return frozenset(name for token in README_SERIES_RE.findall(text)
+                     for name in expand_series(token))
+
+
+def nearest_readme(path: str) -> Optional[str]:
+    directory = os.path.dirname(os.path.abspath(path))
+    while True:
+        candidate = os.path.join(directory, "README.md")
+        if os.path.isfile(candidate):
+            return candidate
+        parent = os.path.dirname(directory)
+        if parent == directory:
+            return None
+        directory = parent
+
+
+def check_metric_doc(sf: SourceFile) -> Iterable[Finding]:
+    readme = nearest_readme(sf.path)
+    documented = documented_series(readme) if readme else frozenset()
+    where = os.path.relpath(readme) if readme else "any ancestor README.md"
+    for idx, line in enumerate(sf.raw_lines, start=1):
+        code = sf.code_lines[idx - 1]
+        for m in SERIES_LITERAL_RE.finditer(line):
+            # The opening quote survives comment stripping only in code, so
+            # a series named inside a comment never fires.
+            if (code[m.start():m.start() + 1] != '"'
+                    or m.group(1) in documented
+                    or allowed(sf, idx, "metric-doc")):
+                continue
+            yield Finding(
+                "metric-doc",
+                sf.path,
+                idx,
+                f"series {m.group(1)} is not documented in {where} — add it "
+                "to the metrics table an operator reads "
+                "(or // rr-lint: allow(metric-doc))",
+            )
+
+
 CHECKS = {
     "reactor-blocking": check_reactor_blocking,
     "lease-member": check_lease_member,
     "region-guard": check_region_guard,
     "raw-mutex": check_raw_mutex,
+    "metric-doc": check_metric_doc,
 }
 
 
