@@ -161,13 +161,17 @@ BENCHMARK(BM_HoseChunkSize)->RangeMultiplier(4)->Range(64 << 10, 4 << 20);
 
 void BM_GuestBoundaryCopy(benchmark::State& state) {
   const size_t size = static_cast<size_t>(state.range(0));
-  wasm::LinearMemory memory(
+  auto memory = wasm::LinearMemory::Create(
       {.min_pages = static_cast<uint32_t>(size / wasm::kWasmPageSize + 4)});
+  if (!memory.ok()) {
+    state.SkipWithError("memory reservation failed");
+    return;
+  }
   const Bytes payload = MakePayload(size);
   Bytes out(size);
   for (auto _ : state) {
-    if (!memory.Write(0, payload).ok()) state.SkipWithError("write failed");
-    if (!memory.Read(0, out).ok()) state.SkipWithError("read failed");
+    if (!(*memory)->Write(0, payload).ok()) state.SkipWithError("write failed");
+    if (!(*memory)->Read(0, out).ok()) state.SkipWithError("read failed");
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size * 2));
@@ -206,8 +210,12 @@ void BM_InterpreterSumLoop(benchmark::State& state) {
 BENCHMARK(BM_InterpreterSumLoop)->Arg(1000)->Arg(100000);
 
 void BM_GuestAllocator(benchmark::State& state) {
-  wasm::LinearMemory memory({.min_pages = 64});
-  wasm::GuestAllocator alloc(&memory, 1024);
+  auto memory = wasm::LinearMemory::Create({.min_pages = 64});
+  if (!memory.ok()) {
+    state.SkipWithError("memory reservation failed");
+    return;
+  }
+  wasm::GuestAllocator alloc(memory->get(), 1024);
   Rng rng(99);
   std::vector<uint32_t> live;
   for (auto _ : state) {

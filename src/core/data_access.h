@@ -67,7 +67,9 @@ class DataAccess {
   // --- Table 1: shim-side (location=Shim) ----------------------------------
 
   // Reads from the Wasm VM memory. The region must be pre-registered and in
-  // bounds; returns a zero-copy view valid until the next guest re-entry.
+  // bounds; returns a zero-copy view. Its pointer stays valid for the
+  // memory's lifetime, across growth; its bytes are the region's only while
+  // the region stays registered.
   Result<ByteSpan> read_memory_host(uint32_t address, uint32_t len);
 
   // Writes data into the Wasm VM at a pre-registered destination. The

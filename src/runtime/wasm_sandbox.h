@@ -17,10 +17,10 @@
 
 namespace rr::runtime {
 
-// Sandbox construction options (memory configuration set by the shim at VM
-// creation time, §3.2.5).
+// Sandbox construction options set by the shim at VM creation time (§3.2.5).
+// The module's declared minimum sizes its memory, and
+// FunctionSpec::memory_limit_pages caps it.
 struct SandboxOptions {
-  uint32_t initial_pages = 32;
   bool enable_wasi = true;
   // Reserve the low region of memory for module statics; the guest heap
   // starts here.

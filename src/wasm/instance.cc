@@ -35,15 +35,15 @@ Result<std::unique_ptr<Instance>> Instance::Instantiate(
   if (module.memory.has_value()) {
     Limits limits = *module.memory;
     if (config.max_memory_pages.has_value()) {
+      const uint32_t declared_max =
+          limits.has_max ? limits.max_pages : kDefaultMaxPages;
       limits.has_max = true;
-      limits.max_pages = std::min(config.max_memory_pages.value(),
-                                  limits.has_max ? limits.max_pages
-                                                 : kDefaultMaxPages);
+      limits.max_pages = std::min(config.max_memory_pages.value(), declared_max);
       if (limits.max_pages < limits.min_pages) {
         return InvalidArgumentError("memory limit below module minimum");
       }
     }
-    instance->memory_ = std::make_unique<LinearMemory>(limits);
+    RR_ASSIGN_OR_RETURN(instance->memory_, LinearMemory::Create(limits));
   }
 
   instance->globals_.reserve(module.globals.size());

@@ -39,8 +39,9 @@ using NativeBody = std::function<Status(Instance& instance,
 
 class Instance {
  public:
-  // Validates, compiles, links imports, allocates memory, applies data
-  // segments. Fails closed on any unresolved import or validation error.
+  // Validates, compiles, links imports, reserves linear memory, applies data
+  // segments. Fails closed on any unresolved import or validation error; a
+  // memory the host cannot reserve is ResourceExhausted.
   static Result<std::unique_ptr<Instance>> Instantiate(
       Module module, const ImportResolver& imports, InstanceConfig config = {});
 

@@ -4,10 +4,27 @@
 // This is the object Roadrunner's shim reads from and writes into. All host
 // access goes through the checked Read/Write/Slice APIs, which is how the
 // shim "applies bounds checking before any read or write operation" (§3.1).
+//
+// Layout: one private anonymous mapping, reserved once at the memory's
+// maximum size (limits().max_pages) with PROT_NONE and MAP_NORESERVE, the
+// way production engines such as Wasmtime and V8 lay out linear memory.
+// Only the current pages are read-write; Grow opens the next pages with
+// mprotect. Fresh anonymous pages read zero and the kernel commits each one
+// on first touch, so neither creation nor Grow zero-fills or copies
+// anything, and an instance costs resident memory only for the guest pages
+// it has touched.
+//
+// The base never moves: a span from Slice/MutableSlice stays valid across
+// Grow for the memory's whole lifetime. Who may read or write a region's
+// bytes is still decided above this class (the shim's region registry and
+// its instance's exec_mutex). Every access is bounds-checked in software
+// against the current size; the PROT_NONE tail of the reservation is
+// defence in depth, not a replacement for those checks.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -17,14 +34,22 @@ namespace rr::wasm {
 
 class LinearMemory {
  public:
-  explicit LinearMemory(Limits limits);
+  // Reserves the memory's maximum (kDefaultMaxPages when `limits` declares
+  // none or a larger one) and opens its `min_pages`. A reservation the host
+  // cannot make is ResourceExhausted.
+  static Result<std::unique_ptr<LinearMemory>> Create(Limits limits);
+
+  ~LinearMemory();
+  LinearMemory(const LinearMemory&) = delete;
+  LinearMemory& operator=(const LinearMemory&) = delete;
 
   uint32_t pages() const { return pages_; }
   size_t byte_size() const { return static_cast<size_t>(pages_) * kWasmPageSize; }
   const Limits& limits() const { return limits_; }
 
   // memory.grow semantics: returns the previous page count, or -1 when the
-  // request exceeds the limit.
+  // request exceeds the limit or the host refuses the pages (the size is
+  // then unchanged).
   int32_t Grow(uint32_t delta_pages);
 
   // True when [addr, addr+len) lies inside the current memory size.
@@ -40,7 +65,7 @@ class LinearMemory {
       return TrapToStatus(TrapKind::kMemoryOutOfBounds,
                           "load at " + std::to_string(addr));
     }
-    return LoadLE<T>(bytes_.data() + addr);
+    return LoadLE<T>(base_ + addr);
   }
 
   template <typename T>
@@ -49,7 +74,7 @@ class LinearMemory {
       return TrapToStatus(TrapKind::kMemoryOutOfBounds,
                           "store at " + std::to_string(addr));
     }
-    StoreLE<T>(bytes_.data() + addr, value);
+    StoreLE<T>(base_ + addr, value);
     return Status::Ok();
   }
 
@@ -68,8 +93,7 @@ class LinearMemory {
     return host_bytes_written_.load(std::memory_order_relaxed);
   }
 
-  // Zero-copy view into linear memory. The span is invalidated by Grow();
-  // callers (the shim) must not hold it across guest re-entry.
+  // Zero-copy view into linear memory, valid for the memory's lifetime.
   Result<ByteSpan> Slice(uint64_t addr, uint64_t len) const;
   Result<MutableByteSpan> MutableSlice(uint64_t addr, uint64_t len);
 
@@ -78,9 +102,17 @@ class LinearMemory {
   Status Fill(uint64_t dst, uint8_t value, uint64_t len);
 
  private:
+  explicit LinearMemory(Limits limits)
+      : limits_(limits), pages_(limits.min_pages) {}
+
+  size_t reserved_bytes() const {
+    return static_cast<size_t>(limits_.max_pages) * kWasmPageSize;
+  }
+
   Limits limits_;
   uint32_t pages_ = 0;
-  Bytes bytes_;
+  // Start of the reservation; null when the maximum is 0 pages.
+  uint8_t* base_ = nullptr;
   mutable std::atomic<uint64_t> host_bytes_read_{0};
   std::atomic<uint64_t> host_bytes_written_{0};
 };

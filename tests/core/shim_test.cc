@@ -108,6 +108,33 @@ TEST(ShimTest, EmptyInputSupported) {
   EXPECT_EQ(AsStringView(*view), "0");
 }
 
+TEST(ShimTest, OutputViewSurvivesAGrowingInvocation) {
+  auto shim = MakeShim();
+  ASSERT_NE(shim, nullptr);
+  ASSERT_TRUE(shim->Deploy([](ByteSpan input) -> Result<Bytes> {
+                    return ToBytes("first:" + std::to_string(input.size()));
+                  })
+                  .ok());
+  auto first = shim->DeliverAndInvoke(AsBytes("x"));
+  ASSERT_TRUE(first.ok()) << first.status();
+  auto kept = shim->OutputView(first->output);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  const uint32_t pages_before = shim->sandbox().instance().memory()->pages();
+
+  // 4 MiB does not fit the module's initial 2 MiB, so the guest grows.
+  const Bytes large(4 << 20, 0x5a);
+  auto second = shim->DeliverAndInvoke(large);
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_GT(shim->sandbox().instance().memory()->pages(), pages_before);
+
+  auto again = shim->OutputView(first->output);
+  ASSERT_TRUE(again.ok()) << again.status();
+  // Read through the kept span only once it is known to still point into
+  // the memory.
+  ASSERT_EQ(again->data(), kept->data());
+  EXPECT_EQ(AsStringView(*kept), "first:1");
+}
+
 TEST(ShimTest, CreateInVmSharesProcessButNotMemory) {
   const Bytes binary = runtime::BuildFunctionModuleBinary();
   runtime::WasmVm vm("wf");

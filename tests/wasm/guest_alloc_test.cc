@@ -9,11 +9,20 @@
 namespace rr::wasm {
 namespace {
 
+std::unique_ptr<LinearMemory> MakeMemory(Limits limits) {
+  auto memory = LinearMemory::Create(limits);
+  EXPECT_TRUE(memory.ok()) << memory.status();
+  return memory.ok() ? std::move(*memory) : nullptr;
+}
+
 class GuestAllocatorTest : public ::testing::Test {
  protected:
-  GuestAllocatorTest() : memory_({.min_pages = 1}), alloc_(&memory_, 1024) {}
+  GuestAllocatorTest()
+      : memory_(MakeMemory({.min_pages = 1})), alloc_(memory_.get(), 1024) {}
 
-  LinearMemory memory_;
+  void SetUp() override { ASSERT_NE(memory_, nullptr); }
+
+  std::unique_ptr<LinearMemory> memory_;
   GuestAllocator alloc_;
 };
 
@@ -23,7 +32,7 @@ TEST_F(GuestAllocatorTest, AllocateReturnsUsableRegion) {
   EXPECT_GE(*addr, alloc_.heap_base());
   // The whole payload must be writable guest memory.
   Bytes data(100, 0x5a);
-  EXPECT_TRUE(memory_.Write(*addr, data).ok());
+  EXPECT_TRUE(memory_->Write(*addr, data).ok());
   EXPECT_EQ(alloc_.live_allocations(), 1u);
 }
 
@@ -82,27 +91,28 @@ TEST_F(GuestAllocatorTest, CoalescingEnablesLargeReallocation) {
   auto b = alloc_.Allocate(1000);
   auto c = alloc_.Allocate(1000);
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  const uint32_t pages_before = memory_.pages();
+  const uint32_t pages_before = memory_->pages();
   ASSERT_TRUE(alloc_.Deallocate(*b).ok());
   ASSERT_TRUE(alloc_.Deallocate(*a).ok());
   ASSERT_TRUE(alloc_.Deallocate(*c).ok());
   auto big = alloc_.Allocate(2800);
   ASSERT_TRUE(big.ok()) << big.status();
-  EXPECT_EQ(memory_.pages(), pages_before);  // reused, no growth
+  EXPECT_EQ(memory_->pages(), pages_before);  // reused, no growth
 }
 
 TEST_F(GuestAllocatorTest, GrowsMemoryWhenHeapExhausted) {
-  const uint32_t pages_before = memory_.pages();
+  const uint32_t pages_before = memory_->pages();
   auto big = alloc_.Allocate(3 * kWasmPageSize);
   ASSERT_TRUE(big.ok()) << big.status();
-  EXPECT_GT(memory_.pages(), pages_before);
+  EXPECT_GT(memory_->pages(), pages_before);
   Bytes touch(3 * kWasmPageSize, 1);
-  EXPECT_TRUE(memory_.Write(*big, touch).ok());
+  EXPECT_TRUE(memory_->Write(*big, touch).ok());
 }
 
 TEST_F(GuestAllocatorTest, ExhaustionReportedNotCrashed) {
-  LinearMemory small({.min_pages = 1, .has_max = true, .max_pages = 2});
-  GuestAllocator alloc(&small, 0);
+  auto small = MakeMemory({.min_pages = 1, .has_max = true, .max_pages = 2});
+  ASSERT_NE(small, nullptr);
+  GuestAllocator alloc(small.get(), 0);
   auto huge = alloc.Allocate(10 * kWasmPageSize);
   ASSERT_FALSE(huge.ok());
   EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
@@ -111,8 +121,9 @@ TEST_F(GuestAllocatorTest, ExhaustionReportedNotCrashed) {
 // Property test: a randomized alloc/free workload maintains the invariants
 // (no overlap, accounting correct, all frees succeed).
 TEST(GuestAllocatorPropertyTest, RandomizedWorkloadKeepsInvariants) {
-  LinearMemory memory({.min_pages = 2});
-  GuestAllocator alloc(&memory, 256);
+  auto memory = MakeMemory({.min_pages = 2});
+  ASSERT_NE(memory, nullptr);
+  GuestAllocator alloc(memory.get(), 256);
   Rng rng(2024);
 
   std::map<uint32_t, uint32_t> live;  // addr -> size
