@@ -1,9 +1,9 @@
 // Figure 10: inter-node fan-out scalability over the emulated link.
 // Panels (a)-(h).
 //
-// The Roadrunner entry runs on the DAG engine: every edge routes through a
-// NodeAgent ingress behind the shaped link, dispatched by dag::DagExecutor's
-// parallel hop scheduler instead of a hand-rolled transfer loop.
+// The Roadrunner entry submits the fan-out through api::Runtime: every edge
+// routes through a NodeAgent ingress behind the shaped link, dispatched by
+// dag::DagExecutor's parallel hop scheduler (workload/drivers.h).
 #include <cstdio>
 
 #include "bench_common.h"
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
         rr::workload::DriverOptions);
   };
   const SystemDef systems[] = {
-      {"RoadRunner (Network)", rr::workload::MakeRoadrunnerDagNetworkDriver},
+      {"RoadRunner (Network)", rr::workload::MakeRoadrunnerNetworkDriver},
       {"RunC", rr::workload::MakeRunCDriver},
       {"Wasmedge", rr::workload::MakeWasmEdgeDriver},
   };

@@ -1,9 +1,9 @@
 // Figure 9: intra-node fan-out scalability (a -> {b_1..b_N}) with 10 MB
 // transfers (paper) / smaller in quick mode. Panels (a)-(h).
 //
-// The Roadrunner entries run on the DAG engine: the fan-out is a real
-// a -> {b_1..b_N} DAG dispatched by dag::DagExecutor's parallel hop
-// scheduler with per-edge mode selection, not a hand-rolled transfer loop.
+// The Roadrunner entries submit the fan-out as a real a -> {b_1..b_N} DAG
+// through api::Runtime: dag::DagExecutor's parallel hop scheduler with
+// per-edge mode selection, as for every figure (workload/drivers.h).
 #include <cstdio>
 
 #include "bench_common.h"
@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
         rr::workload::DriverOptions);
   };
   const SystemDef systems[] = {
-      {"RoadRunner (User space)", rr::workload::MakeRoadrunnerDagUserDriver},
-      {"RoadRunner (Kernel space)", rr::workload::MakeRoadrunnerDagKernelDriver},
+      {"RoadRunner (User space)", rr::workload::MakeRoadrunnerUserDriver},
+      {"RoadRunner (Kernel space)", rr::workload::MakeRoadrunnerKernelDriver},
       {"RunC", rr::workload::MakeRunCDriver},
       {"Wasmedge", rr::workload::MakeWasmEdgeDriver},
   };

@@ -100,6 +100,20 @@ int main(int argc, char** argv) {
   auto wasmedge_intra = Sweep(rr::workload::MakeWasmEdgeDriver, {}, intra_sizes, reps);
   if (!wasmedge_intra.ok()) return fail(wasmedge_intra.status());
 
+  // Interpreter-mode WasmEdge at one representative size: the regime behind
+  // the paper's headline numbers (its WasmEdge baseline interpreted the
+  // serialization path; see DESIGN.md).
+  const size_t mid = intra_sizes[intra_sizes.size() / 2];
+  rr::workload::DriverOptions interp_options;
+  interp_options.interpreted_serialization = true;
+  auto wasmedge_interp_intra =
+      Sweep(rr::workload::MakeWasmEdgeDriver, interp_options, {mid}, reps);
+  if (!wasmedge_interp_intra.ok()) return fail(wasmedge_interp_intra.status());
+  auto rr_user_mid = Sweep(rr::workload::MakeRoadrunnerUserDriver, {}, {mid}, reps);
+  if (!rr_user_mid.ok()) return fail(rr_user_mid.status());
+
+  // The inter-node sweeps run last: the network driver turns tracing on for
+  // the whole process, and the intra-node sweeps above must run untraced.
   rr::workload::DriverOptions inter;
   inter.link = PaperLink();
   auto rr_net =
@@ -141,17 +155,6 @@ int main(int argc, char** argv) {
                       MaxSerializationReduction(*rr_user, *wasmedge_intra)),
         "97%");
 
-  // Interpreter-mode WasmEdge at one representative size: the regime behind
-  // the paper's headline numbers (its WasmEdge baseline interpreted the
-  // serialization path; see DESIGN.md).
-  const size_t mid = intra_sizes[intra_sizes.size() / 2];
-  rr::workload::DriverOptions interp_options;
-  interp_options.interpreted_serialization = true;
-  auto wasmedge_interp_intra =
-      Sweep(rr::workload::MakeWasmEdgeDriver, interp_options, {mid}, reps);
-  if (!wasmedge_interp_intra.ok()) return fail(wasmedge_interp_intra.status());
-  auto rr_user_mid = Sweep(rr::workload::MakeRoadrunnerUserDriver, {}, {mid}, reps);
-  if (!rr_user_mid.ok()) return fail(rr_user_mid.status());
   {
     const auto [lo, hi] = ReductionRange(*rr_user_mid, *wasmedge_interp_intra);
     Claim("RR(User) latency reduction vs WasmEdge (interpreted)",

@@ -1,15 +1,11 @@
 // Micro/ablation benchmarks (google-benchmark) for the design choices
 // DESIGN.md calls out:
-//   1. virtual data hose (vmsplice+splice) vs plain write/read
-//   2. serialization-free pointer passing vs JSON round-trip
-//   3. hose/pipe chunk-size sweep
-//   4. the WASI guest<->host copy boundary cost
+//   1. serialization-free pointer passing vs JSON round-trip
+//   2. the WASI guest<->host copy boundary cost
 // plus runtime primitives (interpreter dispatch, guest allocator).
-//   5. the zero-copy payload plane: fan-out width sweep reporting the
+//   3. the zero-copy payload plane: fan-out width sweep reporting the
 //      plane's bytes-copied per run (O(1) in width, not O(N))
 #include <benchmark/benchmark.h>
-
-#include <thread>
 
 #include "api/runtime.h"
 #include "common/buffer.h"
@@ -17,9 +13,6 @@
 #include "dag/dag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "osal/pipe.h"
-#include "osal/socket.h"
-#include "osal/splice.h"
 #include "runtime/function.h"
 #include "runtime/wasm_sandbox.h"
 #include "serde/record.h"
@@ -40,62 +33,7 @@ Bytes MakePayload(size_t size) {
   return data;
 }
 
-// --- ablation 1: hose vs plain socket write --------------------------------
-
-void BM_HoseSpliceSend(benchmark::State& state) {
-  const size_t size = static_cast<size_t>(state.range(0));
-  const Bytes payload = MakePayload(size);
-  auto pipe = osal::Pipe::Create(1 << 20);
-  auto sockets = osal::ConnectedPair();
-  if (!pipe.ok() || !sockets.ok()) {
-    state.SkipWithError("setup failed");
-    return;
-  }
-  std::atomic<bool> stop{false};
-  std::thread drain([&] {
-    Bytes sink(256 * 1024);
-    while (!stop.load()) {
-      if (!sockets->second.ReceiveSome(sink).ok()) return;
-    }
-  });
-  for (auto _ : state) {
-    const Status status = osal::HoseSend(*pipe, sockets->first.fd(), payload);
-    if (!status.ok()) state.SkipWithError("hose send failed");
-  }
-  stop.store(true);
-  sockets->first.ShutdownWrite().ok();
-  drain.join();
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size));
-}
-BENCHMARK(BM_HoseSpliceSend)->Range(64 << 10, 16 << 20);
-
-void BM_PlainWriteSend(benchmark::State& state) {
-  const size_t size = static_cast<size_t>(state.range(0));
-  const Bytes payload = MakePayload(size);
-  auto sockets = osal::ConnectedPair();
-  if (!sockets.ok()) {
-    state.SkipWithError("setup failed");
-    return;
-  }
-  std::atomic<bool> stop{false};
-  std::thread drain([&] {
-    Bytes sink(256 * 1024);
-    while (!stop.load()) {
-      if (!sockets->second.ReceiveSome(sink).ok()) return;
-    }
-  });
-  for (auto _ : state) {
-    const Status status = osal::WriteAll(sockets->first.fd(), payload);
-    if (!status.ok()) state.SkipWithError("write failed");
-  }
-  stop.store(true);
-  sockets->first.ShutdownWrite().ok();
-  drain.join();
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size));
-}
-BENCHMARK(BM_PlainWriteSend)->Range(64 << 10, 16 << 20);
-
-// --- ablation 2: serialization-free vs JSON round trip ----------------------
+// --- ablation 1: serialization-free vs JSON round trip ----------------------
 
 void BM_JsonRoundTrip(benchmark::State& state) {
   const size_t size = static_cast<size_t>(state.range(0));
@@ -125,39 +63,7 @@ void BM_PointerPassingCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_PointerPassingCopy)->Range(64 << 10, 16 << 20);
 
-// --- ablation 3: hose chunk (pipe capacity) sweep ---------------------------
-
-void BM_HoseChunkSize(benchmark::State& state) {
-  const size_t pipe_capacity = static_cast<size_t>(state.range(0));
-  const size_t payload_size = 8 << 20;
-  const Bytes payload = MakePayload(payload_size);
-  auto pipe = osal::Pipe::Create(pipe_capacity);
-  auto sockets = osal::ConnectedPair();
-  if (!pipe.ok() || !sockets.ok()) {
-    state.SkipWithError("setup failed");
-    return;
-  }
-  std::atomic<bool> stop{false};
-  std::thread drain([&] {
-    Bytes sink(256 * 1024);
-    while (!stop.load()) {
-      if (!sockets->second.ReceiveSome(sink).ok()) return;
-    }
-  });
-  for (auto _ : state) {
-    const Status status = osal::HoseSend(*pipe, sockets->first.fd(), payload);
-    if (!status.ok()) state.SkipWithError("hose send failed");
-  }
-  stop.store(true);
-  sockets->first.ShutdownWrite().ok();
-  drain.join();
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations() * payload_size));
-  state.SetLabel("pipe=" + FormatSize(pipe->capacity()));
-}
-BENCHMARK(BM_HoseChunkSize)->RangeMultiplier(4)->Range(64 << 10, 4 << 20);
-
-// --- ablation 4: the Wasm VM I/O boundary -----------------------------------
+// --- ablation 2: the Wasm VM I/O boundary -----------------------------------
 
 void BM_GuestBoundaryCopy(benchmark::State& state) {
   const size_t size = static_cast<size_t>(state.range(0));
@@ -260,7 +166,7 @@ void BM_ShimDeliverInvoke(benchmark::State& state) {
 }
 BENCHMARK(BM_ShimDeliverInvoke)->Range(64 << 10, 4 << 20);
 
-// --- ablation 5: payload-plane copy complexity under fan-out ----------------
+// --- ablation 3: payload-plane copy complexity under fan-out ----------------
 // One producer fans a 1 MiB output to N co-located (shared-VM) consumers
 // through the real DAG engine. The interesting counter is bytes_copied/run:
 // the plane egresses the payload into one shared chunk, so it stays ~1 MiB
@@ -331,7 +237,7 @@ void BM_DagFanoutBytesCopied(benchmark::State& state) {
 BENCHMARK(BM_DagFanoutBytesCopied)->RangeMultiplier(2)->Range(1, 16)
     ->Unit(benchmark::kMillisecond);
 
-// --- ablation 6: observability overhead -------------------------------------
+// --- ablation 4: observability overhead -------------------------------------
 // The instrumentation rides the hot path everywhere (spans in the DAG
 // engine, counters in every channel), so its disabled cost must be noise.
 // Primitives first, then the end-to-end guard: the SAME instrumented 3-node

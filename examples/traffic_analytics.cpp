@@ -1,20 +1,21 @@
 // Traffic data analytics (the paper's second motivating workload, §1):
-// a streaming-ingestion function fans 10 MB-scale sensor batches out to
-// per-district aggregator functions on the same host via kernel-space
-// channels, then collects the fan-in through the shim egress.
+// a streaming-ingestion function hands each district's sensor batch to that
+// district's aggregator function on the same host. Every district is one
+// chain (ingest -> district-<d>) submitted through api::Runtime; the
+// functions sit in separate sandboxes on one node, so placement picks the
+// kernel-space hop, and all districts run concurrently.
 //
 //   $ ./traffic_analytics [districts] [readings-per-district]
 #include <cstdio>
 
-#include <thread>
+#include <memory>
+#include <vector>
 
+#include "api/runtime.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "core/kernel_channel.h"
-#include "core/shim.h"
 #include "runtime/function.h"
 #include "serde/json.h"
-#include "workload/payload.h"
 
 using namespace rr;
 
@@ -82,69 +83,58 @@ int main(int argc, char** argv) {
     return s;
   };
 
-  // Ingestion function (source) in its own sandbox.
+  api::Runtime rt("traffic");
+  // Every function in its own sandbox on one node: kernel-space hops.
+  const auto add = [&rt](core::Shim* shim) {
+    core::Endpoint endpoint;
+    endpoint.shim = shim;
+    endpoint.location = {"node-1", ""};
+    return rt.Register(endpoint);
+  };
+
+  // Ingestion function (source): passes each batch on as its output.
   auto ingest = core::Shim::Create(spec("ingest"), binary);
   if (!ingest.ok()) return Fail(ingest.status());
-  (void)(*ingest)->Deploy([](ByteSpan input) -> Result<Bytes> {
-    return Bytes(input.begin(), input.end());  // pass-through staging
-  });
+  if (const Status s = (*ingest)->Deploy([](ByteSpan input) -> Result<Bytes> {
+        return Bytes(input.begin(), input.end());
+      });
+      !s.ok()) {
+    return Fail(s);
+  }
+  if (const Status s = add(ingest->get()); !s.ok()) return Fail(s);
 
-  // One aggregator sandbox per district, each with a kernel channel.
+  // One aggregator sandbox per district.
   std::vector<std::unique_ptr<core::Shim>> aggregators;
-  std::vector<core::KernelChannelSender> senders;
-  std::vector<core::KernelChannelReceiver> receivers;
   for (int d = 0; d < districts; ++d) {
     auto shim = core::Shim::Create(spec("district-" + std::to_string(d)), binary);
     if (!shim.ok()) return Fail(shim.status());
     if (const Status s = (*shim)->Deploy(Aggregate); !s.ok()) return Fail(s);
+    if (const Status s = add(shim->get()); !s.ok()) return Fail(s);
     aggregators.push_back(std::move(*shim));
-    auto pair = core::MakeKernelChannelPair();
-    if (!pair.ok()) return Fail(pair.status());
-    senders.push_back(std::move(pair->first));
-    receivers.push_back(std::move(pair->second));
   }
 
-  std::printf("traffic analytics: fanning %d district batches (%d readings "
-              "each) through kernel-space channels\n",
+  std::printf("traffic analytics: %d district batches (%d readings each) "
+              "through kernel-space hops\n",
               districts, readings);
 
   const Stopwatch total_timer;
-  // Ingest each district's batch, then fan out concurrently.
-  std::vector<core::MemoryRegion> staged(districts);
+  // One chain per district, each carrying that district's batch; all in
+  // flight at once.
+  std::vector<std::shared_ptr<api::Invocation>> runs;
   for (int d = 0; d < districts; ++d) {
     const std::string batch = MakeBatch(d, readings);
-    auto outcome = (*ingest)->DeliverAndInvoke(AsBytes(batch));
-    if (!outcome.ok()) return Fail(outcome.status());
-    staged[d] = outcome->output;
-  }
-
-  std::vector<Status> send_status(districts), recv_status(districts);
-  std::vector<core::InvokeOutcome> results(districts);
-  {
-    std::vector<std::thread> threads;
-    for (int d = 0; d < districts; ++d) {
-      threads.emplace_back([&, d] {
-        send_status[d] = senders[d].Send(**ingest, staged[d]);
-      });
-      threads.emplace_back([&, d] {
-        auto outcome = receivers[d].ReceiveAndInvoke(*aggregators[d]);
-        if (outcome.ok()) {
-          results[d] = *outcome;
-        } else {
-          recv_status[d] = outcome.status();
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
+    auto run = rt.Submit(
+        api::ChainSpec{{"ingest", "district-" + std::to_string(d)}},
+        AsBytes(batch));
+    if (!run.ok()) return Fail(run.status());
+    runs.push_back(std::move(*run));
   }
 
   for (int d = 0; d < districts; ++d) {
-    if (!send_status[d].ok()) return Fail(send_status[d]);
-    if (!recv_status[d].ok()) return Fail(recv_status[d]);
-    auto view = aggregators[d]->OutputView(results[d].output);
-    if (!view.ok()) return Fail(view.status());
-    std::printf("  district %d: %.*s\n", d, static_cast<int>(view->size()),
-                reinterpret_cast<const char*>(view->data()));
+    const Result<rr::Buffer>& summary = runs[d]->Wait();
+    if (!summary.ok()) return Fail(summary.status());
+    const std::string text = summary->ToString();
+    std::printf("  district %d: %s\n", d, text.c_str());
   }
   std::printf("fan-out + aggregation completed in %.2f ms\n",
               total_timer.ElapsedMillis());

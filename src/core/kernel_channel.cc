@@ -7,23 +7,10 @@
 #include <climits>
 #include <vector>
 
-#include "core/region_guard.h"
 #include "obs/metrics.h"
 
 namespace rr::core {
 namespace {
-
-obs::Counter& KernelBytesSent() {
-  static obs::Counter& counter =
-      ChannelBytes(TransferMode::kKernelSpace, "sent");
-  return counter;
-}
-
-obs::Counter& KernelBytesReceived() {
-  static obs::Counter& counter =
-      ChannelBytes(TransferMode::kKernelSpace, "received");
-  return counter;
-}
 
 bool WouldBlock(int err) {
   return err == EAGAIN || err == EWOULDBLOCK || err == EINTR;
@@ -37,123 +24,6 @@ int PollTimeoutMs(Nanos timeout) {
 }
 
 }  // namespace
-
-Result<KernelChannelSender> KernelChannelSender::Connect(
-    const std::string& socket_path) {
-  RR_ASSIGN_OR_RETURN(osal::Connection conn, osal::UnixConnect(socket_path));
-  return KernelChannelSender(std::move(conn));
-}
-
-Status KernelChannelSender::Send(Shim& source, const MemoryRegion& region,
-                                 CopyMode mode) {
-  timing_ = {};
-  if (mode == CopyMode::kDirectGuest) {
-    // Bounds-checked view of the source function's memory; the kernel copies
-    // from these pages into its socket buffer — the only copy on this side.
-    RR_ASSIGN_OR_RETURN(const ByteSpan view, source.OutputView(region));
-    const Stopwatch transfer_timer;
-    RR_RETURN_IF_ERROR(serde::WriteFrame(conn_, view));
-    timing_.transfer = transfer_timer.Elapsed();
-  } else {
-    // Paper path: the shim reads the data out of the Wasm VM first
-    // (read_memory_host), paying the Wasm VM I/O copy.
-    Bytes staged(region.length);
-    const Stopwatch io_timer;
-    RR_RETURN_IF_ERROR(source.sandbox().ReadMemoryHost(region.address, staged));
-    timing_.wasm_io = io_timer.Elapsed();
-    const Stopwatch transfer_timer;
-    RR_RETURN_IF_ERROR(serde::WriteFrame(conn_, staged));
-    timing_.transfer = transfer_timer.Elapsed();
-  }
-  bytes_sent_ += region.length;
-  KernelBytesSent().Inc(region.length);
-  return Status::Ok();
-}
-
-Status KernelChannelSender::SendBytes(ByteSpan data) {
-  RR_RETURN_IF_ERROR(serde::WriteFrame(conn_, data));
-  bytes_sent_ += data.size();
-  KernelBytesSent().Inc(data.size());
-  return Status::Ok();
-}
-
-Result<MemoryRegion> KernelChannelReceiver::ReceiveInto(Shim& target,
-                                                        CopyMode mode) {
-  timing_ = {};
-  const auto place_region = [&](uint64_t length) -> Result<MemoryRegion> {
-    if (length > UINT32_MAX) {
-      return InvalidArgumentError("frame exceeds 32-bit guest memory");
-    }
-    return target.PrepareInput(static_cast<uint32_t>(length));
-  };
-  MemoryRegion delivered;
-  // Reclaims the placed region on any failure between placement and
-  // hand-off (a frame read dying mid-body, a rejected guest write) — the
-  // target instance outlives the failed transfer, so the region must not
-  // stay allocated.
-  RegionGuard guard;
-  if (mode == CopyMode::kDirectGuest) {
-    const Stopwatch transfer_timer;
-    Nanos alloc_time{0};
-    // A placement failure returns after ReadFrameInto drained the body.
-    RR_RETURN_IF_ERROR(serde::ReadFrameInto(
-        conn_, [&](uint64_t length) -> Result<MutableByteSpan> {
-          const Stopwatch alloc_timer;
-          RR_ASSIGN_OR_RETURN(delivered, place_region(length));
-          guard = RegionGuard(&target, delivered);
-          auto span = target.InputSpan(delivered);
-          alloc_time = alloc_timer.Elapsed();
-          return span;
-        }));
-    timing_.wasm_io = alloc_time;
-    timing_.transfer = transfer_timer.Elapsed() - alloc_time;
-  } else {
-    // Paper path: kernel buffer -> shim buffer (transfer), then
-    // allocate_memory + write_memory_host into the VM (Wasm VM I/O).
-    const Stopwatch transfer_timer;
-    RR_ASSIGN_OR_RETURN(const Bytes staged, serde::ReadFrame(conn_));
-    timing_.transfer = transfer_timer.Elapsed();
-    const Stopwatch io_timer;
-    RR_ASSIGN_OR_RETURN(delivered, place_region(staged.size()));
-    guard = RegionGuard(&target, delivered);
-    RR_RETURN_IF_ERROR(target.data().write_memory_host(staged, delivered.address));
-    timing_.wasm_io = io_timer.Elapsed();
-  }
-  bytes_received_ += delivered.length;
-  KernelBytesReceived().Inc(delivered.length);
-  guard.Dismiss();
-  return delivered;
-}
-
-Result<InvokeOutcome> KernelChannelReceiver::ReceiveAndInvoke(Shim& target,
-                                                              CopyMode mode) {
-  RR_ASSIGN_OR_RETURN(const MemoryRegion region, ReceiveInto(target, mode));
-  RegionGuard guard(&target, region);
-  auto outcome = target.InvokeOnRegion(region);
-  // A successful invoke consumes the input; a failed one leaves it placed —
-  // the guard reclaims it so the instance's heap stays bounded.
-  if (outcome.ok()) guard.Dismiss();
-  return outcome;
-}
-
-Result<KernelChannelListener> KernelChannelListener::Bind(
-    const std::string& socket_path) {
-  RR_ASSIGN_OR_RETURN(osal::UnixListener listener,
-                      osal::UnixListener::Bind(socket_path));
-  return KernelChannelListener(std::move(listener));
-}
-
-Result<KernelChannelReceiver> KernelChannelListener::Accept() {
-  RR_ASSIGN_OR_RETURN(osal::Connection conn, listener_.Accept());
-  return KernelChannelReceiver::FromConnection(std::move(conn));
-}
-
-Result<std::pair<KernelChannelSender, KernelChannelReceiver>>
-MakeKernelChannelPair() {
-  RR_ASSIGN_OR_RETURN(auto pair, osal::ConnectedPair());
-  return std::make_pair(KernelChannelSender::FromConnection(std::move(pair.first)),
-                        KernelChannelReceiver::FromConnection(std::move(pair.second)));
-}
 
 KernelChannelPump::KernelChannelPump(
     std::pair<osal::Connection, osal::Connection> ends, Nanos idle_timeout,

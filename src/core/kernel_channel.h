@@ -7,105 +7,15 @@
 #include <string>
 #include <utility>
 
+#include "common/buffer.h"
 #include "core/endpoint.h"
-#include "core/shim.h"
 #include "osal/socket.h"
-#include "serde/framing.h"
 
 namespace rr::obs {
 class Counter;
 }  // namespace rr::obs
 
 namespace rr::core {
-
-// Sender half, held by the source function's shim.
-class KernelChannelSender {
- public:
-  static Result<KernelChannelSender> Connect(const std::string& socket_path);
-  static KernelChannelSender FromConnection(osal::Connection conn) {
-    return KernelChannelSender(std::move(conn));
-  }
-
-  // Sends the source function's output region as one frame (steps 1-3 of
-  // Fig. 4b). kShimStaging reads the region into a shim buffer first (the
-  // paper's read_output path); kDirectGuest writes straight from the
-  // linear-memory view.
-  Status Send(Shim& source, const MemoryRegion& region,
-              CopyMode mode = CopyMode::kShimStaging);
-
-  // Raw-bytes variant used when the payload is already host-resident.
-  Status SendBytes(ByteSpan data);
-
-  // Arms SO_RCVTIMEO/SO_SNDTIMEO on the socket: a transfer whose peer makes
-  // no progress for `timeout` fails with kDeadlineExceeded instead of
-  // wedging the worker. Non-positive disarms.
-  Status SetWireDeadline(Nanos timeout) { return conn_.SetIoTimeouts(timeout); }
-
-  uint64_t bytes_sent() const { return bytes_sent_; }
-  const TransferTiming& last_timing() const { return timing_; }
-
- private:
-  explicit KernelChannelSender(osal::Connection conn) : conn_(std::move(conn)) {}
-
-  osal::Connection conn_;
-  uint64_t bytes_sent_ = 0;
-  TransferTiming timing_;
-};
-
-// Receiver half, held by the target function's shim.
-class KernelChannelReceiver {
- public:
-  static KernelChannelReceiver FromConnection(osal::Connection conn) {
-    return KernelChannelReceiver(std::move(conn));
-  }
-
-  // Steps 4-6 of Fig. 4b: read the frame length, allocate_memory in the
-  // target function, and deliver the payload into its linear memory.
-  // kShimStaging receives into a shim buffer then write_memory_host copies
-  // it in; kDirectGuest reads from the kernel straight into the guest pages.
-  // A placement failure consumes the frame body before it returns (bounded
-  // by the wire deadline), so the next receive starts at a frame boundary.
-  Result<MemoryRegion> ReceiveInto(Shim& target,
-                                   CopyMode mode = CopyMode::kShimStaging);
-
-  // Receive + run the target function.
-  Result<InvokeOutcome> ReceiveAndInvoke(Shim& target,
-                                         CopyMode mode = CopyMode::kShimStaging);
-
-  // As on the sender: bounds a stalled peer with kDeadlineExceeded.
-  Status SetWireDeadline(Nanos timeout) { return conn_.SetIoTimeouts(timeout); }
-
-  uint64_t bytes_received() const { return bytes_received_; }
-  const TransferTiming& last_timing() const { return timing_; }
-
- private:
-  explicit KernelChannelReceiver(osal::Connection conn) : conn_(std::move(conn)) {}
-
-  osal::Connection conn_;
-  uint64_t bytes_received_ = 0;
-  TransferTiming timing_;
-};
-
-// Listener the target shim binds; Accept yields a receiver.
-class KernelChannelListener {
- public:
-  static Result<KernelChannelListener> Bind(const std::string& socket_path);
-
-  Result<KernelChannelReceiver> Accept();
-
-  const std::string& path() const { return listener_.path(); }
-
- private:
-  explicit KernelChannelListener(osal::UnixListener listener)
-      : listener_(std::move(listener)) {}
-
-  osal::UnixListener listener_;
-};
-
-// In-process pair for tests and single-process benchmarks (the two shims
-// still talk through a real AF_UNIX kernel buffer).
-Result<std::pair<KernelChannelSender, KernelChannelReceiver>>
-MakeKernelChannelPair();
 
 // Both ends of one in-process socket pair, driven by the calling thread:
 // every runtime hop that crosses a socket inside the process — the
@@ -114,9 +24,8 @@ MakeKernelChannelPair();
 // sendmsg (gathered from the source segments — guest pages or shared
 // chunks) and recvmsg (scattered straight into the destination span —
 // guest pages), so a frame larger than the socket buffers needs no second
-// thread and no staging buffer on either side. The wire format is the
-// kernel channel's frame: an 8-byte length, checked on receipt, then the
-// body.
+// thread and no staging buffer on either side. A frame is an 8-byte length,
+// checked on receipt, then the body.
 //
 // Transfers must be serialized by the caller. Shutdown and wire_ok are safe
 // from any thread.

@@ -101,7 +101,7 @@ Status MuxClient::StartStream(const std::string& function, rr::Buffer payload,
   if (function.empty() || function.size() > kMaxMuxFunctionName) {
     return InvalidArgumentError("function name length invalid");
   }
-  if (payload.size() > serde::kMaxFrameBytes || payload.size() > UINT32_MAX) {
+  if (payload.size() > kMuxMaxBodyBytes) {
     return InvalidArgumentError("payload exceeds the frame size cap");
   }
   if (done == nullptr) return InvalidArgumentError("null completion callback");

@@ -54,7 +54,6 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "serde/framing.h"
 
 namespace rr::core {
 
@@ -87,6 +86,10 @@ inline constexpr size_t kMuxInitialWindow = 256 * 1024;
 // The agent re-grants consumed window once at least this much accumulated
 // (half a window: updates amortize without ever letting the window drain).
 inline constexpr size_t kMuxWindowUpdateThreshold = kMuxInitialWindow / 2;
+
+// The largest body a kOpen may declare: a body lands in one region of 32-bit
+// guest memory. A larger declaration is connection-fatal.
+inline constexpr uint64_t kMuxMaxBodyBytes = UINT32_MAX;
 
 // Per-type payload caps: violations are connection-fatal.
 inline constexpr size_t kMuxMaxOpenPayload = 2 * 1024;

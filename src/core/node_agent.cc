@@ -676,7 +676,7 @@ struct NodeAgent::ReactorPlane {
       RR_LOG(Warning) << "node agent: malformed mux open frame";
       return false;
     }
-    if (body_len > serde::kMaxFrameBytes || body_len > UINT32_MAX) {
+    if (body_len > kMuxMaxBodyBytes) {
       RR_LOG(Warning) << "node agent: implausible mux body length";
       return false;
     }

@@ -2,23 +2,19 @@
 // region.
 //
 // Every receive/invoke path follows the same shape: place a region in a
-// target instance (PrepareInput or a RegionPlacer), fill it, hand it to an
-// invoke that consumes it. Between placement and hand-off, any failure —
-// splice error, write_memory_host rejection, failed invoke — used to leave
+// target instance (PrepareInput), fill it, hand it to an invoke that
+// consumes it. Between placement and hand-off, any failure — a socket
+// error, write_memory_host rejection, failed invoke — used to leave
 // the region allocated in the instance's guest heap forever (the instance
 // returns to its pool and lives on). The guard makes the release structural:
 // arm it right after placement, Dismiss() at the exact point ownership
 // transfers (successful invoke, successful return to the caller), and every
 // early exit releases automatically.
 //
-// Two deliberate non-features:
-//  * No locking. deallocate_memory mutates the instance's DataAccess
-//    registry, which the instance's exec mutex guards; the guard must live
-//    inside a scope that already holds that lock (every receive path does),
-//    or release explicitly via ReleaseNow() under it.
-//  * No ownership of caller-provided regions. A RegionPlacer that returns a
-//    slice of a fan-in gather region keeps ownership with the caller —
-//    construct the guard with a null shim (Unowned()) and it does nothing.
+// A deliberate non-feature: no locking. deallocate_memory mutates the
+// instance's DataAccess registry, which the instance's exec mutex guards;
+// the guard must live inside a scope that already holds that lock (every
+// receive path does), or release explicitly via ReleaseNow() under it.
 #pragma once
 
 #include <utility>
@@ -31,12 +27,6 @@ class RegionGuard {
  public:
   RegionGuard() = default;
   RegionGuard(Shim* shim, MemoryRegion region) : shim_(shim), region_(region) {}
-
-  // A guard over a region someone else owns (e.g. a placer-provided fan-in
-  // slice): Dismiss/ReleaseNow/destruction are all no-ops.
-  static RegionGuard Unowned(MemoryRegion region) {
-    return RegionGuard(nullptr, region);
-  }
 
   ~RegionGuard() { (void)ReleaseNow(); }
 

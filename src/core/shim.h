@@ -6,7 +6,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -19,39 +18,9 @@
 
 namespace rr::core {
 
-// Chooses where a delivered payload lands in a target's linear memory: given
-// the payload length, returns a destination region covered by an existing
-// registration — e.g. one slice of a fan-in gather region. Receivers fall
-// back to a fresh PrepareInput allocation when no placer is given.
-using RegionPlacer = std::function<Result<MemoryRegion>(uint32_t length)>;
-
 // Result of delivering data into a function: where its output lives.
 struct InvokeOutcome {
   MemoryRegion output;
-};
-
-// How a channel moves payload bytes across the VM boundary.
-//
-// kShimStaging is the paper's implementation: the shim copies data out of /
-// into linear memory through the Wasm runtime's memory API ("data must still
-// be copied in and out of the Wasm VM's linear memory due to Wasm's
-// isolation model", §7) — this copy is the measured "Wasm VM I/O". The
-// paper-figure drivers (workload/drivers.cc) measure channels in this mode.
-//
-// kDirectGuest is this library's extension: the channel references the
-// bounds-checked linear-memory pages directly (sendmsg/recvmsg or splice
-// read and write them in the kernel), eliminating the staging copy. It is
-// the path the runtime's socket hops — kernel-space and network loopback —
-// always take (KernelChannelPump: guest pages -> socket -> guest pages); on
-// standalone channels it is the ablation the figure drivers compare against
-// kShimStaging.
-enum class CopyMode { kShimStaging, kDirectGuest };
-
-// Wall-clock attribution of one channel operation, matching the latency
-// components of Fig. 6a.
-struct TransferTiming {
-  Nanos wasm_io{0};   // guest<->host staging copies
-  Nanos transfer{0};  // kernel/socket data movement
 };
 
 class Shim {

@@ -17,9 +17,9 @@
 //
 // Registration is once-per-site and cached:
 //
-//   static obs::Counter* acks = obs::Registry::Get().counter(
-//       "rr_wire_error_acks_total", "error acks sent by receivers");
-//   acks->Inc();
+//   static obs::Counter* refused = obs::Registry::Get().counter(
+//       "rr_agent_transfers_refused_total", "streams the agent refused");
+//   refused->Inc();
 //
 // The registry keys a metric family by name; series within a family by
 // label set (Prometheus data model). Pointers are stable for the process

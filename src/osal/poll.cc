@@ -49,10 +49,6 @@ Status WaitReadable(int fd, TimePoint deadline) {
   return WaitEvent(fd, POLLIN, deadline, "wait readable");
 }
 
-Status WaitWritable(int fd, TimePoint deadline) {
-  return WaitEvent(fd, POLLOUT, deadline, "wait writable");
-}
-
 Status SetNonBlocking(int fd, bool enabled) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return ErrnoToStatus(errno, "fcntl(F_GETFL)");

@@ -1,12 +1,5 @@
-// Deadline-bounded readiness waits over poll(2).
-//
-// The failure-hardened wire plane bounds every blocking socket wait —
-// header, body chunk, delivery ack — against a per-transfer deadline, so a
-// peer that dies or stalls mid-transfer surfaces as kDeadlineExceeded
-// instead of a hang. The primitives here gate each blocking syscall: poll
-// for readiness with the remaining time, then perform the I/O (which, for a
-// stream socket that polled ready, completes without blocking when combined
-// with MSG_DONTWAIT or a partial-progress call like splice).
+// Readiness waits: a deadline-bounded poll(2) on one descriptor, and the
+// epoll(7) multiplexer and wakeup eventfd behind the event-driven servers.
 #pragma once
 
 #include <cstdint>
@@ -18,28 +11,14 @@
 
 namespace rr::osal {
 
-// The "unbounded" sentinel: waits gated by kNoDeadline block forever, which
-// keeps deadline-threaded code paths uniform (an idle NodeAgent channel
-// parks on its next frame header with no bound by design).
+// The "unbounded" sentinel: a wait gated by kNoDeadline blocks forever.
 inline constexpr TimePoint kNoDeadline = TimePoint::max();
 
-// Converts a relative timeout into an absolute deadline. Non-positive
-// timeouts mean unbounded, and a timeout too large for the clock's range
-// (e.g. Nanos::max() meaning "effectively unbounded") clamps to unbounded
-// instead of overflowing into an already-expired deadline.
-inline TimePoint DeadlineAfter(Nanos timeout) {
-  if (timeout <= Nanos{0}) return kNoDeadline;
-  const TimePoint now = Now();
-  if (timeout >= kNoDeadline - now) return kNoDeadline;
-  return now + timeout;
-}
-
-// Blocks until `fd` is readable (resp. writable) or the deadline expires;
-// kDeadlineExceeded on expiry. POLLERR/POLLHUP count as ready: the
-// subsequent I/O call surfaces the actual error (EPIPE, EOF, ...), which is
-// more precise than anything poll reports.
+// Blocks until `fd` is readable or the deadline expires; kDeadlineExceeded
+// on expiry. POLLERR/POLLHUP count as ready: the subsequent I/O call
+// surfaces the actual error (EPIPE, EOF, ...), which is more precise than
+// anything poll reports.
 Status WaitReadable(int fd, TimePoint deadline);
-Status WaitWritable(int fd, TimePoint deadline);
 
 // Switches an fd's O_NONBLOCK flag. Event-loop descriptors (listener and
 // accepted connections of the epoll server) must never block the loop; their

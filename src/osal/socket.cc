@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/uio.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <vector>
@@ -20,8 +19,8 @@ namespace rr::osal {
 namespace {
 
 // A peer that resets mid-transfer must surface as EPIPE, not kill the
-// process. sendmsg takes MSG_NOSIGNAL per call, but the splice(2) hose path
-// has no per-call opt-out, so the first connection opts the process out of
+// process. sendmsg takes MSG_NOSIGNAL per call, but write(2) (WriteAll) has
+// no per-call opt-out, so the first connection opts the process out of
 // SIGPIPE once. (Only the disposition for this one signal changes, and only
 // from the default-terminate; an application handler installed first is
 // left alone.)
@@ -39,8 +38,7 @@ void IgnoreSigpipeOnce() {
 
 }  // namespace
 
-Status Connection::SendParts(const ByteSpan* parts, size_t count,
-                             TimePoint deadline) {
+Status Connection::SendParts(const ByteSpan* parts, size_t count) {
   std::vector<iovec> iov;
   iov.reserve(count);
   for (size_t i = 0; i < count; ++i) {
@@ -48,19 +46,15 @@ Status Connection::SendParts(const ByteSpan* parts, size_t count,
     if (part.empty()) continue;
     iov.push_back({const_cast<uint8_t*>(part.data()), part.size()});
   }
-  const bool bounded = deadline != kNoDeadline;
   IovCursor cursor(iov.data(), iov.size());
   while (!cursor.done()) {
-    if (bounded) RR_RETURN_IF_ERROR(WaitWritable(fd_.get(), deadline));
     const msghdr msg = cursor.Message();
-    const ssize_t n = ::sendmsg(fd_.get(), &msg,
-                                MSG_NOSIGNAL | (bounded ? MSG_DONTWAIT : 0));
+    const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (bounded && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Unbounded + blocking fd: EAGAIN can only be an armed SO_SNDTIMEO
-        // expiring — the same deadline mapping WriteAll applies.
+        // Blocking fd: EAGAIN can only be an armed SO_SNDTIMEO expiring —
+        // the same deadline mapping WriteAll applies.
         return DeadlineExceededError("sendmsg stalled past the I/O timeout");
       }
       return ErrnoToStatus(errno, "sendmsg");
@@ -68,50 +62,6 @@ Status Connection::SendParts(const ByteSpan* parts, size_t count,
     cursor.Advance(static_cast<size_t>(n));
   }
   return Status::Ok();
-}
-
-Status WriteAllDeadline(int fd, ByteSpan data, TimePoint deadline) {
-  if (deadline == kNoDeadline) return WriteAll(fd, data);
-  size_t written = 0;
-  while (written < data.size()) {
-    RR_RETURN_IF_ERROR(WaitWritable(fd, deadline));
-    const ssize_t n = ::send(fd, data.data() + written, data.size() - written,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return ErrnoToStatus(errno, "send");
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
-Status ReadExactDeadline(int fd, MutableByteSpan out, TimePoint deadline) {
-  if (deadline == kNoDeadline) return ReadExact(fd, out);
-  size_t done = 0;
-  while (done < out.size()) {
-    RR_RETURN_IF_ERROR(WaitReadable(fd, deadline));
-    const ssize_t n =
-        ::recv(fd, out.data() + done, out.size() - done, MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return ErrnoToStatus(errno, "recv");
-    }
-    if (n == 0) {
-      return DataLossError("unexpected EOF after " + std::to_string(done) +
-                           " of " + std::to_string(out.size()) + " bytes");
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
-Status Connection::Send(ByteSpan data, TimePoint deadline) {
-  return WriteAllDeadline(fd_.get(), data, deadline);
-}
-
-Status Connection::Receive(MutableByteSpan out, TimePoint deadline) {
-  return ReadExactDeadline(fd_.get(), out, deadline);
 }
 
 Result<size_t> Connection::ReceiveSome(MutableByteSpan out) {
@@ -226,78 +176,6 @@ Result<Connection> TcpConnect(const std::string& host, uint16_t port) {
   while (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     if (errno == EINTR) continue;
     return ErrnoToStatus(errno, "connect " + host + ":" + std::to_string(port));
-  }
-  return Connection(std::move(fd));
-}
-
-namespace {
-
-Status FillUnixAddr(const std::string& path, sockaddr_un* addr, socklen_t* len) {
-  if (path.empty() || path.size() >= sizeof(addr->sun_path)) {
-    return InvalidArgumentError("unix socket path length invalid: " + path);
-  }
-  std::memset(addr, 0, sizeof(*addr));
-  addr->sun_family = AF_UNIX;
-  if (path[0] == '@') {
-    // Abstract namespace: leading NUL instead of '@'.
-    std::memcpy(addr->sun_path + 1, path.data() + 1, path.size() - 1);
-    *len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + path.size());
-  } else {
-    std::memcpy(addr->sun_path, path.data(), path.size());
-    *len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + path.size() + 1);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Result<UnixListener> UnixListener::Bind(const std::string& path) {
-  UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) return ErrnoToStatus(errno, "socket(AF_UNIX)");
-
-  sockaddr_un addr;
-  socklen_t len;
-  RR_RETURN_IF_ERROR(FillUnixAddr(path, &addr, &len));
-  if (path[0] != '@') ::unlink(path.c_str());
-
-  if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), len) != 0) {
-    return ErrnoToStatus(errno, "bind " + path);
-  }
-  if (::listen(fd.get(), 128) != 0) {
-    return ErrnoToStatus(errno, "listen " + path);
-  }
-  return UnixListener(std::move(fd), path);
-}
-
-UnixListener::~UnixListener() {
-  if (fd_.valid() && !path_.empty() && path_[0] != '@') {
-    ::unlink(path_.c_str());
-  }
-}
-
-Result<Connection> UnixListener::Accept() {
-  IgnoreSigpipeOnce();
-  while (true) {
-    const int conn = ::accept4(fd_.get(), nullptr, nullptr, SOCK_CLOEXEC);
-    if (conn < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoToStatus(errno, "accept4");
-    }
-    return Connection(UniqueFd(conn));
-  }
-}
-
-Result<Connection> UnixConnect(const std::string& path) {
-  IgnoreSigpipeOnce();
-  UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) return ErrnoToStatus(errno, "socket(AF_UNIX)");
-
-  sockaddr_un addr;
-  socklen_t len;
-  RR_RETURN_IF_ERROR(FillUnixAddr(path, &addr, &len));
-  while (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), len) != 0) {
-    if (errno == EINTR) continue;
-    return ErrnoToStatus(errno, "connect " + path);
   }
   return Connection(std::move(fd));
 }

@@ -29,24 +29,13 @@ class Connection {
   Status Send(ByteSpan data) { return WriteAll(fd_.get(), data); }
   Status Receive(MutableByteSpan out) { return ReadExact(fd_.get(), out); }
 
-  // Deadline-bounded variants: every blocking wait is gated by poll with the
-  // remaining time (the fd itself stays blocking; the I/O runs MSG_DONTWAIT
-  // after readiness), so a dead or stalled peer surfaces as
-  // kDeadlineExceeded instead of wedging the caller. kNoDeadline falls back
-  // to the unbounded behavior.
-  Status Send(ByteSpan data, TimePoint deadline);
-  Status Receive(MutableByteSpan out, TimePoint deadline);
-
   // Gathered send (writev): transmits the concatenation of `parts` without
   // assembling an intermediate buffer. The pointer/count form serves dynamic
   // segment lists (e.g. a multi-chunk payload buffer).
   Status SendParts(std::initializer_list<ByteSpan> parts) {
     return SendParts(parts.begin(), parts.size());
   }
-  Status SendParts(const ByteSpan* parts, size_t count) {
-    return SendParts(parts, count, kNoDeadline);
-  }
-  Status SendParts(const ByteSpan* parts, size_t count, TimePoint deadline);
+  Status SendParts(const ByteSpan* parts, size_t count);
 
   // Single read(2), returning the number of bytes read (0 at EOF).
   Result<size_t> ReceiveSome(MutableByteSpan out);
@@ -57,9 +46,7 @@ class Connection {
   // Arms SO_RCVTIMEO and SO_SNDTIMEO: a blocking read or send that makes no
   // progress for `timeout` fails with kDeadlineExceeded (via the EAGAIN
   // mapping in ReadExact/WriteAll). This is an *idle* bound — a peer
-  // trickling bytes resets it — which is exactly the belt the kernel-space
-  // channel wants on top of the wire plane's absolute per-transfer
-  // deadlines. Non-positive timeout disarms.
+  // trickling bytes resets it. Non-positive timeout disarms.
   Status SetIoTimeouts(Nanos timeout);
 
   // Shuts down the write side, signalling EOF to the peer.
@@ -106,32 +93,6 @@ class TcpListener {
 
 Result<Connection> TcpConnect(const std::string& host, uint16_t port);
 
-// UNIX-domain listener. Uses the abstract namespace when `path` starts with
-// '@' (no filesystem residue), otherwise a filesystem socket (unlinked on
-// bind if stale).
-class UnixListener {
- public:
-  static Result<UnixListener> Bind(const std::string& path);
-  ~UnixListener();
-
-  UnixListener(UnixListener&&) = default;
-  UnixListener& operator=(UnixListener&&) = default;
-
-  const std::string& path() const { return path_; }
-  int fd() const { return fd_.get(); }
-
-  Result<Connection> Accept();
-
- private:
-  UnixListener(UniqueFd fd, std::string path)
-      : fd_(std::move(fd)), path_(std::move(path)) {}
-
-  UniqueFd fd_;
-  std::string path_;
-};
-
-Result<Connection> UnixConnect(const std::string& path);
-
 // Connected AF_UNIX stream pair — the in-process stand-in for two co-located
 // shims when tests do not need separate processes.
 Result<std::pair<Connection, Connection>> ConnectedPair();
@@ -170,13 +131,5 @@ class IovCursor {
   iovec* iov_;
   size_t count_;
 };
-
-// Deadline-bounded whole-span I/O on a raw SOCKET descriptor (poll-gated,
-// MSG_DONTWAIT — these are recv/send, not read/write, so they only serve
-// sockets). kNoDeadline falls back to the unbounded WriteAll/ReadExact.
-// Used by paths that hold an fd without a Connection (the data hose's
-// non-splice fallback).
-Status WriteAllDeadline(int fd, ByteSpan data, TimePoint deadline);
-Status ReadExactDeadline(int fd, MutableByteSpan out, TimePoint deadline);
 
 }  // namespace rr::osal

@@ -49,8 +49,8 @@ Result<Record> DeserializeRecord(std::string_view text);
 Bytes EncodeRecordBinary(const Record& record);
 Result<Record> DecodeRecordBinary(ByteSpan data);
 
-// Binary header describing a Record whose body travels out-of-band (through
-// the data hose). This is all Roadrunner serializes: O(metadata), not O(body).
+// Binary header describing a Record whose body travels out-of-band. This is
+// all Roadrunner serializes: O(metadata), not O(body).
 Bytes EncodeRecordHeader(const Record& record);
 struct RecordHeader {
   uint64_t id = 0;

@@ -4,14 +4,12 @@
 #include <thread>
 
 #include "common/strings.h"
-#include "core/kernel_channel.h"
-#include "core/network_channel.h"
 #include "core/node_agent.h"
-#include "core/user_channel.h"
 #include "core/workflow.h"
 #include "api/runtime.h"
 #include "dag/dag.h"
 #include "http/server.h"
+#include "obs/trace.h"
 #include "osal/socket.h"
 #include "runtime/function.h"
 #include "runtime/native_sandbox.h"
@@ -23,8 +21,6 @@
 namespace rr::workload {
 namespace {
 
-using core::CopyMode;
-using core::MemoryRegion;
 using core::Shim;
 using telemetry::RunMetrics;
 
@@ -36,16 +32,6 @@ runtime::FunctionSpec MakeSpec(const std::string& name) {
   spec.workflow = "bench-workflow";
   spec.memory_limit_pages = kBenchMemoryLimitPages;
   return spec;
-}
-
-// Consumer logic for Roadrunner targets: outside the timed transfer section,
-// so it is a no-op that acknowledges receipt.
-runtime::NativeHandler AckHandler() {
-  return [](ByteSpan input) -> Result<Bytes> {
-    Bytes ack(8);
-    StoreLE<uint64_t>(ack.data(), input.size());
-    return ack;
-  };
 }
 
 // Caches generated bodies by size: every repetition and every system moves
@@ -65,306 +51,29 @@ class BodyCache {
   size_t cached_size_ = SIZE_MAX;
 };
 
-// Stages `body` as a source function's registered output region (untimed
-// pre-phase of every run: the data the function "already produced").
-Result<MemoryRegion> StageOutput(Shim& shim, ByteSpan body) {
-  RR_ASSIGN_OR_RETURN(const uint32_t address,
-                      shim.data().allocate_memory(
-                          std::max<uint32_t>(1, static_cast<uint32_t>(body.size()))));
-  RR_RETURN_IF_ERROR(shim.data().write_memory_host(body, address));
-  RR_RETURN_IF_ERROR(
-      shim.data().send_to_host(address, static_cast<uint32_t>(body.size())));
-  return MemoryRegion{address, static_cast<uint32_t>(body.size())};
-}
-
-Status VerifyDelivery(Shim& target, const MemoryRegion& region,
-                      uint64_t expected_checksum) {
-  RR_ASSIGN_OR_RETURN(const ByteSpan view,
-                      target.data().read_memory_host(region.address, region.length));
-  if (SampledChecksum(view) != expected_checksum) {
-    return DataLossError("delivered payload corrupted in " + target.name());
+// Mean duration of one run's agent `ingress:*` spans: each is the agent
+// writing a received body into its target's linear memory.
+Nanos MeanIngressSpan(uint64_t trace_id) {
+  Nanos sum{0};
+  int64_t count = 0;
+  for (const obs::SpanRecord& span : obs::Tracer::Get().Snapshot()) {
+    if (span.trace_id == trace_id && StartsWith(span.name, "ingress:")) {
+      sum += span.duration;
+      ++count;
+    }
   }
-  return Status::Ok();
+  return count > 0 ? sum / count : Nanos{0};
 }
 
 // ---------------------------------------------------------------------------
-// Roadrunner (User space)
+// Roadrunner: the fan-out experiment as a real DAG (a -> {b_1..b_N})
+// submitted through the api::Runtime façade — one Submit per run, the
+// outcome consumed through the Invocation handle — so the bench exercises
+// the exact path applications use: registry, per-edge hop selection,
+// parallel hop scheduler, and for network placement the agent's mux wire.
 // ---------------------------------------------------------------------------
 
-class RoadrunnerUserDriver : public ChainDriver {
- public:
-  static Result<std::unique_ptr<ChainDriver>> Create(DriverOptions options) {
-    if (options.link.has_value()) {
-      return InvalidArgumentError("user-space transfer is intra-node only");
-    }
-    auto driver = std::make_unique<RoadrunnerUserDriver>();
-    driver->options_ = options;
-    driver->binary_ = runtime::BuildFunctionModuleBinary();
-
-    RR_ASSIGN_OR_RETURN(driver->source_,
-                        Shim::CreateInVm(driver->vm_, MakeSpec("fn-a"),
-                                         driver->binary_));
-    RR_RETURN_IF_ERROR(driver->source_->Deploy(AckHandler()));
-    for (size_t i = 0; i < options.fanout; ++i) {
-      RR_ASSIGN_OR_RETURN(
-          auto target,
-          Shim::CreateInVm(driver->vm_, MakeSpec("fn-b" + std::to_string(i)),
-                           driver->binary_));
-      RR_RETURN_IF_ERROR(target->Deploy(AckHandler()));
-      driver->targets_.push_back(std::move(target));
-    }
-    return std::unique_ptr<ChainDriver>(std::move(driver));
-  }
-
-  std::string name() const override { return "RoadRunner (User space)"; }
-
-  Result<RunMetrics> RunOnce(size_t payload_bytes) override {
-    const std::string& body = bodies_.Get(payload_bytes);
-    const uint64_t checksum = SampledChecksum(AsBytes(body));
-    RR_ASSIGN_OR_RETURN(const MemoryRegion staged,
-                        StageOutput(*source_, AsBytes(body)));
-
-    std::vector<MemoryRegion> delivered(targets_.size());
-    telemetry::ResourceProbe probe;
-    probe.Start();
-    const Stopwatch total_timer;
-    for (size_t i = 0; i < targets_.size(); ++i) {
-      RR_ASSIGN_OR_RETURN(core::UserSpaceChannel channel,
-                          core::UserSpaceChannel::Create(source_.get(),
-                                                         targets_[i].get()));
-      RR_ASSIGN_OR_RETURN(delivered[i], channel.Transfer(staged));
-    }
-    const Nanos total = total_timer.Elapsed();
-    probe.Stop();
-
-    for (size_t i = 0; i < targets_.size(); ++i) {
-      RR_RETURN_IF_ERROR(VerifyDelivery(*targets_[i], delivered[i], checksum));
-      RR_RETURN_IF_ERROR(targets_[i]->ReleaseRegion(delivered[i]));
-    }
-    RR_RETURN_IF_ERROR(source_->data().deallocate_memory(staged.address));
-
-    RunMetrics metrics;
-    metrics.latency.total = total;
-    metrics.latency.transfer = total;
-    metrics.cpu = probe.usage();
-    metrics.rss_bytes = probe.rss_bytes();
-    return metrics;
-  }
-
-  DriverOptions options_;
-  Bytes binary_;
-  runtime::WasmVm vm_{"bench-workflow"};
-  std::unique_ptr<Shim> source_;
-  std::vector<std::unique_ptr<Shim>> targets_;
-  BodyCache bodies_;
-};
-
-// ---------------------------------------------------------------------------
-// Roadrunner (Kernel space)
-// ---------------------------------------------------------------------------
-
-class RoadrunnerKernelDriver : public ChainDriver {
- public:
-  static Result<std::unique_ptr<ChainDriver>> Create(DriverOptions options) {
-    if (options.link.has_value()) {
-      return InvalidArgumentError("kernel-space transfer is intra-node only");
-    }
-    auto driver = std::make_unique<RoadrunnerKernelDriver>();
-    driver->options_ = options;
-    driver->binary_ = runtime::BuildFunctionModuleBinary();
-
-    RR_ASSIGN_OR_RETURN(driver->source_,
-                        Shim::Create(MakeSpec("fn-a"), driver->binary_));
-    RR_RETURN_IF_ERROR(driver->source_->Deploy(AckHandler()));
-    for (size_t i = 0; i < options.fanout; ++i) {
-      RR_ASSIGN_OR_RETURN(
-          auto target,
-          Shim::Create(MakeSpec("fn-b" + std::to_string(i)), driver->binary_));
-      RR_RETURN_IF_ERROR(target->Deploy(AckHandler()));
-      driver->targets_.push_back(std::move(target));
-      RR_ASSIGN_OR_RETURN(auto pair, core::MakeKernelChannelPair());
-      driver->senders_.push_back(std::move(pair.first));
-      driver->receivers_.push_back(std::move(pair.second));
-    }
-    return std::unique_ptr<ChainDriver>(std::move(driver));
-  }
-
-  std::string name() const override { return "RoadRunner (Kernel space)"; }
-
-  Result<RunMetrics> RunOnce(size_t payload_bytes) override {
-    const std::string& body = bodies_.Get(payload_bytes);
-    const uint64_t checksum = SampledChecksum(AsBytes(body));
-    RR_ASSIGN_OR_RETURN(const MemoryRegion staged,
-                        StageOutput(*source_, AsBytes(body)));
-
-    const size_t n = targets_.size();
-    std::vector<MemoryRegion> delivered(n);
-    std::vector<Status> send_status(n), recv_status(n);
-
-    telemetry::ResourceProbe probe;
-    probe.Start();
-    const Stopwatch total_timer;
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(2 * n);
-      for (size_t i = 0; i < n; ++i) {
-        threads.emplace_back([this, i, &staged, &send_status] {
-          send_status[i] = senders_[i].Send(*source_, staged, options_.copy_mode);
-        });
-        threads.emplace_back([this, i, &delivered, &recv_status] {
-          auto region = receivers_[i].ReceiveInto(*targets_[i], options_.copy_mode);
-          if (region.ok()) {
-            delivered[i] = *region;
-          } else {
-            recv_status[i] = region.status();
-          }
-        });
-      }
-      for (auto& thread : threads) thread.join();
-    }
-    const Nanos total = total_timer.Elapsed();
-    probe.Stop();
-
-    for (size_t i = 0; i < n; ++i) {
-      RR_RETURN_IF_ERROR(send_status[i]);
-      RR_RETURN_IF_ERROR(recv_status[i]);
-      RR_RETURN_IF_ERROR(VerifyDelivery(*targets_[i], delivered[i], checksum));
-      RR_RETURN_IF_ERROR(targets_[i]->ReleaseRegion(delivered[i]));
-    }
-    RR_RETURN_IF_ERROR(source_->data().deallocate_memory(staged.address));
-
-    RunMetrics metrics;
-    metrics.latency.total = total;
-    metrics.latency.wasm_io =
-        senders_[0].last_timing().wasm_io + receivers_[0].last_timing().wasm_io;
-    metrics.latency.transfer = total - metrics.latency.wasm_io;
-    metrics.cpu = probe.usage();
-    metrics.rss_bytes = probe.rss_bytes();
-    return metrics;
-  }
-
-  DriverOptions options_;
-  Bytes binary_;
-  std::unique_ptr<Shim> source_;
-  std::vector<std::unique_ptr<Shim>> targets_;
-  std::vector<core::KernelChannelSender> senders_;
-  std::vector<core::KernelChannelReceiver> receivers_;
-  BodyCache bodies_;
-};
-
-// ---------------------------------------------------------------------------
-// Roadrunner (Network)
-// ---------------------------------------------------------------------------
-
-class RoadrunnerNetworkDriver : public ChainDriver {
- public:
-  static Result<std::unique_ptr<ChainDriver>> Create(DriverOptions options) {
-    auto driver = std::make_unique<RoadrunnerNetworkDriver>();
-    driver->options_ = options;
-    driver->binary_ = runtime::BuildFunctionModuleBinary();
-
-    RR_ASSIGN_OR_RETURN(driver->source_,
-                        Shim::Create(MakeSpec("fn-a"), driver->binary_));
-    RR_RETURN_IF_ERROR(driver->source_->Deploy(AckHandler()));
-
-    RR_ASSIGN_OR_RETURN(auto listener, core::NetworkChannelListener::Bind(0));
-    uint16_t connect_port = listener.port();
-    if (options.link.has_value()) {
-      RR_ASSIGN_OR_RETURN(driver->link_,
-                          netsim::ShapedLink::Start(listener.port(), *options.link));
-      connect_port = driver->link_->port();
-    }
-
-    for (size_t i = 0; i < options.fanout; ++i) {
-      RR_ASSIGN_OR_RETURN(
-          auto target,
-          Shim::Create(MakeSpec("fn-b" + std::to_string(i)), driver->binary_));
-      RR_RETURN_IF_ERROR(target->Deploy(AckHandler()));
-      driver->targets_.push_back(std::move(target));
-
-      RR_ASSIGN_OR_RETURN(
-          auto sender,
-          core::NetworkChannelSender::Connect("127.0.0.1", connect_port));
-      RR_ASSIGN_OR_RETURN(auto receiver, listener.Accept());
-      driver->senders_.push_back(std::move(sender));
-      driver->receivers_.push_back(std::move(receiver));
-    }
-    return std::unique_ptr<ChainDriver>(std::move(driver));
-  }
-
-  std::string name() const override { return "RoadRunner (Network)"; }
-
-  Result<RunMetrics> RunOnce(size_t payload_bytes) override {
-    const std::string& body = bodies_.Get(payload_bytes);
-    const uint64_t checksum = SampledChecksum(AsBytes(body));
-    RR_ASSIGN_OR_RETURN(const MemoryRegion staged,
-                        StageOutput(*source_, AsBytes(body)));
-
-    const size_t n = targets_.size();
-    std::vector<MemoryRegion> delivered(n);
-    std::vector<Status> send_status(n), recv_status(n);
-
-    telemetry::ResourceProbe probe;
-    probe.Start();
-    const Stopwatch total_timer;
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(2 * n);
-      for (size_t i = 0; i < n; ++i) {
-        threads.emplace_back([this, i, &staged, &send_status] {
-          send_status[i] = senders_[i].Send(*source_, staged, options_.copy_mode);
-        });
-        threads.emplace_back([this, i, &delivered, &recv_status] {
-          auto region = receivers_[i].ReceiveInto(*targets_[i], options_.copy_mode);
-          if (region.ok()) {
-            delivered[i] = *region;
-          } else {
-            recv_status[i] = region.status();
-          }
-        });
-      }
-      for (auto& thread : threads) thread.join();
-    }
-    const Nanos total = total_timer.Elapsed();
-    probe.Stop();
-
-    for (size_t i = 0; i < n; ++i) {
-      RR_RETURN_IF_ERROR(send_status[i]);
-      RR_RETURN_IF_ERROR(recv_status[i]);
-      RR_RETURN_IF_ERROR(VerifyDelivery(*targets_[i], delivered[i], checksum));
-      RR_RETURN_IF_ERROR(targets_[i]->ReleaseRegion(delivered[i]));
-    }
-    RR_RETURN_IF_ERROR(source_->data().deallocate_memory(staged.address));
-
-    RunMetrics metrics;
-    metrics.latency.total = total;
-    metrics.latency.wasm_io =
-        senders_[0].last_timing().wasm_io + receivers_[0].last_timing().wasm_io;
-    metrics.latency.transfer = total - metrics.latency.wasm_io;
-    metrics.cpu = probe.usage();
-    metrics.rss_bytes = probe.rss_bytes();
-    return metrics;
-  }
-
-  DriverOptions options_;
-  Bytes binary_;
-  std::unique_ptr<Shim> source_;
-  std::vector<std::unique_ptr<Shim>> targets_;
-  std::unique_ptr<netsim::ShapedLink> link_;
-  std::vector<core::NetworkChannelSender> senders_;
-  std::vector<core::NetworkChannelReceiver> receivers_;
-  BodyCache bodies_;
-};
-
-// ---------------------------------------------------------------------------
-// Roadrunner (DAG engine): the same fan-out experiment as the drivers above,
-// but expressed as a real DAG (a -> {b_1..b_N}) submitted through the
-// api::Runtime façade — one Submit per run, the outcome consumed through the
-// Invocation handle — so the bench exercises the exact path applications
-// use: registry, per-edge hop selection, parallel hop scheduler.
-// ---------------------------------------------------------------------------
-
-class RoadrunnerDagDriver : public ChainDriver {
+class RoadrunnerDriver : public ChainDriver {
  public:
   enum class Placement { kUser, kKernel, kNetwork };
 
@@ -373,7 +82,7 @@ class RoadrunnerDagDriver : public ChainDriver {
     if (placement != Placement::kNetwork && options.link.has_value()) {
       return InvalidArgumentError("this transfer mode is intra-node only");
     }
-    auto driver = std::make_unique<RoadrunnerDagDriver>(placement);
+    auto driver = std::make_unique<RoadrunnerDriver>(placement);
     driver->options_ = options;
     driver->binary_ = runtime::BuildFunctionModuleBinary();
 
@@ -381,6 +90,8 @@ class RoadrunnerDagDriver : public ChainDriver {
     // Enough workers that paper-scale fan-out keeps every hop in flight.
     runtime_options.dag_workers =
         std::max<size_t>(4, std::min<size_t>(options.fanout, 32));
+    // The agent's ingress spans carry the Wasm VM I/O split.
+    runtime_options.tracing = placement == Placement::kNetwork;
     driver->runtime_ = std::make_unique<api::Runtime>("bench-workflow",
                                                       runtime_options);
 
@@ -461,7 +172,7 @@ class RoadrunnerDagDriver : public ChainDriver {
     return std::unique_ptr<ChainDriver>(std::move(driver));
   }
 
-  explicit RoadrunnerDagDriver(Placement placement) : placement_(placement) {}
+  explicit RoadrunnerDriver(Placement placement) : placement_(placement) {}
 
   std::string name() const override {
     switch (placement_) {
@@ -497,15 +208,17 @@ class RoadrunnerDagDriver : public ChainDriver {
       }
     }
 
-    // The timed section is the transfer phase (ingress staging and sink
-    // egress stay outside it), matching the hand-rolled drivers — except
-    // that NodeAgent edges are invoke-coupled, so the network numbers also
-    // carry each target's ack handler (a sampled checksum, O(1)-ish) and
-    // the delivery callback round-trip. The engine does not split the phase
-    // into components: it is all reported as transfer.
+    // The timed section is the transfer phase: ingress staging and sink
+    // egress stay outside it. NodeAgent edges are invoke-coupled, so the
+    // network numbers also carry each target's checksum handler and the
+    // delivery callback round-trip.
     RunMetrics metrics;
     metrics.latency.total = (*invocation)->stats().transfer_phase;
-    metrics.latency.transfer = metrics.latency.total;
+    if (placement_ == Placement::kNetwork) {
+      metrics.latency.wasm_io = std::min(
+          MeanIngressSpan((*invocation)->trace_id()), metrics.latency.total);
+    }
+    metrics.latency.transfer = metrics.latency.total - metrics.latency.wasm_io;
     metrics.cpu = probe.usage();
     metrics.rss_bytes = probe.rss_bytes();
     return metrics;
@@ -957,22 +670,13 @@ class WasmEdgeDriver : public ChainDriver {
 }  // namespace
 
 Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerUserDriver(DriverOptions options) {
-  return RoadrunnerUserDriver::Create(options);
+  return RoadrunnerDriver::Create(RoadrunnerDriver::Placement::kUser, options);
 }
 Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerKernelDriver(DriverOptions options) {
-  return RoadrunnerKernelDriver::Create(options);
+  return RoadrunnerDriver::Create(RoadrunnerDriver::Placement::kKernel, options);
 }
 Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerNetworkDriver(DriverOptions options) {
-  return RoadrunnerNetworkDriver::Create(options);
-}
-Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerDagUserDriver(DriverOptions options) {
-  return RoadrunnerDagDriver::Create(RoadrunnerDagDriver::Placement::kUser, options);
-}
-Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerDagKernelDriver(DriverOptions options) {
-  return RoadrunnerDagDriver::Create(RoadrunnerDagDriver::Placement::kKernel, options);
-}
-Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerDagNetworkDriver(DriverOptions options) {
-  return RoadrunnerDagDriver::Create(RoadrunnerDagDriver::Placement::kNetwork, options);
+  return RoadrunnerDriver::Create(RoadrunnerDriver::Placement::kNetwork, options);
 }
 Result<std::unique_ptr<ChainDriver>> MakeRunCDriver(DriverOptions options) {
   return RunCDriver::Create(options);

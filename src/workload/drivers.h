@@ -6,8 +6,8 @@
 // Systems:
 //   RoadrunnerUser    — both functions as modules of one Wasm VM (Fig. 1b)
 //   RoadrunnerKernel  — co-located sandboxes over AF_UNIX (Fig. 1c)
-//   RoadrunnerNetwork — remote sandboxes over the virtual data hose through
-//                       the emulated 100 Mbps link (Fig. 1d)
+//   RoadrunnerNetwork — the targets behind a NodeAgent ingress, reached over
+//                       the mux wire through the emulated link (Fig. 1d)
 //   RunC              — native functions exchanging JSON over HTTP
 //   WasmEdge          — Wasm functions serializing in-VM and exchanging JSON
 //                       over WASI-mediated sockets
@@ -15,6 +15,17 @@
 // Latency is measured "from the moment the source function sends data until
 // the target function receives it" (§6): payload staging in the source and
 // consumer compute in the target are outside the timed section.
+//
+// The three Roadrunner systems are one driver: the a -> {b_1..b_N} workflow
+// as a DAG submitted through api::Runtime, with placement picking the mode,
+// so the figures time the transfer paths the runtime ships. The timed
+// section is the run's api::RunStats::transfer_phase (first edge start to
+// last edge completion; a remote edge counts until its delivery, so it also
+// carries each target's O(1) checksum handler). User and kernel placement
+// report the phase whole as transfer. Network placement traces its runs and
+// splits the phase: Wasm VM I/O is the mean of the run's agent `ingress:*`
+// spans (the agent writing a received body into guest memory), transfer is
+// the rest. Serialization is always zero.
 #pragma once
 
 #include <memory>
@@ -22,7 +33,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "core/shim.h"
 #include "netsim/shaped_link.h"
 #include "telemetry/metrics.h"
 
@@ -31,8 +41,6 @@ namespace rr::workload {
 struct DriverOptions {
   // Route transfers through an emulated inter-node link. Empty = intra-node.
   std::optional<netsim::LinkConfig> link;
-  // Copy mode for the Roadrunner channels (paper default: shim staging).
-  core::CopyMode copy_mode = core::CopyMode::kShimStaging;
   // Number of target functions (fan-out degree).
   size_t fanout = 1;
   // WasmEdge baseline only: run the body escape/unescape as *interpreted*
@@ -57,19 +65,5 @@ Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerKernelDriver(DriverOptions op
 Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerNetworkDriver(DriverOptions options = {});
 Result<std::unique_ptr<ChainDriver>> MakeRunCDriver(DriverOptions options = {});
 Result<std::unique_ptr<ChainDriver>> MakeWasmEdgeDriver(DriverOptions options = {});
-
-// DAG-engine variants of the Roadrunner fan-out drivers (Figs. 9, 10): the
-// a -> {b_1..b_N} experiment expressed as a real DAG and executed by
-// dag::DagExecutor over a WorkflowManager registry — per-edge mode selection
-// and the parallel hop scheduler replace the drivers' hand-rolled transfer
-// loops. The network variant routes every edge through a NodeAgent ingress
-// (optionally behind the emulated link). The timed section is the run's
-// api::RunStats::transfer_phase (first edge start to last edge completion,
-// a remote edge counted until its delivery), reported whole as `transfer`
-// with no Wasm VM I/O split; `copy_mode` is fixed at the paper's shim
-// staging.
-Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerDagUserDriver(DriverOptions options = {});
-Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerDagKernelDriver(DriverOptions options = {});
-Result<std::unique_ptr<ChainDriver>> MakeRoadrunnerDagNetworkDriver(DriverOptions options = {});
 
 }  // namespace rr::workload

@@ -1,14 +1,9 @@
-// Tests for the §9 future-work extensions: NodeAgent (remote ingress),
-// StateStore (function state management), syscall batching, and dynamic
-// runtime selection.
+// Tests for the §9 future-work extensions this reproduction ships: NodeAgent
+// (remote ingress) and syscall batching.
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "core/node_agent.h"
-#include "core/state_store.h"
 #include "runtime/function.h"
-#include "runtime/selector.h"
 #include "wasi/wasi.h"
 
 namespace rr::core {
@@ -65,99 +60,6 @@ TEST(NodeAgentTest, DuplicateRegistrationRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// StateStore
-// ---------------------------------------------------------------------------
-
-TEST(StateStoreTest, PutFromGuestGetIntoGuest) {
-  StateStore store("wf");
-  auto writer = MakeShim("writer");
-  auto reader = MakeShim("reader");
-
-  const MemoryRegion staged = Stage(*writer, AsBytes("short-term state"));
-  ASSERT_TRUE(store.Put(*writer, "model-params", staged).ok());
-  EXPECT_TRUE(store.Contains("model-params"));
-  EXPECT_EQ(store.bytes_stored(), 16u);
-
-  auto delivered = store.Get(*reader, "model-params");
-  ASSERT_TRUE(delivered.ok()) << delivered.status();
-  auto view = reader->data().read_memory_host(delivered->address,
-                                              delivered->length);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(AsStringView(*view), "short-term state");
-}
-
-TEST(StateStoreTest, CrossWorkflowDenied) {
-  StateStore store("wf");
-  auto outsider = MakeShim("evil", "other-wf");
-  const MemoryRegion staged = Stage(*outsider, AsBytes("x"));
-  EXPECT_EQ(store.Put(*outsider, "k", staged).code(),
-            StatusCode::kPermissionDenied);
-  EXPECT_EQ(store.Get(*outsider, "k").status().code(),
-            StatusCode::kPermissionDenied);
-}
-
-TEST(StateStoreTest, OverwriteAdjustsAccounting) {
-  StateStore store("wf");
-  ASSERT_TRUE(store.PutBytes("k", Bytes(100, 1)).ok());
-  ASSERT_TRUE(store.PutBytes("k", Bytes(40, 2)).ok());
-  EXPECT_EQ(store.bytes_stored(), 40u);
-  EXPECT_EQ(store.entry_count(), 1u);
-}
-
-TEST(StateStoreTest, CapacityEnforced) {
-  StateStore store("wf", "default", {.capacity_bytes = 100});
-  ASSERT_TRUE(store.PutBytes("a", Bytes(60, 1)).ok());
-  EXPECT_EQ(store.PutBytes("b", Bytes(60, 2)).code(),
-            StatusCode::kResourceExhausted);
-  // Replacing within budget still works.
-  ASSERT_TRUE(store.PutBytes("a", Bytes(90, 3)).ok());
-}
-
-TEST(StateStoreTest, DeleteAndMissingKeys) {
-  StateStore store("wf");
-  EXPECT_EQ(store.GetBytes("nope").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(store.Delete("nope").code(), StatusCode::kNotFound);
-  ASSERT_TRUE(store.PutBytes("k", Bytes(8, 9)).ok());
-  ASSERT_TRUE(store.Delete("k").ok());
-  EXPECT_EQ(store.bytes_stored(), 0u);
-  EXPECT_FALSE(store.Contains("k"));
-}
-
-TEST(StateStoreTest, EmptyKeyRejected) {
-  StateStore store("wf");
-  EXPECT_FALSE(store.PutBytes("", Bytes(1, 1)).ok());
-}
-
-TEST(StateStoreTest, StatePersistsAcrossInvocations) {
-  // The §9 use case: a function accumulates state across invocations
-  // without an external KVS.
-  StateStore store("wf");
-  auto counter_shim = Shim::Create(Spec("counter"), Binary());
-  ASSERT_TRUE(counter_shim.ok());
-  ASSERT_TRUE((*counter_shim)
-                  ->Deploy([&store](ByteSpan) -> Result<Bytes> {
-                    uint64_t count = 0;
-                    if (auto prior = store.GetBytes("count"); prior.ok()) {
-                      count = LoadLE<uint64_t>(prior->data());
-                    }
-                    ++count;
-                    Bytes bytes(8);
-                    StoreLE<uint64_t>(bytes.data(), count);
-                    RR_RETURN_IF_ERROR(store.PutBytes("count", bytes));
-                    return bytes;
-                  })
-                  .ok());
-  for (int i = 1; i <= 3; ++i) {
-    auto outcome = (*counter_shim)->DeliverAndInvoke(AsBytes("tick"));
-    ASSERT_TRUE(outcome.ok()) << outcome.status();
-    auto view = (*counter_shim)->OutputView(outcome->output);
-    ASSERT_TRUE(view.ok());
-    EXPECT_EQ(LoadLE<uint64_t>(view->data()), static_cast<uint64_t>(i));
-    ASSERT_TRUE((*counter_shim)->ReleaseRegion(outcome->output).ok());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Syscall batching
 // ---------------------------------------------------------------------------
 
@@ -206,57 +108,6 @@ TEST(SyscallBatchTest, OutOfBoundsRegionFailsWholeBatch) {
   std::vector<wasi::WasiEnv::GuestRegion> regions = {
       {0xFFFFFF00u, 64}};  // far out of bounds
   EXPECT_FALSE(env.GuestWriteBatch(shim->sandbox().instance(), fd, regions).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Runtime selection
-// ---------------------------------------------------------------------------
-
-TEST(RuntimeSelectorTest, ColdSensitiveWorkloadPrefersWasm) {
-  runtime::WorkloadProfile profile;
-  profile.invocations_per_second = 0.001;  // nearly always cold
-  profile.mean_execution_seconds = 0.005;
-  profile.wasi_io_fraction = 0.2;
-  const auto report = runtime::SelectRuntime(profile);
-  EXPECT_EQ(report.selected, runtime::RuntimeKind::kWasm);
-  EXPECT_LT(report.wasm_cost_seconds, report.container_cost_seconds);
-}
-
-TEST(RuntimeSelectorTest, HotIoHeavyWorkloadPrefersContainer) {
-  runtime::WorkloadProfile profile;
-  profile.invocations_per_second = 1000;  // always warm
-  profile.keep_alive_seconds = 600;
-  profile.mean_execution_seconds = 0.100;
-  profile.wasi_io_fraction = 0.9;  // dominated by host I/O
-  const auto report = runtime::SelectRuntime(profile);
-  EXPECT_EQ(report.selected, runtime::RuntimeKind::kContainer);
-}
-
-TEST(RuntimeSelectorTest, PureComputeWarmWorkloadTiesTowardWasm) {
-  runtime::WorkloadProfile profile;
-  profile.invocations_per_second = 100;
-  profile.wasi_io_fraction = 0.0;
-  const auto report = runtime::SelectRuntime(profile);
-  // Equal execution cost, wasm never worse: selector must pick wasm.
-  EXPECT_EQ(report.selected, runtime::RuntimeKind::kWasm);
-}
-
-TEST(RuntimeSelectorTest, CostsAreMonotonicInIoFraction) {
-  runtime::WorkloadProfile profile;
-  profile.invocations_per_second = 10;
-  double previous = 0;
-  for (double io = 0.0; io <= 1.0; io += 0.25) {
-    profile.wasi_io_fraction = io;
-    const auto report = runtime::SelectRuntime(profile);
-    EXPECT_GE(report.wasm_cost_seconds, previous);
-    previous = report.wasm_cost_seconds;
-  }
-}
-
-TEST(RuntimeSelectorTest, KindNames) {
-  EXPECT_EQ(runtime::RuntimeKindName(runtime::RuntimeKind::kWasm), "wasm");
-  EXPECT_EQ(runtime::RuntimeKindName(runtime::RuntimeKind::kContainer),
-            "container");
 }
 
 }  // namespace

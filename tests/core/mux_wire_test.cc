@@ -611,7 +611,8 @@ TEST(MuxWireTest, SmallStreamLeavesInOneSegment) {
   const size_t open_len = 18 + function.size();
   Bytes got(kMuxPreambleBytes + kMuxFrameHeaderBytes + open_len +
             kMuxFrameHeaderBytes + kBody);
-  ASSERT_TRUE(peer->Receive(got, Now() + kEventBound).ok());
+  ASSERT_TRUE(peer->SetIoTimeouts(kEventBound).ok());
+  ASSERT_TRUE(peer->Receive(got).ok());
   const uint8_t* open = got.data() + kMuxPreambleBytes;
   EXPECT_EQ(DecodeMuxFrameHeader(open).type, kMuxFrameOpen);
   const uint8_t* data = open + kMuxFrameHeaderBytes + open_len;
@@ -1039,7 +1040,7 @@ Result<RawCompletion> ReadCompletion(osal::Connection& conn) {
 TEST(MuxWireTest, HugeDeclaredBodyRefusedAtOpenWithoutReservation) {
   // The open frame declares body length; the agent must treat it as a
   // *commitment to refuse*, not a buffer to allocate. A protocol-plausible
-  // 1 GiB declaration (under serde::kMaxFrameBytes, far over the staging
+  // 1 GiB declaration (under kMuxMaxBodyBytes, far over the staging
   // cap) in a 40-byte frame gets a typed kResourceExhausted completion
   // immediately — stream-fatal only, with the connection still serving real
   // transfers.
@@ -1116,6 +1117,43 @@ TEST(MuxWireTest, StreamTableCapRefusesOpensTyped) {
   ASSERT_TRUE(fourth.ok()) << fourth.status();
   EXPECT_EQ(fourth->stream_id, 4u);
   EXPECT_EQ(fourth->code, StatusCode::kOk) << fourth->detail;
+
+  conn->Close();
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, StalledStreamFailsTypedAndConnectionSurvives) {
+  // A sender that stops mid-body must not pin its stream: the agent's sweep
+  // fails the stream with kDeadlineExceeded once no data arrived for the
+  // transfer deadline, and the connection keeps serving.
+  NodeAgent::Options options;
+  options.transfer_deadline = std::chrono::milliseconds(200);
+  auto agent = NodeAgent::Start(0, options);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("echo", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto conn = DialMux((*agent)->port());
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  ASSERT_TRUE(conn->SetIoTimeouts(kEventBound).ok());
+  const Stopwatch timer;
+  ASSERT_TRUE(conn->Send(EncodeRawOpen(1, /*token=*/1, 100, "echo")).ok());
+  ASSERT_TRUE(conn->Send(EncodeRawData(1, Bytes(10, 0x5a))).ok());
+  auto stalled = ReadCompletion(*conn);
+  ASSERT_TRUE(stalled.ok()) << stalled.status();
+  EXPECT_EQ(stalled->stream_id, 1u);
+  EXPECT_EQ(stalled->code, StatusCode::kDeadlineExceeded) << stalled->detail;
+  EXPECT_LT(timer.Elapsed(), kFailureBound);
+
+  ASSERT_TRUE(conn->Send(EncodeRawOpen(2, /*token=*/2, 1, "echo")).ok());
+  ASSERT_TRUE(conn->Send(EncodeRawData(2, AsBytes("x"))).ok());
+  auto next = ReadCompletion(*conn);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->stream_id, 2u);
+  EXPECT_EQ(next->code, StatusCode::kOk) << next->detail;
 
   conn->Close();
   (*agent)->Shutdown();
@@ -1225,7 +1263,7 @@ void ExpectDroppedWithinBound(osal::Connection& conn) {
 }
 
 TEST(MuxWireTest, OpenDeclaringBodyPastFrameCapTearsConnectionDown) {
-  // A declared body past serde::kMaxFrameBytes is not a request the agent
+  // A declared body past kMuxMaxBodyBytes is not a request the agent
   // can refuse politely (unlike a body past its staging cap): the open
   // frame is implausible, and the byte stream after it cannot be trusted.
   auto agent = NodeAgent::Start(0);
@@ -1239,7 +1277,7 @@ TEST(MuxWireTest, OpenDeclaringBodyPastFrameCapTearsConnectionDown) {
   auto conn = DialMux((*agent)->port());
   ASSERT_TRUE(conn.ok()) << conn.status();
   ASSERT_TRUE(conn->Send(EncodeRawOpen(1, /*token=*/1,
-                                       serde::kMaxFrameBytes + 1, "echo"))
+                                       kMuxMaxBodyBytes + 1, "echo"))
                   .ok());
   ExpectDroppedWithinBound(*conn);
   EXPECT_EQ((*agent)->transfers_refused(), 0u);

@@ -2,9 +2,6 @@
 // stitched trace — the agent's ingress/invoke spans carry the trace id the
 // submitting runtime minted, because the context rode the mux open frame.
 // Local edges are timed by their own edge:* spans under the same trace.
-// Also covers the network hose's header, which carries no trace context: a
-// bare 16-byte header delivers without waiting for more, and a header still
-// carrying the retired trace flag fails cleanly instead of desyncing.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,7 +11,6 @@
 #include <vector>
 
 #include "api/runtime.h"
-#include "core/network_channel.h"
 #include "core/node_agent.h"
 #include "obs/trace.h"
 #include "runtime/function.h"
@@ -179,75 +175,6 @@ TEST_F(TracePropagationTest, LocalEdgesAreTimedByTheirSpans) {
     EXPECT_GT(spans[0].duration.count(), 0) << edge;
     EXPECT_LE(spans[0].duration, transfer_phase) << edge;
   }
-}
-
-std::unique_ptr<Shim> MakeTarget() {
-  auto shim = Shim::Create(Spec("target"), Binary());
-  EXPECT_TRUE(shim.ok()) << shim.status();
-  EXPECT_TRUE((*shim)
-                  ->Deploy([](ByteSpan input) -> Result<Bytes> {
-                    return Bytes(input.begin(), input.end());
-                  })
-                  .ok());
-  return shim.ok() ? std::move(*shim) : nullptr;
-}
-
-TEST_F(TracePropagationTest, LegacyFrameWithoutExtensionDelivers) {
-  // The hose's header is 16 bytes (length + an ignored word: a peer that
-  // still stamps a correlation token there is fine) whether or not the
-  // sender traces; the receiver must not wait for an extension.
-  auto target = MakeTarget();
-  ASSERT_NE(target, nullptr);
-  auto listener = core::NetworkChannelListener::Bind(0);
-  ASSERT_TRUE(listener.ok());
-  auto raw = osal::TcpConnect("127.0.0.1", listener->port());
-  ASSERT_TRUE(raw.ok());
-  auto receiver = listener->Accept();
-  ASSERT_TRUE(receiver.ok());
-
-  const Bytes payload = ToBytes("legacy");
-  uint8_t header[16];
-  StoreLE<uint64_t>(header, payload.size());
-  StoreLE<uint64_t>(header + 8, 7);
-  ASSERT_TRUE(raw->Send(ByteSpan(header, 16)).ok());
-  ASSERT_TRUE(raw->Send(ByteSpan(payload.data(), payload.size())).ok());
-  auto delivered = receiver->ReceiveInto(*target);
-  ASSERT_TRUE(delivered.ok()) << delivered.status();
-  EXPECT_EQ(delivered->length, payload.size());
-}
-
-TEST_F(TracePropagationTest, TruncatedTraceExtensionFailsCleanly) {
-  // Malformed: a peer that still sets the retired trace flag (bit 63 of the
-  // length) promises a 16-byte extension but dies after 8. The receive must
-  // surface a typed error — never block forever on the body or misread the
-  // extension bytes as payload — and place nothing in the target.
-  constexpr uint64_t kRetiredTraceFlag = uint64_t{1} << 63;
-  auto target = MakeTarget();
-  ASSERT_NE(target, nullptr);
-  auto listener = core::NetworkChannelListener::Bind(0);
-  ASSERT_TRUE(listener.ok());
-  std::optional<osal::Connection> raw;
-  {
-    auto connected = osal::TcpConnect("127.0.0.1", listener->port());
-    ASSERT_TRUE(connected.ok());
-    raw.emplace(std::move(*connected));
-  }
-  auto receiver = listener->Accept();
-  ASSERT_TRUE(receiver.ok());
-  receiver->set_transfer_deadline(std::chrono::seconds(2));
-
-  uint8_t header[24];
-  StoreLE<uint64_t>(header, uint64_t{64} | kRetiredTraceFlag);
-  StoreLE<uint64_t>(header + 8, 0);
-  StoreLE<uint64_t>(header + 16, 0x1234);  // half the promised extension
-  ASSERT_TRUE(raw->Send(ByteSpan(header, 24)).ok());
-  raw.reset();  // peer dies mid-extension
-  const size_t regions_before = target->data().registered_region_count();
-  auto delivered = receiver->ReceiveInto(*target);
-  ASSERT_FALSE(delivered.ok());
-  EXPECT_EQ(delivered.status().code(), StatusCode::kDataLoss)
-      << delivered.status();
-  EXPECT_EQ(target->data().registered_region_count(), regions_before);
 }
 
 }  // namespace

@@ -41,45 +41,6 @@ TEST(TcpTest, ConnectRefusedGivesUnavailable) {
   EXPECT_EQ(conn.status().code(), StatusCode::kUnavailable);
 }
 
-TEST(UnixTest, AbstractNamespaceEcho) {
-  const std::string path = "@rr-test-" + std::to_string(::getpid());
-  auto listener = UnixListener::Bind(path);
-  ASSERT_TRUE(listener.ok()) << listener.status();
-
-  std::thread server([&] {
-    auto conn = listener->Accept();
-    ASSERT_TRUE(conn.ok());
-    Bytes buf(3);
-    ASSERT_TRUE(conn->Receive(buf).ok());
-    ASSERT_TRUE(conn->Send(buf).ok());
-  });
-
-  auto client = UnixConnect(path);
-  ASSERT_TRUE(client.ok()) << client.status();
-  ASSERT_TRUE(client->Send(AsBytes("ipc")).ok());
-  Bytes echoed(3);
-  ASSERT_TRUE(client->Receive(echoed).ok());
-  EXPECT_EQ(ToString(echoed), "ipc");
-  server.join();
-}
-
-TEST(UnixTest, FilesystemSocketCleansUp) {
-  const std::string path = "/tmp/rr-test-" + std::to_string(::getpid()) + ".sock";
-  {
-    auto listener = UnixListener::Bind(path);
-    ASSERT_TRUE(listener.ok()) << listener.status();
-    EXPECT_EQ(::access(path.c_str(), F_OK), 0);
-  }
-  EXPECT_NE(::access(path.c_str(), F_OK), 0);  // unlinked by destructor
-}
-
-TEST(UnixTest, PathTooLongRejected) {
-  const std::string path(200, 'x');
-  auto listener = UnixListener::Bind(path);
-  ASSERT_FALSE(listener.ok());
-  EXPECT_EQ(listener.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(ConnectedPairTest, BidirectionalTransfer) {
   auto pair = ConnectedPair();
   ASSERT_TRUE(pair.ok());
