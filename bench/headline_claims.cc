@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
 
   // Interpreter-mode WasmEdge at one representative size: the regime behind
   // the paper's headline numbers (its WasmEdge baseline interpreted the
-  // serialization path; see DESIGN.md).
+  // serialization path; see README "Substitutions").
   const size_t mid = intra_sizes[intra_sizes.size() / 2];
   rr::workload::DriverOptions interp_options;
   interp_options.interpreted_serialization = true;

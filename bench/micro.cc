@@ -1,5 +1,5 @@
 // Micro/ablation benchmarks (google-benchmark) for the design choices
-// DESIGN.md calls out:
+// README "Substitutions" and the zero-copy plane rest on:
 //   1. serialization-free pointer passing vs JSON round-trip
 //   2. the WASI guest<->host copy boundary cost
 // plus runtime primitives (interpreter dispatch, guest allocator).

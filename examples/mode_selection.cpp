@@ -50,24 +50,32 @@ int main(int argc, char** argv) {
 
   // Now measure each mode on real transfers using the workload drivers.
   std::printf("\nmeasured one-transfer latency (%zu MB):\n", payload_mb);
+  using DriverFactory = Result<std::unique_ptr<workload::ChainDriver>> (*)(
+      workload::DriverOptions);
   struct DriverCase {
     const char* label;
-    Result<std::unique_ptr<workload::ChainDriver>> driver;
+    DriverFactory make;
+    workload::DriverOptions options;
   };
   workload::DriverOptions inter;
   inter.link = netsim::LinkConfig{};  // paper defaults: 100 Mbps, 1 ms RTT
 
-  DriverCase cases[] = {
-      {"user-space  (same VM)", workload::MakeRoadrunnerUserDriver({})},
-      {"kernel-space (same node)", workload::MakeRoadrunnerKernelDriver({})},
-      {"network     (100 Mbps link)", workload::MakeRoadrunnerNetworkDriver(inter)},
+  const DriverCase cases[] = {
+      {"user-space  (same VM)", workload::MakeRoadrunnerUserDriver, {}},
+      {"kernel-space (same node)", workload::MakeRoadrunnerKernelDriver, {}},
+      {"network     (100 Mbps link)", workload::MakeRoadrunnerNetworkDriver,
+       inter},
   };
-  for (DriverCase& c : cases) {
-    if (!c.driver.ok()) return Fail(c.driver.status());
+  for (const DriverCase& c : cases) {
+    // One driver at a time: the network driver traces its runtime (the
+    // agent's spans carry its Wasm VM I/O), and that tracing must not
+    // reach the other modes' measurements.
+    auto driver = c.make(c.options);
+    if (!driver.ok()) return Fail(driver.status());
     // Warm-up then measure.
-    auto warm = (*c.driver)->RunOnce(payload);
+    auto warm = (*driver)->RunOnce(payload);
     if (!warm.ok()) return Fail(warm.status());
-    auto metrics = (*c.driver)->RunOnce(payload);
+    auto metrics = (*driver)->RunOnce(payload);
     if (!metrics.ok()) return Fail(metrics.status());
     std::printf("  %-28s total=%-12s transfer=%-12s wasm-io=%s\n", c.label,
                 telemetry::FormatSeconds(metrics->total_seconds()).c_str(),

@@ -87,7 +87,10 @@ Runtime::Runtime(std::string workflow, Options options)
     if (options.trace_capacity > 0) {
       obs::Tracer::Get().SetCapacity(options.trace_capacity);
     }
-    obs::SetTracingEnabled(true);
+    // Released in ~Runtime: tracing this runtime turned on ends with the
+    // last runtime that asked for it.
+    obs::HoldTracing();
+    holds_tracing_ = true;
   }
   if (options.serve_introspection) {
     obs::IntrospectionServer::Options intro;
@@ -130,10 +133,13 @@ Runtime::~Runtime() {
   // included — because the finishing threads (DAG workers, agent invoke
   // workers, the mux reactor, the deadline sweeper) touch this object until
   // it returns; the executor's destructor then joins the DAG workers.
-  MutexLock lock(mutex_);
-  stopping_ = true;
-  drained_cv_.wait(lock,
-                   [this]() RR_REQUIRES(mutex_) { return unsettled_ == 0; });
+  {
+    MutexLock lock(mutex_);
+    stopping_ = true;
+    drained_cv_.wait(lock,
+                     [this]() RR_REQUIRES(mutex_) { return unsettled_ == 0; });
+  }
+  if (holds_tracing_) obs::ReleaseTracing();
 }
 
 Status Runtime::Register(core::Endpoint endpoint) {

@@ -147,10 +147,12 @@ class Runtime {
     // receiver that dies mid-body or never acks fails the edge with
     // kDeadlineExceeded within this bound. Non-positive = unbounded.
     Nanos transfer_deadline = std::chrono::seconds(30);
-    // Enables invocation tracing process-wide: Submit mints a trace id per
-    // run, spans record into the obs::Tracer ring, frames carry the trace
-    // context to remote agents. Off by default — a disabled span site costs
-    // one relaxed atomic load and reads no clock.
+    // Enables invocation tracing process-wide while this runtime lives:
+    // Submit mints a trace id per run, spans record into the obs::Tracer
+    // ring, frames carry the trace context to remote agents. Tracing a
+    // runtime turned on ends with the last runtime that asked for it (an
+    // explicit obs::SetTracingEnabled overrides). Off by default — a
+    // disabled span site costs one relaxed atomic load and reads no clock.
     bool tracing = false;
     // Ring capacity for finished spans when tracing is on (0 = keep the
     // tracer's current capacity).
@@ -238,6 +240,8 @@ class Runtime {
   size_t unsettled_ RR_GUARDED_BY(mutex_) = 0;
   bool stopping_ RR_GUARDED_BY(mutex_) = false;
   std::atomic<uint64_t> next_id_{1};
+  // Options::tracing took an obs::HoldTracing the destructor releases.
+  bool holds_tracing_ = false;
 };
 
 }  // namespace rr::api

@@ -17,9 +17,10 @@
 //    the sender's edge immediately instead of waiting out a deadline.
 //  * Flow control is per-stream: a stream may have at most
 //    kMuxInitialWindow un-granted body bytes on the wire; the agent extends
-//    the window with kWindowUpdate frames as it consumes. A sender that
-//    exhausts its window stalls that one stream (counted) and keeps serving
-//    the others.
+//    the window with kWindowUpdate frames as it consumes — once the body's
+//    destination region is placed, the first due update credits the whole
+//    rest of the body. A sender that exhausts its window stalls that one
+//    stream (counted) and keeps serving the others.
 //
 // ## Connection preamble
 //
@@ -79,12 +80,17 @@ inline constexpr uint8_t kMuxFlagTrace = 0x01;
 // N busy streams is bounded by N quanta, not by anyone's body size.
 inline constexpr size_t kMuxMaxChunk = 64 * 1024;
 
-// A stream's initial flow-control window. The agent grants more as it
-// consumes; a sender may never have more un-granted body bytes in flight.
+// A stream's initial flow-control window: what a sender may put on the wire
+// before the agent has a destination for the body, and all a stream without
+// an instance yet ever buffers. A sender may never have more un-granted body
+// bytes in flight.
 inline constexpr size_t kMuxInitialWindow = 256 * 1024;
 
-// The agent re-grants consumed window once at least this much accumulated
-// (half a window: updates amortize without ever letting the window drain).
+// A grant is due once at least this much of the window was consumed (half a
+// window, so the window never drains before the update lands). The first
+// due grant of a placed stream extends its credit to the declared end when
+// the agent's commitment cap holds the rest; otherwise it re-grants the
+// consumed window.
 inline constexpr size_t kMuxWindowUpdateThreshold = kMuxInitialWindow / 2;
 
 // The largest body a kOpen may declare: a body lands in one region of 32-bit

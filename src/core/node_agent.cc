@@ -1,6 +1,7 @@
 #include "core/node_agent.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <cerrno>
 #include <cstring>
@@ -52,7 +53,8 @@ obs::Gauge& AgentConnections() {
 obs::Gauge& AgentStreamsInFlight() {
   static obs::Gauge* gauge = obs::Registry::Get().gauge(
       "rr_agent_streams_in_flight",
-      "Mux streams currently staging or awaiting their completion frame");
+      "Mux streams admitted and not yet completed: receiving (into a leased "
+      "guest region or the waiting room) or invoking");
   return *gauge;
 }
 
@@ -88,17 +90,18 @@ const bool g_agent_metrics_registered = [] {
 constexpr size_t kMaxFunctionName = 256;
 
 // Per-connection cap on COMMITTED bytes: body bytes the agent has agreed to
-// hold — granted-but-unreceived window credit plus bytes already staged or
-// handed to the invoke pool. Opens that would commit past the cap are
-// refused with a typed completion, grants that would are deferred until
-// invokes drain, and data beyond a stream's granted window is
-// connection-fatal — so the cap is a hard heap bound (within the staging
-// buffers' 2x growth factor), not advisory. A single stream larger than the
-// cap could never finish staging, so it is refused at open.
+// hold — granted-but-unreceived window credit plus bytes already received
+// (into a leased guest region, or a waiting stream's prefix) or handed to the
+// invoke pool. Opens that would commit past the cap are refused with a typed
+// completion, grants that would are deferred until invokes drain, and data
+// beyond a stream's granted window is connection-fatal — so the cap is a hard
+// memory bound (a placed region is reserved whole, but its pages commit only
+// as bytes land), not advisory. A single stream larger than the cap could
+// never finish, so it is refused at open.
 // Default for Options::max_conn_staged_bytes == 0.
 constexpr size_t kMaxConnStagedBytes = 128 * 1024 * 1024;
 
-// Concurrent staging streams one connection may hold. Bounds the stream
+// Concurrent receiving streams one connection may hold. Bounds the stream
 // table (an open frame is ~40 bytes; table entries must not be free to mint)
 // while leaving room for the 10k-in-flight scale target over a handful of
 // connections. Opens past it are refused with a typed completion.
@@ -184,6 +187,18 @@ struct NodeAgent::ReactorPlane {
     size_t outq_bytes RR_GUARDED_BY(mutex) = 0;
     bool writable_armed RR_GUARDED_BY(mutex) = false;
 
+    // The connection's books. An invoke worker settles them itself when its
+    // job retires; the shard hears of it (a post) only when a grant waits on
+    // the bytes the job frees, or when its completion frame was lost.
+    // Sum of every receiving stream's committed() plus every in-flight job's
+    // body; admission and grants keep it under max_conn_staged_bytes.
+    std::atomic<size_t> committed_bytes{0};
+    std::atomic<size_t> jobs_inflight{0};
+    // Set while a grant is deferred on the commitment cap.
+    std::atomic<bool> credit_waiting{false};
+    // When the last job retired: the idle sweep counts it as activity.
+    std::atomic<TimePoint> last_retired{TimePoint{}};
+
     // Queues `frame` and drains. Callable from any thread (Reactor::Modify
     // is thread-safe). Returns false when the connection is dead, the
     // outbound backlog exceeded its cap, or the socket failed — all
@@ -236,32 +251,92 @@ struct NodeAgent::ReactorPlane {
     }
   };
 
-  // One staged stream handed to the invoke pool.
+  // Where a stream's body lands: a leased instance and the input region
+  // placed in its linear memory. The shard receives body bytes straight into
+  // `span`, and the invoke worker invokes on `region`. Linear memory is one
+  // reserved mapping, so the span survives a guest Grow; the instance's
+  // exec_mutex guards placement, invoke and release, which share the
+  // region registry with readers of the instance's older outputs.
+  struct Landing {
+    // Held from open until the invoke: the stream's claim on its instance.
+    ShimLease instance;  // rr-lint: allow(lease-member)
+    MemoryRegion region{};
+    MutableByteSpan span;
+    bool placed = false;  // region allocated; false = the instance alone
+  };
+
+  // Allocates the input region in `landing.instance`. The caller holds the
+  // instance's exec_mutex.
+  static Status Place(Landing& landing, uint64_t body_len) {
+    Shim& shim = *landing.instance;
+    RR_ASSIGN_OR_RETURN(const MemoryRegion region,
+                        shim.PrepareInput(static_cast<uint32_t>(body_len)));
+    Result<MutableByteSpan> span = shim.InputSpan(region);
+    if (!span.ok()) {
+      (void)shim.ReleaseRegion(region);
+      return span.status();
+    }
+    landing.region = region;
+    landing.span = *span;
+    landing.placed = true;
+    return Status::Ok();
+  }
+
+  // Frees the region and returns the instance. Blocks on exec_mutex, so only
+  // invoke workers and Shutdown call it; a shard uses DropLanding.
+  static void ReleaseLanding(Landing& landing) {
+    if (!landing.instance) return;
+    if (landing.placed) {
+      MutexLock lock(landing.instance->exec_mutex());
+      (void)landing.instance->ReleaseRegion(landing.region);
+      landing.placed = false;
+    }
+    landing.instance.Release();
+  }
+
+  // A landing in transit from a worker to its stream's shard. The shard
+  // always takes the landing out; if the post never runs (the shard
+  // stopped), the parcel dies off the loop and releases it there.
+  struct Parcel {
+    Landing landing;
+    ~Parcel() { ReleaseLanding(landing); }
+  };
+
+  // Work for the invoke pool, whose threads are the only agent threads that
+  // may block on an instance's exec_mutex.
   struct InvokeJob {
-    Entry entry;
-    std::string function;
-    Bytes body;
+    enum class Kind {
+      kInvoke,   // a fully received stream: invoke on its landed region
+      kPlace,    // place a stream's region in a contended instance
+      kRelease,  // release a dropped stream's region in a contended instance
+    };
+    Kind kind = Kind::kInvoke;
+    std::shared_ptr<Entry> entry;
+    Landing landing;
     obs::SpanContext trace;
     std::shared_ptr<WriteHandle> write;
     uint32_t stream_id = 0;
     uint64_t token = 0;
+    uint64_t serial = 0;  // kPlace: the stream the region is for
     size_t shard = 0;
     uint64_t conn_id = 0;
-    // Bytes this job holds against the connection's commitment cap.
-    size_t staged = 0;
+    // The body's length: what a kInvoke job holds against the connection's
+    // commitment cap, and what a kPlace job places.
+    uint64_t body_len = 0;
   };
 
-  // One logical transfer on a connection, while its body is staging.
-  // `body` grows geometrically as flow-controlled data arrives (never past
-  // body_len, never more than ~2x the bytes received) — the declared length
-  // is a promise, not an allocation, so a peer declaring huge bodies it
-  // never sends costs the agent nothing.
+  // One logical transfer on a connection, while its body arrives. A placed
+  // stream receives into its landing. A stream without one — waiting for an
+  // instance, or a worker placing its region — buffers into `prefix`, at
+  // most its initial window: it earns no further credit until it lands,
+  // and then the prefix is copied into the region once. The declared length
+  // is a promise, not an allocation: a region commits pages only as bytes
+  // arrive, and a prefix never exceeds what the open already committed.
   struct Stream {
     uint64_t token = 0;
-    Entry entry;
-    std::string function;
+    uint64_t serial = 0;  // shard-unique: tells a reused stream id apart
+    std::shared_ptr<Entry> entry;
     uint64_t body_len = 0;
-    Bytes body;
     uint64_t got = 0;
     // Total window bytes extended to the sender (initial + grants). Data
     // past it is a flow-control violation and connection-fatal, which is
@@ -272,10 +347,18 @@ struct NodeAgent::ReactorPlane {
     bool credit_deferred = false;
     obs::SpanContext trace;
     TimePoint last_data;
+    Landing landing;
+    Bytes prefix;
+    bool waiting = false;  // holds a ticket in the shard's waiting room
+    bool placing = false;  // a worker holds the instance, placing the region
+    TimePoint waiting_since;
 
     // This stream's share of the connection's committed bytes: the sender
     // may deliver up to its granted credit, but never past the declared end.
     uint64_t committed() const { return std::min(body_len, credit); }
+    uint8_t* dest() {
+      return landing.placed ? landing.span.data() : prefix.data();
+    }
   };
 
   struct Conn {
@@ -287,7 +370,7 @@ struct NodeAgent::ReactorPlane {
 
     // The receive state machine. Fixed-size pieces (the preamble, headers,
     // the open payload) accumulate into `acc`; bodies stream straight into
-    // their destination buffers.
+    // their destinations.
     enum class Phase {
       kPreamble,
       kMuxHeader,
@@ -307,16 +390,29 @@ struct NodeAgent::ReactorPlane {
     // Streams whose window grant was withheld by the commitment cap, in
     // arrival order; re-granted as invokes drain.
     std::deque<uint32_t> deferred_credit;
-    size_t jobs_inflight = 0;
-    // Sum of every staging stream's committed() plus every in-flight job's
-    // staged bytes; admission and grants keep it under kMaxConnStagedBytes.
-    size_t committed_bytes = 0;
+  };
+
+  // A waiting-room slot. A slot goes stale when its stream lands or ends
+  // out of turn; the serial tells a stale slot from a reused stream id.
+  struct Ticket {
+    uint64_t conn_id = 0;
+    uint32_t stream_id = 0;
+    uint64_t serial = 0;
+  };
+  struct WaitQueue {
+    std::shared_ptr<Entry> entry;
+    std::deque<Ticket> fifo;  // oldest first
   };
 
   struct Shard {
     std::shared_ptr<osal::Reactor> reactor;
     // Loop-thread-only: every access happens on this shard's reactor.
     std::unordered_map<uint64_t, std::shared_ptr<Conn>> conns;
+    // The waiting room, per function: streams with no instance yet. A
+    // retry walks one queue, so its cost is the functions with waiters,
+    // not the waiting streams.
+    std::unordered_map<const Entry*, WaitQueue> waiting;
+    uint64_t next_serial = 0;
   };
 
   NodeAgent* const agent;
@@ -381,39 +477,52 @@ struct NodeAgent::ReactorPlane {
     for (Shard& shard : shards) {
       if (shard.reactor) shard.reactor->Stop();
     }
-    // Loop threads are joined: connection tables are now plane-owned.
+    // Loop threads are joined: connection tables are now plane-owned, and
+    // this thread may block on exec mutexes to release placed regions.
+    std::vector<Landing> orphans;
     size_t closed = 0;
     size_t open_streams = 0;
     for (Shard& shard : shards) {
       for (auto& [id, conn] : shard.conns) {
-        MutexLock lock(conn->write->mutex);
-        conn->write->dead = true;
-        conn->write->fd.Reset();
+        {
+          MutexLock lock(conn->write->mutex);
+          conn->write->dead = true;
+          conn->write->fd.Reset();
+        }
         open_streams += conn->streams.size();
+        for (auto& [stream_id, s] : conn->streams) {
+          orphans.push_back(std::move(s.landing));
+        }
         ++closed;
       }
       shard.conns.clear();
+      shard.waiting.clear();
     }
     if (open_streams > 0) {
       AgentStreamsInFlight().Sub(static_cast<int64_t>(open_streams));
     }
     if (closed > 0) AgentConnections().Sub(static_cast<int64_t>(closed));
     agent->active_connections_.store(0, std::memory_order_relaxed);
-    size_t dropped_streams = 0;
+    std::deque<InvokeJob> dropped;
     {
       MutexLock lock(queue_mutex);
       queue_stopping = true;
-      dropped_streams = queue.size();
-      queue.clear();
+      dropped.swap(queue);
+    }
+    queue_cv.notify_all();
+    size_t dropped_streams = 0;
+    for (InvokeJob& job : dropped) {
+      if (job.kind == InvokeJob::Kind::kInvoke) ++dropped_streams;
+      orphans.push_back(std::move(job.landing));
     }
     if (dropped_streams > 0) {
       AgentStreamsInFlight().Sub(static_cast<int64_t>(dropped_streams));
     }
-    queue_cv.notify_all();
     for (std::thread& worker : workers) {
       if (worker.joinable()) worker.join();
     }
     workers.clear();
+    for (Landing& landing : orphans) ReleaseLanding(landing);
   }
 
   // --- accept path (shard 0's loop) ---
@@ -468,12 +577,21 @@ struct NodeAgent::ReactorPlane {
     AgentConnections().Add(1);
   }
 
+  std::shared_ptr<Conn> FindConn(size_t si, uint64_t id) {
+    const auto it = shards[si].conns.find(id);
+    return it == shards[si].conns.end() ? nullptr : it->second;
+  }
+
+  static Stream* FindStream(Conn& c, uint32_t stream_id) {
+    const auto it = c.streams.find(stream_id);
+    return it == c.streams.end() ? nullptr : &it->second;
+  }
+
   // --- event path (each shard's loop) ---
 
   void OnConnEvent(size_t si, uint64_t id, uint32_t events) {  // rr-lint: reactor-thread
-    const auto it = shards[si].conns.find(id);
-    if (it == shards[si].conns.end()) return;  // stale event past teardown
-    std::shared_ptr<Conn> conn = it->second;
+    const std::shared_ptr<Conn> conn = FindConn(si, id);
+    if (conn == nullptr) return;  // stale event past teardown
     if (events & osal::Epoll::kError) {
       Teardown(si, conn);
       return;
@@ -490,20 +608,44 @@ struct NodeAgent::ReactorPlane {
       }
     }
     if ((events & osal::Epoll::kReadable) == 0) return;
+    Conn& c = *conn;
     uint8_t buf[64 * 1024];
     // Bounded drain: level-triggered epoll re-arms anything left, so capping
     // the per-event read keeps one firehose connection from starving the
     // shard's other connections.
     for (int round = 0; round < 16; ++round) {
-      // Never blocks (MSG_DONTWAIT).  rr-lint: allow(reactor-blocking)
-      const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), MSG_DONTWAIT);
+      // Mid-frame, one recvmsg scatters the rest of the body straight into
+      // the stream's destination (its guest region, or a waiting stream's
+      // prefix) and the next frame header into the accumulator. Everything
+      // else reads into `buf` and goes through the parser, which copies the
+      // head of a body that arrived in the same read as its header.
+      Stream* const s = c.phase == Conn::Phase::kMuxData
+                            ? FindStream(c, c.mh.stream_id)
+                            : nullptr;
+      iovec iov[2];
+      msghdr msg{};
+      msg.msg_iov = iov;
+      size_t want = sizeof(buf);
+      if (s != nullptr) {
+        iov[0] = {s->dest() + s->got, c.frame_left};
+        iov[1] = {c.acc, kMuxFrameHeaderBytes};
+        msg.msg_iovlen = 2;
+        want = c.frame_left + kMuxFrameHeaderBytes;
+      } else {
+        iov[0] = {buf, sizeof(buf)};
+        msg.msg_iovlen = 1;
+      }
+      const ssize_t n = ::recvmsg(c.fd, &msg, MSG_DONTWAIT);  // never blocks
       if (n > 0) {
-        conn->last_activity = Now();
-        if (!Feed(*conn, ByteSpan(buf, static_cast<size_t>(n)))) {
+        c.last_activity = Now();
+        const size_t got = static_cast<size_t>(n);
+        const bool ok = s != nullptr ? Landed(c, *s, got)
+                                     : Feed(c, ByteSpan(buf, got));
+        if (!ok) {
           Teardown(si, conn);
           return;
         }
-        if (static_cast<size_t>(n) < sizeof(buf)) return;
+        if (got < want) return;
         continue;
       }
       if (n == 0) {  // peer closed
@@ -523,14 +665,37 @@ struct NodeAgent::ReactorPlane {
     c.fixed_got = 0;
   }
 
+  // `n` bytes arrived through the scatter read: the rest of the current
+  // frame's body went to the stream's destination, and anything past it is
+  // the next frame's header, already in the accumulator.
+  bool Landed(Conn& c, Stream& s, size_t n) {
+    const size_t body = std::min(n, c.frame_left);
+    if (!Consume(c, s, body)) return false;  // may end the stream
+    const size_t header = n - body;
+    if (header == 0) return true;
+    c.fixed_got = header;
+    return header < kMuxFrameHeaderBytes || ProcessFixed(c);
+  }
+
+  // Accounts `n` body bytes already written at the stream's destination.
+  bool Consume(Conn& c, Stream& s, size_t n) {
+    s.got += n;
+    s.ungranted += n;
+    s.last_data = Now();
+    c.frame_left -= n;
+    if (c.frame_left > 0) return true;
+    ArmFixed(c, Conn::Phase::kMuxHeader, kMuxFrameHeaderBytes);
+    return Resume(c, c.mh.stream_id, s);
+  }
+
   // Consumes `data` through the state machine. Returns false on anything
   // connection-fatal (the byte stream past the fault cannot be re-framed).
   bool Feed(Conn& c, ByteSpan data) {
     while (!data.empty()) {
       switch (c.phase) {
         case Conn::Phase::kMuxData: {
-          const auto it = c.streams.find(c.mh.stream_id);
-          if (it == c.streams.end()) {
+          Stream* const s = FindStream(c, c.mh.stream_id);
+          if (s == nullptr) {
             // Stream swept mid-frame (stalled past the deadline): the rest
             // of the chunk is framing noise, skip it.
             c.skip_left = c.frame_left;
@@ -538,30 +703,10 @@ struct NodeAgent::ReactorPlane {
             c.phase = Conn::Phase::kMuxSkip;
             continue;
           }
-          Stream& s = it->second;
           const size_t n = std::min<size_t>(data.size(), c.frame_left);
-          if (s.body.size() < s.got + n) {
-            // Geometric growth, capped at the declared length: memory tracks
-            // bytes actually received (amortized one extra copy), never the
-            // peer's declaration.
-            const uint64_t doubled =
-                std::max<uint64_t>(s.body.size() * 2, 64 * 1024);
-            s.body.resize(static_cast<size_t>(std::min<uint64_t>(
-                s.body_len, std::max<uint64_t>(doubled, s.got + n))));
-          }
-          std::memcpy(s.body.data() + s.got, data.data(), n);
-          s.got += n;
-          s.ungranted += n;
-          s.last_data = Now();
-          c.frame_left -= n;
+          std::memcpy(s->dest() + s->got, data.data(), n);
           data = data.subspan(n);
-          if (c.frame_left == 0) {
-            if (!MaybeGrant(c, c.mh.stream_id, s)) return false;
-            if (s.got == s.body_len) {
-              CompleteStreamStaging(c, c.mh.stream_id, s);
-            }
-            ArmFixed(c, Conn::Phase::kMuxHeader, kMuxFrameHeaderBytes);
-          }
+          if (!Consume(c, *s, n)) return false;
           continue;
         }
         case Conn::Phase::kMuxSkip: {
@@ -619,26 +764,32 @@ struct NodeAgent::ReactorPlane {
             ArmFixed(c, Conn::Phase::kMuxOpen, mh.payload_length);
             return true;
           case kMuxFrameData: {
-            const auto it = c.streams.find(mh.stream_id);
-            if (it == c.streams.end()) {
+            Stream* const s = FindStream(c, mh.stream_id);
+            if (s == nullptr) {
               // Unknown stream: tolerated (a chunk racing a cancel/sweep).
               c.skip_left = mh.payload_length;
               c.phase = Conn::Phase::kMuxSkip;
               return true;
             }
-            if (it->second.got + mh.payload_length > it->second.body_len) {
+            if (s->got + mh.payload_length > s->body_len) {
               RR_LOG(Warning)
                   << "node agent: mux data overruns the declared body";
               return false;
             }
-            if (it->second.got + mh.payload_length > it->second.credit) {
+            if (s->got + mh.payload_length > s->credit) {
               // Flow-control violation: the peer sent past its granted
               // window. Tolerating it would let a hostile sender ignore
-              // deferred grants and balloon the heap anyway, so it is
+              // deferred grants and balloon memory anyway, so it is
               // connection-fatal.
               RR_LOG(Warning)
                   << "node agent: mux data exceeds the granted window";
               return false;
+            }
+            if (!s->landing.placed && s->prefix.empty()) {
+              // First bytes of a stream with no region yet. No credit goes
+              // past the initial window until it lands, so its committed
+              // share bounds the whole prefix.
+              s->prefix.resize(static_cast<size_t>(s->committed()));
             }
             c.frame_left = mh.payload_length;
             c.phase = Conn::Phase::kMuxData;
@@ -685,18 +836,26 @@ struct NodeAgent::ReactorPlane {
                       << c.mh.stream_id;
       return false;
     }
-    std::string function(reinterpret_cast<const char*>(p + 18), name_len);
+    const std::string_view function(reinterpret_cast<const char*>(p + 18),
+                                    name_len);
     obs::SpanContext trace;
     if (traced) {
       trace.trace_id = LoadLE<uint64_t>(p + 18 + name_len);
       trace.span_id = LoadLE<uint64_t>(p + 18 + name_len + 8);
     }
-    Entry entry;
-    if (!ResolveEntry(function, &entry)) {
+    // The frame is whole: whatever happens to the stream, the wire moves on
+    // to the next header (`function` still points into the accumulator,
+    // which no byte overwrites before this returns).
+    const uint32_t stream_id = c.mh.stream_id;
+    ArmFixed(c, Conn::Phase::kMuxHeader, kMuxFrameHeaderBytes);
+    std::shared_ptr<Entry> entry = ResolveEntry(function);
+    if (entry == nullptr) {
       // An unknown function is stream-fatal, not connection-fatal: the
       // sender gets a typed completion immediately.
-      return RefuseStream(c, c.mh.stream_id,
-                          NotFoundError("no such function: " + function));
+      return FailStream(
+          c, stream_id,
+          NotFoundError("no such function: " + std::string(function)),
+          /*refused=*/false);
     }
     // Admission: an open is a commitment to hold body bytes. Refuse — typed,
     // stream-fatal — anything the caps cannot honor, BEFORE any allocation:
@@ -710,54 +869,281 @@ struct NodeAgent::ReactorPlane {
           " concurrent streams");
     } else if (body_len > max_conn_staged_bytes) {
       // Larger than the whole commitment budget: the stream could never
-      // finish staging — fail it now instead of stalling it to a deadline.
+      // finish — fail it now instead of stalling it to a deadline.
       refusal = ResourceExhaustedError(
           "declared body exceeds the agent's staging capacity");
-    } else if (c.committed_bytes + commit > max_conn_staged_bytes) {
+    } else if (c.write->committed_bytes.load() + commit >
+               max_conn_staged_bytes) {
       refusal = ResourceExhaustedError(
           "agent staging capacity exhausted; retry after in-flight "
           "transfers drain");
     }
     if (!refusal.ok()) {
-      agent->transfers_refused_.fetch_add(1, std::memory_order_relaxed);
-      AgentTransfersRefused().Inc();
-      return RefuseStream(c, c.mh.stream_id, refusal);
+      return FailStream(c, stream_id, refusal, /*refused=*/true);
     }
     Stream s;
     s.token = token;
+    s.serial = ++shards[c.shard].next_serial;
     s.entry = std::move(entry);
-    s.function = std::move(function);
     s.body_len = body_len;
     s.credit = kMuxInitialWindow;  // what the sender starts with (protocol)
     s.trace = trace;
     s.last_data = Now();
-    c.committed_bytes += commit;
+    c.write->committed_bytes.fetch_add(commit);
     AgentStreamsInFlight().Add(1);
-    const auto [it, inserted] = c.streams.emplace(c.mh.stream_id, std::move(s));
-    (void)inserted;
-    if (body_len == 0) CompleteStreamStaging(c, c.mh.stream_id, it->second);
-    ArmFixed(c, Conn::Phase::kMuxHeader, kMuxFrameHeaderBytes);
-    return true;
+    Stream& stream = c.streams.emplace(stream_id, std::move(s)).first->second;
+    return Admit(c, stream_id, stream);
   }
 
-  // Stream-fatal typed refusal: the sender's edge fails immediately with
-  // `reason` while the connection — and every other stream on it — lives
-  // on. False when even the completion could not be queued (dead wire).
-  bool RefuseStream(Conn& c, uint32_t stream_id, const Status& reason) {
+  // Stream-fatal typed failure: the sender's edge fails immediately with
+  // `status` while the connection — and every other stream on it — lives
+  // on. An admitted stream is dropped first; a refusal also counts toward
+  // transfers_refused. False when even the completion could not be queued
+  // (dead wire).
+  bool FailStream(Conn& c, uint32_t stream_id, const Status& status,
+                  bool refused) {
+    if (refused) {
+      // Count BEFORE the refusal leaves: a sender that observed the typed
+      // error must also observe the count.
+      agent->transfers_refused_.fetch_add(1, std::memory_order_relaxed);
+      AgentTransfersRefused().Inc();
+    }
+    DropStream(c, stream_id);
     AgentCompletionFrames().Inc();
     AgentCompletionErrors().Inc();
-    if (!c.write->SendFrame(EncodeCompletion(stream_id, reason))) return false;
-    ArmFixed(c, Conn::Phase::kMuxHeader, kMuxFrameHeaderBytes);
+    return c.write->SendFrame(EncodeCompletion(stream_id, status));
+  }
+
+  static Status NoInstance(const Entry& entry, const std::string& why) {
+    return ResourceExhaustedError("no instance available for " +
+                                  entry.pool->name() + ": " + why);
+  }
+
+  std::shared_ptr<Entry> ResolveEntry(std::string_view name) {
+    MutexLock lock(agent->mutex_);
+    const auto it = agent->functions_.find(name);
+    return it == agent->functions_.end() ? nullptr : it->second;
+  }
+
+  // --- instances: lease at open, the waiting room, landing ---
+
+  // Leases the stream's instance at open. Never waits: with the pool empty,
+  // or with older waiters for the function on this shard, the stream joins
+  // the waiting room.
+  bool Admit(Conn& c, uint32_t stream_id, Stream& s) {
+    std::atomic<size_t>& waiters = s.entry->waiting[c.shard];
+    // The stream counts as a waiter BEFORE it looks at the pool: an invoke
+    // worker that returns an instance after the look then sees the count
+    // and wakes this shard (the pool's mutex orders the look against the
+    // return), so no instance slips past a stream about to wait.
+    if (waiters.fetch_add(1) == 0) {
+      Result<ShimLease> lease = s.entry->pool->TryLease();
+      if (!lease.ok() || *lease) {
+        waiters.fetch_sub(1);
+        if (!lease.ok()) {
+          return FailStream(c, stream_id,
+                            NoInstance(*s.entry, lease.status().message()),
+                            /*refused=*/true);
+        }
+        return Land(c, stream_id, s, std::move(*lease));
+      }
+    }
+    s.waiting = true;
+    s.waiting_since = Now();
+    WaitQueue& queue = shards[c.shard].waiting[s.entry.get()];
+    if (queue.entry == nullptr) queue.entry = s.entry;
+    queue.fifo.push_back({c.id, stream_id, s.serial});
+    s.entry->pool->NoteWait();
     return true;
   }
 
-  bool ResolveEntry(const std::string& name, Entry* out) {
-    MutexLock lock(agent->mutex_);
-    const auto it = agent->functions_.find(name);
-    if (it == agent->functions_.end()) return false;
-    *out = it->second;
-    return true;
+  void Unwait(size_t si, Stream& s) {
+    s.waiting = false;
+    s.entry->waiting[si].fetch_sub(1);
   }
+
+  // Gives a stream its region in `lease`'s instance and copies whatever it
+  // buffered while it had none. The loop only try_locks exec_mutex — a
+  // consumer may hold it for a whole hop out of an older output region — so
+  // a contended instance is placed by an invoke worker, which posts the
+  // landing back (OnPlaced). False = connection-fatal.
+  bool Land(Conn& c, uint32_t stream_id, Stream& s, ShimLease lease) {
+    Mutex& exec = lease->exec_mutex();
+    if (!exec.try_lock()) {
+      s.placing = true;
+      InvokeJob job;
+      job.kind = InvokeJob::Kind::kPlace;
+      job.entry = s.entry;
+      job.landing.instance = std::move(lease);
+      job.trace = s.trace;
+      job.stream_id = stream_id;
+      job.serial = s.serial;
+      job.shard = c.shard;
+      job.conn_id = c.id;
+      job.body_len = s.body_len;
+      Enqueue(std::move(job));
+      return true;
+    }
+    // The stream's trace context ({0,0} on untraced streams): the agent's
+    // spans join the SENDER's trace, which is what stitches a cross-process
+    // chain together.
+    obs::ScopedTraceContext frame_ctx(s.trace);
+    RR_TRACE_SPAN(ingress_span, "agent", "ingress:" + s.entry->pool->name());
+    Landing landing;
+    landing.instance = std::move(lease);
+    const Status placed = Place(landing, s.body_len);
+    exec.unlock();
+    if (!placed.ok()) {
+      ReturnInstance(s.entry, std::move(landing.instance));
+      return FailStream(c, stream_id, placed, /*refused=*/false);
+    }
+    Install(s, std::move(landing));
+    if (ingress_span) ingress_span->End();
+    return Resume(c, stream_id, s);
+  }
+
+  // Switches the stream's destination to its region: the bytes buffered so
+  // far are copied in once, and the prefix is freed.
+  static void Install(Stream& s, Landing landing) {
+    s.landing = std::move(landing);
+    s.placing = false;
+    if (s.got > 0) std::memcpy(s.landing.span.data(), s.prefix.data(), s.got);
+    s.prefix = Bytes();
+  }
+
+  // A placed stream moves on: a complete body goes to the invoke pool, an
+  // incomplete one may earn credit. A stream without a region waits.
+  bool Resume(Conn& c, uint32_t stream_id, Stream& s) {
+    if (!s.landing.placed) return true;
+    if (s.got == s.body_len) {
+      CompleteStream(c, stream_id, s);
+      return true;
+    }
+    return MaybeGrant(c, stream_id, s);
+  }
+
+  // A worker placed a contended instance's region for a stream (kPlace).
+  void OnPlaced(size_t si, uint64_t conn_id, uint32_t stream_id,
+                uint64_t serial, const std::shared_ptr<Entry>& entry,
+                Landing landing, const Status& placed) {
+    const std::shared_ptr<Conn> conn = FindConn(si, conn_id);
+    Stream* const s = conn ? FindStream(*conn, stream_id) : nullptr;
+    if (s == nullptr || s->serial != serial) {
+      DropLanding(entry, std::move(landing));  // the stream ended meanwhile
+      return;
+    }
+    bool ok = true;
+    if (!placed.ok()) {
+      s->placing = false;
+      DropLanding(entry, std::move(landing));
+      ok = FailStream(*conn, stream_id, placed, /*refused=*/false);
+    } else {
+      Install(*s, std::move(landing));
+      ok = Resume(*conn, stream_id, *s);
+    }
+    if (!ok) Teardown(si, conn);
+  }
+
+  // Releases a landing from a loop without blocking: the region goes under a
+  // try_lock, or, when a consumer holds the exec mutex, on an invoke worker.
+  void DropLanding(const std::shared_ptr<Entry>& entry, Landing landing) {
+    if (!landing.instance) return;
+    if (landing.placed) {
+      Mutex& exec = landing.instance->exec_mutex();
+      if (!exec.try_lock()) {
+        InvokeJob job;
+        job.kind = InvokeJob::Kind::kRelease;
+        job.entry = entry;
+        job.landing = std::move(landing);
+        Enqueue(std::move(job));
+        return;
+      }
+      (void)landing.instance->ReleaseRegion(landing.region);
+      exec.unlock();
+    }
+    ReturnInstance(entry, std::move(landing.instance));
+  }
+
+  void ReturnInstance(const std::shared_ptr<Entry>& entry, ShimLease lease) {
+    lease.Release();
+    InstanceReturned(entry);
+  }
+
+  // An instance went back to `entry`'s pool: wake every shard whose waiting
+  // room holds streams for the function, so the instance reaches a waiter
+  // on any connection without waiting for the sweep tick. (Instances that
+  // consumers return from outside the agent wake nobody; the sweep covers
+  // those.)
+  void InstanceReturned(const std::shared_ptr<Entry>& entry) {
+    for (size_t si = 0; si < shards.size(); ++si) {
+      if (entry->waiting[si].load() == 0) continue;
+      shards[si].reactor->Post([this, si, entry] { ServeWaiters(si, entry); });
+    }
+  }
+
+  // Lands this shard's oldest waiters for `entry` while the pool hands out
+  // instances.
+  void ServeWaiters(size_t si, const std::shared_ptr<Entry>& entry) {
+    const auto it = shards[si].waiting.find(entry.get());
+    if (it == shards[si].waiting.end()) return;
+    std::deque<Ticket>& fifo = it->second.fifo;
+    while (!fifo.empty()) {
+      const Ticket ticket = fifo.front();
+      const std::shared_ptr<Conn> conn = FindConn(si, ticket.conn_id);
+      Stream* const s = Waiter(conn.get(), ticket);
+      if (s == nullptr) {
+        fifo.pop_front();
+        continue;
+      }
+      Result<ShimLease> lease = entry->pool->TryLease();
+      if (lease.ok() && !*lease) break;  // every instance is out
+      fifo.pop_front();
+      Unwait(si, *s);
+      const bool ok =
+          lease.ok()
+              ? Land(*conn, ticket.stream_id, *s, std::move(*lease))
+              : FailStream(*conn, ticket.stream_id,
+                           NoInstance(*entry, lease.status().message()),
+                           /*refused=*/true);
+      if (!ok) Teardown(si, conn);
+    }
+    if (fifo.empty()) shards[si].waiting.erase(it);
+  }
+
+  // Refuses this shard's waiters for `entry` that waited past the pool's
+  // acquire_timeout — the bound a blocking Lease would have given them.
+  void ExpireWaiters(size_t si, const std::shared_ptr<Entry>& entry,
+                     TimePoint now) {
+    const auto it = shards[si].waiting.find(entry.get());
+    if (it == shards[si].waiting.end()) return;
+    std::deque<Ticket>& fifo = it->second.fifo;
+    const Nanos timeout = entry->pool->acquire_timeout();
+    while (!fifo.empty()) {
+      const Ticket ticket = fifo.front();
+      const std::shared_ptr<Conn> conn = FindConn(si, ticket.conn_id);
+      Stream* const s = Waiter(conn.get(), ticket);
+      if (s != nullptr && now - s->waiting_since <= timeout) break;
+      fifo.pop_front();
+      if (s == nullptr) continue;
+      const Status refusal = NoInstance(
+          *entry, "all " + std::to_string(entry->pool->capacity()) +
+                      " instances stayed leased past the acquire timeout");
+      if (!FailStream(*conn, ticket.stream_id, refusal, /*refused=*/true)) {
+        Teardown(si, conn);
+      }
+    }
+    if (fifo.empty()) shards[si].waiting.erase(it);
+  }
+
+  // The stream a waiting-room ticket names, or null when the slot is stale.
+  static Stream* Waiter(Conn* conn, const Ticket& ticket) {
+    Stream* const s =
+        conn != nullptr ? FindStream(*conn, ticket.stream_id) : nullptr;
+    return s != nullptr && s->serial == ticket.serial && s->waiting ? s
+                                                                   : nullptr;
+  }
+
+  // --- flow control ---
 
   // Additional bytes a grant of the stream's ungranted credit would commit
   // the connection to hold (zero once the remaining grants only cover bytes
@@ -766,16 +1152,16 @@ struct NodeAgent::ReactorPlane {
     return std::min(s.body_len, s.credit + s.ungranted) - s.committed();
   }
 
-  // Re-grants consumed window once enough accumulated, unless the
-  // commitment cap says the peer should back up on the wire for now.
+  // Grants credit once enough of the window was consumed, unless the
+  // commitment cap says the peer should back up on the wire for now. Only
+  // placed streams get here: a stream without a region earns nothing past
+  // its initial window.
   bool MaybeGrant(Conn& c, uint32_t stream_id, Stream& s) {
-    if (s.got >= s.body_len) return true;  // fully received: no more credit
+    if (s.got >= s.body_len || s.credit >= s.body_len) return true;
     if (s.ungranted < kMuxWindowUpdateThreshold) return true;
-    if (c.committed_bytes + GrantDelta(s) > max_conn_staged_bytes) {
-      if (!s.credit_deferred) {
-        s.credit_deferred = true;
-        c.deferred_credit.push_back(stream_id);
-      }
+    if (c.write->committed_bytes.load() + GrantDelta(s) >
+        max_conn_staged_bytes) {
+      DeferCredit(c, stream_id, s);
       return true;
     }
     if (resilience::FaultInjector::Instance().ShouldFire(
@@ -787,59 +1173,99 @@ struct NodeAgent::ReactorPlane {
     return GrantNow(c, stream_id, s);
   }
 
+  // Extends the stream's credit to its declared end when the cap holds the
+  // rest of the body — the region is already placed, so one window update
+  // replaces one per half window — else re-grants the consumed window.
   bool GrantNow(Conn& c, uint32_t stream_id, Stream& s) {
-    const uint32_t grant = static_cast<uint32_t>(s.ungranted);
-    c.committed_bytes += GrantDelta(s);
+    std::atomic<size_t>& committed = c.write->committed_bytes;
+    const uint64_t rest = s.body_len - s.committed();
+    uint64_t grant = s.ungranted;
+    uint64_t delta = GrantDelta(s);
+    if (committed.load() + rest <= max_conn_staged_bytes) {
+      grant = s.body_len - s.credit;
+      delta = rest;
+    }
+    committed.fetch_add(delta);
     s.credit += grant;
     s.ungranted = 0;
     s.credit_deferred = false;
-    return c.write->SendFrame(EncodeWindowUpdate(stream_id, grant));
+    return c.write->SendFrame(
+        EncodeWindowUpdate(stream_id, static_cast<uint32_t>(grant)));
+  }
+
+  void DeferCredit(Conn& c, uint32_t stream_id, Stream& s) {
+    if (!s.credit_deferred) {
+      s.credit_deferred = true;
+      c.deferred_credit.push_back(stream_id);
+    }
+    c.write->credit_waiting.store(true);
+    // A job that settled between the cap check and the flag saw no waiter
+    // and did not post: look again, and flush from the loop if it freed
+    // enough.
+    if (c.write->committed_bytes.load() + GrantDelta(s) <=
+        max_conn_staged_bytes) {
+      shards[c.shard].reactor->Post(
+          [this, si = c.shard, id = c.id] { OnSettled(si, id); });
+    }
   }
 
   bool FlushDeferredCredit(Conn& c) {
     while (!c.deferred_credit.empty()) {
       const uint32_t stream_id = c.deferred_credit.front();
-      const auto it = c.streams.find(stream_id);
-      if (it == c.streams.end() || !it->second.credit_deferred) {
+      Stream* const s = FindStream(c, stream_id);
+      if (s == nullptr || !s->credit_deferred) {
         c.deferred_credit.pop_front();  // completed or swept meanwhile
         continue;
       }
-      if (c.committed_bytes + GrantDelta(it->second) > max_conn_staged_bytes) {
+      if (c.write->committed_bytes.load() + GrantDelta(*s) >
+          max_conn_staged_bytes) {
         return true;  // still full; re-checked as more invokes drain
       }
       c.deferred_credit.pop_front();
-      if (!GrantNow(c, stream_id, it->second)) return false;
+      if (!GrantNow(c, stream_id, *s)) return false;
     }
+    c.write->credit_waiting.store(false);
     return true;
   }
 
-  // The stream's body is fully staged: hand it to the invoke pool. The
-  // stream leaves the table (its identity lives on in the job), but stays
-  // counted in-flight until its completion frame goes out, and its body
-  // bytes stay committed (job.staged) until the invoke drains them.
-  void CompleteStreamStaging(Conn& c, uint32_t stream_id, Stream& s) {
+  // Invoke workers settled some of the connection's committed bytes while a
+  // grant waited on them.
+  void OnSettled(size_t si, uint64_t id) {
+    const std::shared_ptr<Conn> conn = FindConn(si, id);
+    if (conn != nullptr && !FlushDeferredCredit(*conn)) Teardown(si, conn);
+  }
+
+  // The stream's whole body is in its region: hand it to the invoke pool.
+  // The stream leaves the table (its identity lives on in the job), but
+  // stays counted in-flight until its completion frame goes out, and its
+  // body stays committed until the invoke settles it.
+  void CompleteStream(Conn& c, uint32_t stream_id, Stream& s) {
     InvokeJob job;
     job.entry = std::move(s.entry);
-    job.function = std::move(s.function);
-    job.body = std::move(s.body);
+    job.landing = std::move(s.landing);
     job.trace = s.trace;
     job.write = c.write;
     job.stream_id = stream_id;
     job.token = s.token;
     job.shard = c.shard;
     job.conn_id = c.id;
-    job.staged = s.body_len;
+    job.body_len = s.body_len;
     c.streams.erase(stream_id);
-    ++c.jobs_inflight;
+    c.write->jobs_inflight.fetch_add(1);
     Enqueue(std::move(job));
   }
 
   void DropStream(Conn& c, uint32_t stream_id) {
     const auto it = c.streams.find(stream_id);
     if (it == c.streams.end()) return;  // tolerated: cancel racing completion
-    c.committed_bytes -= it->second.committed();
+    Stream& s = it->second;
+    c.write->committed_bytes.fetch_sub(s.committed());
     AgentStreamsInFlight().Sub(1);
+    if (s.waiting) Unwait(c.shard, s);
+    const std::shared_ptr<Entry> entry = std::move(s.entry);
+    Landing landing = std::move(s.landing);
     c.streams.erase(it);
+    DropLanding(entry, std::move(landing));
   }
 
   void Teardown(size_t si, const std::shared_ptr<Conn>& conn) {
@@ -851,6 +1277,10 @@ struct NodeAgent::ReactorPlane {
     }
     if (!conn->streams.empty()) {
       AgentStreamsInFlight().Sub(static_cast<int64_t>(conn->streams.size()));
+      for (auto& [stream_id, s] : conn->streams) {
+        if (s.waiting) Unwait(si, s);
+        DropLanding(s.entry, std::move(s.landing));
+      }
       conn->streams.clear();
     }
     shards[si].conns.erase(conn->id);
@@ -859,8 +1289,8 @@ struct NodeAgent::ReactorPlane {
   }
 
   // Periodic per-shard sweep: wedged mid-frame connections, stalled streams,
-  // and idle connections (the PR 5 "header park stays unbounded" contract is
-  // retired — senders reconnect transparently).
+  // idle connections (the PR 5 "header park stays unbounded" contract is
+  // retired — senders reconnect transparently), and the waiting room.
   void Sweep(size_t si) {  // rr-lint: reactor-thread
     const TimePoint now = Now();
     const Nanos deadline = agent->options_.transfer_deadline;
@@ -878,20 +1308,22 @@ struct NodeAgent::ReactorPlane {
         continue;
       }
       if (deadline > Nanos{0}) {
+        // A stream without a region that used its whole initial window is
+        // waiting on the agent, not stalling: the waiting room's own bound
+        // (the pool's acquire_timeout) covers it.
         std::vector<uint32_t> stale;
         for (const auto& [stream_id, s] : c.streams) {
-          if (s.got < s.body_len && now - s.last_data > deadline) {
+          if (s.got < s.body_len && (s.landing.placed || s.got < s.credit) &&
+              now - s.last_data > deadline) {
             stale.push_back(stream_id);
           }
         }
         bool wire_dead = false;
         for (const uint32_t stream_id : stale) {
-          AgentCompletionFrames().Inc();
-          AgentCompletionErrors().Inc();
-          if (!c.write->SendFrame(EncodeCompletion(
-                  stream_id,
-                  DeadlineExceededError(
-                      "stream stalled past the transfer deadline")))) {
+          if (!FailStream(c, stream_id,
+                          DeadlineExceededError(
+                              "stream stalled past the transfer deadline"),
+                          /*refused=*/false)) {
             // The completion could not even be queued (dead wire or a peer
             // buried past the outbound cap): connection-fatal, matching
             // GrantNow and ProcessOpen — anything the peer reads after a
@@ -899,21 +1331,34 @@ struct NodeAgent::ReactorPlane {
             wire_dead = true;
             break;
           }
-          DropStream(c, stream_id);
         }
         if (wire_dead) {
           doomed.push_back(conn);
           continue;
         }
       }
+      // A job that just retired is activity too: its connection is not idle
+      // the moment the completion frame leaves.
       const bool quiescent = at_frame_boundary && c.streams.empty() &&
-                             c.jobs_inflight == 0;
-      if (idle > Nanos{0} && quiescent && now - c.last_activity > idle) {
+                             c.write->jobs_inflight.load() == 0;
+      const TimePoint active =
+          std::max(c.last_activity, c.write->last_retired.load());
+      if (idle > Nanos{0} && quiescent && now - active > idle) {
         doomed.push_back(conn);
       }
     }
     for (const auto& conn : doomed) {
       if (shards[si].conns.count(conn->id) != 0) Teardown(si, conn);
+    }
+    // The waiting room: land waiters on instances that came back from
+    // outside the agent, then refuse the ones past their pool's timeout.
+    std::vector<std::shared_ptr<Entry>> waited;
+    for (const auto& [key, queue] : shards[si].waiting) {
+      waited.push_back(queue.entry);
+    }
+    for (const std::shared_ptr<Entry>& entry : waited) {
+      ServeWaiters(si, entry);
+      ExpireWaiters(si, entry, now);
     }
   }
 
@@ -922,10 +1367,9 @@ struct NodeAgent::ReactorPlane {
   void Enqueue(InvokeJob job) {
     {
       MutexLock lock(queue_mutex);
-      if (queue_stopping) {
-        AgentStreamsInFlight().Sub(1);
-        return;
-      }
+      // Only Shutdown sets queue_stopping, after every shard loop (the only
+      // callers) has stopped; nothing reaches the dead branch in practice.
+      if (queue_stopping) return;
       queue.push_back(std::move(job));
     }
     queue_cv.notify_one();
@@ -943,11 +1387,45 @@ struct NodeAgent::ReactorPlane {
         job = std::move(queue.front());
         queue.pop_front();
       }
-      RunJob(std::move(job));
+      switch (job.kind) {
+        case InvokeJob::Kind::kInvoke:
+          RunJob(std::move(job));
+          break;
+        case InvokeJob::Kind::kPlace:
+          PlaceForStream(std::move(job));
+          break;
+        case InvokeJob::Kind::kRelease:
+          ReleaseLanding(job.landing);
+          InstanceReturned(job.entry);
+          break;
+      }
     }
   }
 
+  // Places a contended instance's region where blocking on its exec_mutex
+  // is allowed, then hands the landing back to the stream's shard.
+  void PlaceForStream(InvokeJob job) {
+    Status placed;
+    {
+      obs::ScopedTraceContext frame_ctx(job.trace);
+      RR_TRACE_SPAN(ingress_span, "agent",
+                    "ingress:" + job.entry->pool->name());
+      MutexLock lock(job.landing.instance->exec_mutex());
+      placed = Place(job.landing, job.body_len);
+    }
+    auto parcel = std::make_shared<Parcel>();
+    parcel->landing = std::move(job.landing);
+    shards[job.shard].reactor->Post(
+        [this, parcel, entry = job.entry, placed, si = job.shard,
+         conn_id = job.conn_id, stream_id = job.stream_id,
+         serial = job.serial] {
+          OnPlaced(si, conn_id, stream_id, serial, entry,
+                   std::move(parcel->landing), placed);
+        });
+  }
+
   void RunJob(InvokeJob job) {
+    const std::string& function = job.entry->pool->name();
     // Fault-injection hooks (resilience/fault_injector.h): one relaxed
     // atomic load each while disarmed.
     auto& faults = resilience::FaultInjector::Instance();
@@ -958,61 +1436,40 @@ struct NodeAgent::ReactorPlane {
     }
     if (faults.ShouldFire(resilience::FaultSite::kAgentDropCompletion)) {
       // A worker that dies right after the receive: the stream is
-      // swallowed — no invoke, no completion frame, no delivery — but the
-      // connection's own bookkeeping still runs, so the wire stays healthy
-      // and only the sender's backstop deadline notices.
+      // swallowed — no invoke, no completion frame, no delivery — but its
+      // region and instance go back and the connection's books settle, so
+      // the wire stays healthy and only the sender's backstop notices.
+      ReleaseLanding(job.landing);
+      InstanceReturned(job.entry);
+      Settle(job);
       AgentStreamsInFlight().Sub(1);
-      shards[job.shard].reactor->Post(
-          [this, si = job.shard, id = job.conn_id, staged = job.staged] {
-            OnJobDone(si, id, staged, /*fatal=*/false);
-          });
+      Retire(job, /*sent=*/true);
       return;
     }
     Status result = Status::Ok();
     std::optional<InvokeOutcome> outcome;
-    ShimLease instance;
-    auto lease = job.entry.pool->Lease();
-    if (!lease.ok()) {
-      // Pool exhausted: refuse with a typed error the sender can act on.
-      // Count BEFORE the refusal leaves: a sender that observed the typed
-      // error must also observe the count.
-      agent->transfers_refused_.fetch_add(1, std::memory_order_relaxed);
-      AgentTransfersRefused().Inc();
-      result = ResourceExhaustedError("no instance available for " +
-                                      job.function + ": " +
-                                      lease.status().message());
-    } else {
-      instance = std::move(*lease);
-      // The stream's trace context ({0,0} on untraced streams) is installed
-      // for the whole land+invoke: the agent-side spans join the SENDER's
-      // trace, which is what stitches a cross-process chain together.
+    ShimLease instance = std::move(job.landing.instance);
+    {
       obs::ScopedTraceContext frame_ctx(job.trace);
-      Result<InvokeOutcome> invoked = [&]() -> Result<InvokeOutcome> {
-        // The exec mutex synchronizes the delivery + invoke against readers
-        // of regions earlier invocations left resident in this instance.
-        MutexLock shim_lock(instance->exec_mutex());
-        RR_TRACE_SPAN(ingress_span, "agent", "ingress:" + job.function);
-        RR_ASSIGN_OR_RETURN(
-            const MemoryRegion region,
-            instance->PrepareInput(static_cast<uint32_t>(job.body.size())));
-        // A failed land or invoke leaves the region allocated; this
-        // instance returns to the pool and lives on, so it must not leak.
-        RegionGuard guard(instance.get(), region);
-        RR_RETURN_IF_ERROR(instance->WriteInput(
-            region, rr::BufferView(ByteSpan(job.body.data(), job.body.size()))));
-        if (ingress_span) ingress_span->End();
-        RR_TRACE_SPAN(invoke_span, "agent", "invoke:" + job.function);
-        auto invoked_inner = instance->InvokeOnRegion(region);
-        if (invoke_span) invoke_span->End();
-        if (invoked_inner.ok()) guard.Dismiss();
-        return invoked_inner;
-      }();
+      // The exec mutex synchronizes the invoke against readers of regions
+      // earlier invocations left resident in this instance.
+      MutexLock shim_lock(instance->exec_mutex());
+      // A failed invoke leaves the input region allocated; this instance
+      // returns to the pool and lives on, so it must not leak.
+      RegionGuard guard(instance.get(), job.landing.region);
+      RR_TRACE_SPAN(invoke_span, "agent", "invoke:" + function);
+      Result<InvokeOutcome> invoked =
+          instance->InvokeOnRegion(job.landing.region);
+      if (invoke_span) invoke_span->End();
       if (invoked.ok()) {
+        guard.Dismiss();
         outcome = std::move(*invoked);
       } else {
         result = invoked.status();
       }
     }
+    // The input region is consumed: its bytes leave the commitment cap.
+    Settle(job);
 
     // Deliver, then acknowledge: on success the consumer gets the output
     // before the completion frame is queued, so an in-process consumer
@@ -1022,47 +1479,58 @@ struct NodeAgent::ReactorPlane {
     if (outcome.has_value()) {
       // Count BEFORE the output or the completion leaves: whoever observed
       // either must also observe the count (the same contract the refusal
-      // counter keeps above).
+      // counter keeps).
       agent->transfers_completed_.fetch_add(1, std::memory_order_relaxed);
       AgentTransfersCompleted().Inc();
-      if (job.entry.on_delivery) {
-        job.entry.on_delivery(job.function, *outcome, job.token,
-                              std::move(instance));
+      if (job.entry->on_delivery) {
+        job.entry->on_delivery(function, *outcome, job.token,
+                               std::move(instance));
       } else {
-        // Nobody consumes the output: release it to keep the heap bounded
-        // (the lease returns the instance when it goes out of scope).
+        // Nobody consumes the output: release it to keep the heap bounded.
         MutexLock shim_lock(instance->exec_mutex());
         (void)instance->ReleaseRegion(outcome->output);
       }
     } else {
       RR_LOG(Debug) << "node agent: transfer failed: " << result;
     }
+    // The instance is back in its pool before the completion frame tells
+    // the sender, so a sender's next stream finds it there.
+    instance.Release();
+    InstanceReturned(job.entry);
     AgentCompletionFrames().Inc();
     if (!result.ok()) AgentCompletionErrors().Inc();
     const bool sent =
         job.write->SendFrame(EncodeCompletion(job.stream_id, result));
     AgentStreamsInFlight().Sub(1);
-
-    // Bookkeeping belongs to the owning shard's loop; a completion that
-    // could not be queued dooms the connection. Post after Stop is a benign
-    // no-op (Shutdown reclaims connection state itself).
-    shards[job.shard].reactor->Post(
-        [this, si = job.shard, id = job.conn_id, staged = job.staged,
-         fatal = !sent] { OnJobDone(si, id, staged, fatal); });
+    Retire(job, sent);
   }
 
-  void OnJobDone(size_t si, uint64_t id, size_t staged, bool fatal) {
-    const auto it = shards[si].conns.find(id);
-    if (it == shards[si].conns.end()) return;  // already torn down
-    const std::shared_ptr<Conn> conn = it->second;
-    conn->last_activity = Now();
-    if (fatal) {
-      Teardown(si, conn);
-      return;
+  // Returns the job's body to the commitment cap, waking the shard only when
+  // a deferred grant waits on it. The flag is read after the bytes are
+  // returned, and the shard raises it before its own second look
+  // (DeferCredit), so one of the two always sees the other.
+  void Settle(const InvokeJob& job) {
+    WriteHandle& w = *job.write;
+    w.committed_bytes.fetch_sub(job.body_len);
+    if (w.credit_waiting.load()) {
+      shards[job.shard].reactor->Post(
+          [this, si = job.shard, id = job.conn_id] { OnSettled(si, id); });
     }
-    --conn->jobs_inflight;
-    conn->committed_bytes -= staged;
-    if (!FlushDeferredCredit(*conn)) Teardown(si, conn);
+  }
+
+  // The job is done with its connection. A completion that could not be
+  // queued dooms the connection; Post after Stop is a benign no-op
+  // (Shutdown reclaims connection state itself).
+  void Retire(const InvokeJob& job, bool sent) {
+    job.write->last_retired.store(Now());
+    job.write->jobs_inflight.fetch_sub(1);
+    if (!sent) {
+      shards[job.shard].reactor->Post([this, si = job.shard,
+                                       id = job.conn_id] {
+        const std::shared_ptr<Conn> conn = FindConn(si, id);
+        if (conn != nullptr) Teardown(si, conn);
+      });
+    }
   }
 };
 
@@ -1100,10 +1568,13 @@ Status NodeAgent::RegisterFunction(std::shared_ptr<ShimPool> pool,
                                    DeliveryCallback on_delivery) {
   if (pool == nullptr) return InvalidArgumentError("null pool");
   const std::string name = pool->name();
+  auto entry = std::make_shared<Entry>();
+  entry->pool = std::move(pool);
+  entry->on_delivery = std::move(on_delivery);
+  entry->waiting =
+      std::vector<std::atomic<size_t>>(reactor_plane_->shards.size());
   MutexLock lock(mutex_);
-  if (!functions_
-           .emplace(name, Entry{std::move(pool), std::move(on_delivery)})
-           .second) {
+  if (!functions_.emplace(name, std::move(entry)).second) {
     return AlreadyExistsError("function already registered: " + name);
   }
   return Status::Ok();

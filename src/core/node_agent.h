@@ -6,9 +6,11 @@
 // multiplexed wire (mux_protocol.h). One epoll reactor thread per core-shard
 // multiplexes every connection — no thread per connection, no blocking
 // header park. Connections are round-robined across shards at accept; each
-// shard's loop stages stream bodies as bytes arrive and hands completed
-// streams to a fixed invoke-worker pool (the only place Wasm runs), so ten
-// thousand idle or trickling peers cost table entries, not threads.
+// shard's loop leases the target function's instance when a stream opens,
+// places the stream's input region in that instance's linear memory, and
+// receives the body straight into it. Completed streams go to a fixed
+// invoke-worker pool (the only place Wasm runs), so ten thousand idle or
+// trickling peers cost table entries, not threads.
 //
 // Every connection must open with the mux preamble; any other first bytes
 // are connection-fatal. On a mux connection many streams run concurrently:
@@ -20,14 +22,19 @@
 // next dispatch.
 //
 // Instance pools: each registered function is backed by a ShimPool; every
-// staged stream leases its own instance for the land+invoke, so concurrent
-// transfers into one function fan out across the pool.
+// stream leases its own instance from open until its invoke, so concurrent
+// transfers into one function fan out across the pool. Leasing never waits:
+// a stream that finds the pool empty waits in a bounded waiting room,
+// buffering at most its initial window, and lands as soon as an instance
+// returns. A stream that waits past the pool's acquire_timeout is refused
+// with kResourceExhausted.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -66,9 +73,10 @@ class NodeAgent {
     // parentheses). An open frame past either cap is refused with a typed
     // kResourceExhausted completion — stream-fatal, never connection-fatal.
     // `max_conn_staged_bytes` bounds COMMITTED body bytes: window credit
-    // granted but unreceived, bytes staged, and bytes in invoke — a hard
-    // heap bound, enforced by treating data beyond a stream's granted
-    // window as a flow-control violation (connection-fatal).
+    // granted but unreceived, bytes received into leased regions or waiting
+    // prefixes, and bytes in invoke — a hard memory bound (a region's pages
+    // commit only as bytes land), enforced by treating data beyond a
+    // stream's granted window as a flow-control violation (connection-fatal).
     size_t max_conn_streams = 0;       // (4096)
     size_t max_conn_staged_bytes = 0;  // (128 MiB)
   };
@@ -102,7 +110,8 @@ class NodeAgent {
   // Makes a local function reachable from remote nodes. The pool overload
   // shares ownership; the bare-shim overload adopts the shim as a pool of 1
   // (memoized — a WorkflowManager registration of the same shim shares it),
-  // and the shim must outlive the agent (or be unregistered first).
+  // and the shim must outlive the agent's Shutdown: a stream holds its
+  // instance from open until its invoke, unregistering or not.
   Status RegisterFunction(std::shared_ptr<ShimPool> pool,
                           DeliveryCallback on_delivery = {});
   Status RegisterFunction(Shim* shim, DeliveryCallback on_delivery = {});
@@ -110,9 +119,10 @@ class NodeAgent {
 
   uint64_t transfers_completed() const { return transfers_completed_.load(); }
 
-  // Streams refused with a typed kResourceExhausted completion frame: an
-  // exhausted instance pool, or an open past the admission caps. Each one
-  // failed exactly one sender-side transfer.
+  // Streams refused with a typed kResourceExhausted completion frame: one
+  // that waited for an instance past its pool's acquire_timeout, or an open
+  // past the admission caps. Each one failed exactly one sender-side
+  // transfer.
   uint64_t transfers_refused() const { return transfers_refused_.load(); }
 
   // Connections currently served. Observability for the idle-sweep tests.
@@ -129,15 +139,22 @@ class NodeAgent {
   // Out-of-line: ReactorPlane is incomplete here.
   NodeAgent(osal::TcpListener listener, Options options);
 
+  // One registered function. Shared by the registry and every stream that
+  // resolved to it, so an open costs a refcount, not a callback copy.
   struct Entry {
     std::shared_ptr<ShimPool> pool;
     DeliveryCallback on_delivery;
+    // Streams in the waiting room for this function, per shard: invoke
+    // workers read it to decide which shards to wake when an instance
+    // returns.
+    std::vector<std::atomic<size_t>> waiting;
   };
 
   osal::TcpListener listener_;
   const Options options_;
   Mutex mutex_;
-  std::map<std::string, Entry> functions_ RR_GUARDED_BY(mutex_);
+  std::map<std::string, std::shared_ptr<Entry>, std::less<>> functions_
+      RR_GUARDED_BY(mutex_);
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> transfers_completed_{0};
   std::atomic<uint64_t> transfers_refused_{0};

@@ -121,6 +121,13 @@ Result<ShimLease> ShimPool::Lease() {
   return ShimLease(shared_from_this(), std::move(lease), shim);
 }
 
+Result<ShimLease> ShimPool::TryLease() {
+  RR_ASSIGN_OR_RETURN(runtime::InstancePool::Lease lease, pool_->TryAcquire());
+  if (!lease) return ShimLease();
+  Shim* const shim = static_cast<PooledShim*>(lease.get())->shim;
+  return ShimLease(shared_from_this(), std::move(lease), shim);
+}
+
 uint64_t ShimPool::invocations() const {
   uint64_t total = 0;
   pool_->ForEachInstance([&](runtime::InstancePool::Instance& instance) {

@@ -14,6 +14,8 @@
 //
 //   pool.Lease()            blocks for a warm instance (LIFO reuse), lazily
 //                           growing the pool up to max_instances
+//   pool.TryLease()         the same without waiting: an empty lease when
+//                           every instance is out (event loops queue instead)
 //   lease->...              exclusive use of that instance's Shim surface
 //   Payload::FromGuest(     a node's output region pins the lease — the
 //       std::move(lease))   instance stays out of the pool until the payload
@@ -127,6 +129,12 @@ class ShimPool : public std::enable_shared_from_this<ShimPool> {
   // Leases a warm instance; blocks (bounded) when all are out.
   Result<ShimLease> Lease();
 
+  // Never waits: a warm instance, a newly grown one below the cap, or an
+  // empty lease when every instance is out. A caller that queues after an
+  // empty lease records it with NoteWait (counted in metrics().waits).
+  Result<ShimLease> TryLease();
+  void NoteWait() { pool_->NoteWait(); }
+
   // The identity instance (always exists): name/spec/location checks and
   // legacy single-instance access go through it.
   Shim* prototype() const { return prototype_; }
@@ -138,6 +146,7 @@ class ShimPool : public std::enable_shared_from_this<ShimPool> {
 
   runtime::PoolMetrics metrics() const { return pool_->metrics(); }
   size_t capacity() const { return pool_->capacity(); }
+  Nanos acquire_timeout() const { return pool_->acquire_timeout(); }
 
  private:
   struct PooledShim : runtime::InstancePool::Instance {

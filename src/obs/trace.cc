@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "common/log.h"
+#include "common/mutex.h"
 
 namespace rr::obs {
 namespace {
@@ -69,8 +70,42 @@ bool TracingEnabled() {
   return g_tracing_enabled.load(std::memory_order_relaxed);
 }
 
+// Holds taken through HoldTracing, and whether they (not an explicit
+// switch) are what turned tracing on.
+struct TracingHolds {
+  Mutex mutex;
+  size_t count RR_GUARDED_BY(mutex) = 0;
+  bool switched_on RR_GUARDED_BY(mutex) = false;
+};
+
+TracingHolds& Holds() {
+  static TracingHolds* holds = new TracingHolds();
+  return *holds;
+}
+
 void SetTracingEnabled(bool enabled) {
+  TracingHolds& holds = Holds();
+  MutexLock lock(holds.mutex);
+  holds.switched_on = false;
   g_tracing_enabled.store(enabled, std::memory_order_relaxed);
+}
+
+void HoldTracing() {
+  TracingHolds& holds = Holds();
+  MutexLock lock(holds.mutex);
+  ++holds.count;
+  if (!g_tracing_enabled.load(std::memory_order_relaxed)) {
+    holds.switched_on = true;
+    g_tracing_enabled.store(true, std::memory_order_relaxed);
+  }
+}
+
+void ReleaseTracing() {
+  TracingHolds& holds = Holds();
+  MutexLock lock(holds.mutex);
+  if (holds.count == 0 || --holds.count > 0 || !holds.switched_on) return;
+  holds.switched_on = false;
+  g_tracing_enabled.store(false, std::memory_order_relaxed);
 }
 
 Tracer& Tracer::Get() {

@@ -53,7 +53,15 @@ uint64_t NewTraceId();
 uint64_t NewSpanId();
 
 bool TracingEnabled();
+// Switches tracing on or off for the process. An explicit switch wins over
+// any hold: tracing stays as set until the next switch or hold.
 void SetTracingEnabled(bool enabled);
+// Scoped enable for owners that want tracing only while they live
+// (api::Runtime with Options::tracing): the first hold turns tracing on, and
+// the last release turns it off again — unless tracing was already on when
+// the holds began, or someone switched it explicitly meanwhile.
+void HoldTracing();
+void ReleaseTracing();
 
 // One finished span, as stored in the ring buffer.
 struct SpanRecord {

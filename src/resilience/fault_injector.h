@@ -22,7 +22,9 @@
 //                          completion + delivery) is held for plan.delay,
 //                          long enough for the sender to give up and retry;
 //                          the stale first-attempt delivery then exercises
-//                          the correlation-token rejection path.
+//                          the correlation-token rejection path. The held
+//                          stream keeps the instance it leased at open, so
+//                          a retry needs a second instance in the pool.
 //  * kAgentStarveGrant   — agent side, per due flow-control grant: the
 //                          window update is withheld, stalling the sender
 //                          until its progress deadline types the edge

@@ -81,6 +81,41 @@ Result<std::unique_ptr<InstancePool>> InstancePool::Create(Factory factory,
 
 InstancePool::~InstancePool() = default;
 
+Result<InstancePool::Lease> InstancePool::TakeOrGrowLocked(
+    MutexLock& lock, const Stopwatch& wait_timer) {
+  if (!idle_.empty()) {
+    // LIFO: the most recently released instance is the cache-warm one.
+    Instance* const instance = idle_.back();
+    idle_.pop_back();
+    ++leases_;
+    PoolLeaseWait().Observe(wait_timer.ElapsedSeconds());
+    return Lease(this, instance);
+  }
+  if (instances_.size() + growing_ >= options_.max_instances) return Lease();
+  // Lazy growth. Reserve the slot under the lock but run the factory
+  // (sandbox instantiation — milliseconds) outside it, so releases and idle
+  // hand-offs proceed while the new instance is built.
+  ++growing_;
+  lock.unlock();
+  auto instance = factory_();
+  lock.lock();
+  --growing_;
+  if (!instance.ok() || *instance == nullptr) {
+    // The reserved slot is capacity again: wake a waiter so it can retry the
+    // growth (or take an instance released meanwhile).
+    idle_cv_.notify_one();
+    if (!instance.ok()) return instance.status();
+    return InternalError("instance pool factory returned null");
+  }
+  Instance* const raw = instance->get();
+  instances_.push_back(std::move(*instance));
+  ++grows_;
+  ++leases_;
+  PoolGrows().Inc();
+  PoolLeaseWait().Observe(wait_timer.ElapsedSeconds());
+  return Lease(this, raw);
+}
+
 Result<InstancePool::Lease> InstancePool::Acquire() {
   // One deadline for the whole call: the wait loop may wake and lose the
   // freed instance to a competing acquirer any number of times, and each
@@ -90,38 +125,8 @@ Result<InstancePool::Lease> InstancePool::Acquire() {
   bool counted_wait = false;
   MutexLock lock(mutex_);
   for (;;) {
-    if (!idle_.empty()) {
-      // LIFO: the most recently released instance is the cache-warm one.
-      Instance* const instance = idle_.back();
-      idle_.pop_back();
-      ++leases_;
-      PoolLeaseWait().Observe(wait_timer.ElapsedSeconds());
-      return Lease(this, instance);
-    }
-    if (instances_.size() + growing_ < options_.max_instances) {
-      // Lazy growth. Reserve the slot under the lock but run the factory
-      // (sandbox instantiation — milliseconds) outside it, so releases and
-      // idle hand-offs proceed while the new instance is built.
-      ++growing_;
-      lock.unlock();
-      auto instance = factory_();
-      lock.lock();
-      --growing_;
-      if (!instance.ok() || *instance == nullptr) {
-        // The reserved slot is capacity again: wake a waiter so it can
-        // retry the growth (or take an instance released meanwhile).
-        idle_cv_.notify_one();
-        if (!instance.ok()) return instance.status();
-        return InternalError("instance pool factory returned null");
-      }
-      Instance* const raw = instance->get();
-      instances_.push_back(std::move(*instance));
-      ++grows_;
-      ++leases_;
-      PoolGrows().Inc();
-      PoolLeaseWait().Observe(wait_timer.ElapsedSeconds());
-      return Lease(this, raw);
-    }
+    RR_ASSIGN_OR_RETURN(Lease lease, TakeOrGrowLocked(lock, wait_timer));
+    if (lease) return lease;
     if (!counted_wait) {
       counted_wait = true;  // one blocked Acquire = one wait, however many retries
       ++waits_;
@@ -138,6 +143,20 @@ Result<InstancePool::Lease> InstancePool::Acquire() {
           " instances stayed leased past the acquire timeout");
     }
   }
+}
+
+Result<InstancePool::Lease> InstancePool::TryAcquire() {
+  const Stopwatch wait_timer;
+  MutexLock lock(mutex_);
+  return TakeOrGrowLocked(lock, wait_timer);
+}
+
+void InstancePool::NoteWait() {
+  {
+    MutexLock lock(mutex_);
+    ++waits_;
+  }
+  PoolWaits().Inc();
 }
 
 void InstancePool::ReleaseInstance(Instance* instance) {

@@ -18,6 +18,9 @@
 //   * When all `max_instances` are leased, Acquire blocks (bounded by
 //     `acquire_timeout`) until a lease returns — the pool is the concurrency
 //     limiter, replacing the old per-shim exec_mutex with N-way admission.
+//     TryAcquire is the non-blocking form for event loops: it hands back an
+//     empty lease instead of waiting, and the caller queues (NoteWait) and
+//     retries when an instance returns.
 //
 // A Lease is the RAII handle of one exclusive hold: while it lives, no other
 // Acquire can hand out the same instance, which is what makes unsynchronized
@@ -56,8 +59,10 @@ struct PoolOptions {
 
 // Pool telemetry, cheap enough to read per-bench-iteration.
 struct PoolMetrics {
-  uint64_t leases = 0;  // successful Acquires
-  uint64_t waits = 0;   // Acquires that had to block for a busy instance
+  uint64_t leases = 0;  // successful Acquires and TryAcquires
+  // Acquires that had to block for a busy instance, plus callers that queued
+  // after a TryAcquire found every instance out (NoteWait).
+  uint64_t waits = 0;
   uint64_t grows = 0;   // instances created lazily beyond the warm set
   size_t size = 0;      // instances currently alive
   size_t idle = 0;      // instances parked in the free list
@@ -127,6 +132,15 @@ class InstancePool {
   // kDeadlineExceeded after `acquire_timeout`.
   Result<Lease> Acquire();
 
+  // Never waits: leases an idle instance (LIFO), or grows the pool when none
+  // is idle and size < max_instances. An empty lease means every instance is
+  // out; an error means lazy growth failed.
+  Result<Lease> TryAcquire();
+
+  // Counts one wait for a caller that queued after TryAcquire came back
+  // empty, so metrics().waits covers both ways of waiting for an instance.
+  void NoteWait();
+
   // Visits every instance, idle or leased, under the pool lock. Control
   // plane only (e.g. deploying a handler to the warm set): must not race
   // in-flight leases that touch the same instances.
@@ -134,12 +148,19 @@ class InstancePool {
 
   PoolMetrics metrics() const;
   size_t capacity() const { return options_.max_instances; }
+  // How long a caller may wait for an instance before giving up.
+  Nanos acquire_timeout() const { return options_.acquire_timeout; }
 
  private:
   InstancePool(Factory factory, PoolOptions options)
       : factory_(std::move(factory)), options_(options) {}
 
   void ReleaseInstance(Instance* instance);
+
+  // Hands out the most recently released idle instance, or, below the cap,
+  // builds a new one off-lock. An empty lease when neither is possible.
+  Result<Lease> TakeOrGrowLocked(MutexLock& lock, const Stopwatch& wait_timer)
+      RR_REQUIRES(mutex_);
 
   const Factory factory_;
   const PoolOptions options_;

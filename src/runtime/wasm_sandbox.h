@@ -41,9 +41,10 @@ class WasmSandbox {
   const std::string& name() const { return spec_.name; }
 
   // Installs the function's application logic behind the `handle` export
-  // (the AOT simulation; see DESIGN.md). The handler sees the input bytes
-  // *inside guest memory* via a bounds-checked view and returns output bytes
-  // that are placed back into guest memory through the allocator.
+  // (the AOT simulation; see README "Substitutions"). The handler sees the
+  // input bytes *inside guest memory* via a bounds-checked view and returns
+  // output bytes that are placed back into guest memory through the
+  // allocator.
   Status Deploy(NativeHandler handler);
 
   // --- Table 1: shim-side data access --------------------------------------

@@ -6,7 +6,7 @@
 // guest linear memory* — block headers and free-list links are guest bytes —
 // so the memory layout matches what a guest-side allocator would produce,
 // while the bookkeeping logic runs in the host (an AOT-simulated export; see
-// DESIGN.md "Substitutions").
+// README "Substitutions").
 //
 // Layout: 8-byte headers [size:u32][tag:u32] precede every block. Free
 // blocks form an address-ordered singly-linked list whose `next` pointer is

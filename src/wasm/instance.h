@@ -32,7 +32,7 @@ struct InstanceConfig {
 // An AOT-simulated function body: native code that may only touch the
 // sandbox through the Instance API. Mirrors WasmEdge's AOT mode, where a
 // .wasm function runs as compiled native code but still operates on linear
-// memory. See DESIGN.md ("Substitutions").
+// memory. See README ("Substitutions").
 using NativeBody = std::function<Status(Instance& instance,
                                         std::span<const Value> args,
                                         std::span<Value> results)>;

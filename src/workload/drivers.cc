@@ -52,7 +52,9 @@ class BodyCache {
 };
 
 // Mean duration of one run's agent `ingress:*` spans: each is the agent
-// writing a received body into its target's linear memory.
+// placing a stream's input region in its target's linear memory (plus, for
+// a stream that waited for an instance, copying in what it buffered). The
+// body itself lands during the receive, outside the span.
 Nanos MeanIngressSpan(uint64_t trace_id) {
   Nanos sum{0};
   int64_t count = 0;

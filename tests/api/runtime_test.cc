@@ -18,6 +18,7 @@
 #include "core/node_agent.h"
 #include "dag/dag.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "runtime/function.h"
 
 namespace rr::api {
@@ -466,6 +467,38 @@ TEST_F(RuntimeTest, QueueDepthGaugeSumsEveryRuntimeInTheProcess) {
     EXPECT_TRUE(invocation->Wait().ok()) << invocation->Wait().status();
   }
   EXPECT_EQ(depth.Value(), baseline);
+}
+
+TEST_F(RuntimeTest, TracingLastsOnlyWhileATracedRuntimeLives) {
+  // Options::tracing turns tracing on for as long as some runtime that asked
+  // for it lives; an explicit switch keeps its meaning.
+  obs::SetTracingEnabled(false);
+  Runtime::Options traced;
+  traced.tracing = true;
+  {
+    Runtime only("wf", traced);
+    EXPECT_TRUE(obs::TracingEnabled());
+  }
+  EXPECT_FALSE(obs::TracingEnabled())
+      << "the only traced runtime left tracing on";
+
+  {
+    auto first = std::make_unique<Runtime>("wf1", traced);
+    {
+      Runtime second("wf2", traced);
+      EXPECT_TRUE(obs::TracingEnabled());
+    }
+    EXPECT_TRUE(obs::TracingEnabled())
+        << "a traced runtime still lives, but tracing went off";
+    first.reset();
+    EXPECT_FALSE(obs::TracingEnabled());
+  }
+
+  // Tracing switched on explicitly stays on past a traced runtime.
+  obs::SetTracingEnabled(true);
+  { Runtime passing("wf", traced); }
+  EXPECT_TRUE(obs::TracingEnabled());
+  obs::SetTracingEnabled(false);
 }
 
 TEST_F(RuntimeTest, UnregisterEvictsEndpointFromRegistry) {

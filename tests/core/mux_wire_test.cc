@@ -5,12 +5,17 @@
 // stream-fatal vs connection-fatal failure isolation (typed refusals for
 // unknown functions, exhausted pools and admission caps; teardown for
 // malformed frames and connections that never speak the protocol), no
-// leaked guest regions after a failed invoke, flow-control window
+// leaked guest regions after a failed invoke, a cancel, a stalled stream, a
+// teardown mid-body or a Shutdown with work queued, flow-control window
 // exhaustion surfacing typed instead of hanging, fair interleaving of small
 // streams past large ones, one write per client batch, byte-exact bodies
-// across short writes and across a stream that ends mid-write, the output
-// reaching its consumer before the completion frame leaves, and the
-// idle-connection sweep being invisible to senders (transparent reconnect).
+// received in place (dedicated and shared-VM pools) across short writes and
+// across a stream that ends mid-write, a large body stalling on credit at
+// most once, the waiting room (an exhausted pool parks streams, not invoke
+// workers, and a returning instance reaches a waiter on another
+// connection), the output reaching its consumer before the completion frame
+// leaves, and the idle-connection sweep being invisible to senders
+// (transparent reconnect).
 #include <gtest/gtest.h>
 #include <linux/tcp.h>
 #include <netinet/in.h>
@@ -453,8 +458,8 @@ TEST(MuxWireTest, UnknownFunctionFailsTypedAndConnectionSurvives) {
 }
 
 TEST(MuxWireTest, PoolExhaustedAgentRefusesStreamTypedAndRecovers) {
-  // The stream stages fully, but the pool's only instance is held elsewhere:
-  // the invoke worker's lease times out and the stream fails typed
+  // The pool's only instance is held elsewhere: the stream waits in the
+  // agent's waiting room past the pool's acquire timeout and fails typed
   // (kResourceExhausted) — stream-fatal, with the connection serving the
   // next stream once the instance is back.
   NodeAgent::Options options;
@@ -514,6 +519,201 @@ TEST(MuxWireTest, PoolExhaustedAgentRefusesStreamTypedAndRecovers) {
   EXPECT_TRUE(recovered->Get().ok()) << recovered->Get();
   EXPECT_EQ((*agent)->transfers_completed(), 1u);
   EXPECT_TRUE(client->connected());
+
+  client->Close();
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, ExhaustedPoolDoesNotStallOtherFunctions) {
+  // An exhausted pool parks its streams in the agent's waiting room, never
+  // on invoke workers: with as many streams waiting on `choked` as there are
+  // workers, a stream to `free` still completes at once, and the waiters
+  // land — not refused — when the held instance returns inside the pool's
+  // acquire timeout.
+  NodeAgent::Options options;
+  options.invoke_workers = 2;
+  options.shards = 1;
+  auto agent = NodeAgent::Start(0, options);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+
+  runtime::PoolOptions choked_options;
+  choked_options.min_warm = 1;
+  choked_options.max_instances = 1;
+  choked_options.acquire_timeout = std::chrono::seconds(3);
+  auto choked = ShimPool::Create(Spec("choked"), Binary(), {}, choked_options);
+  ASSERT_TRUE(choked.ok()) << choked.status();
+  ASSERT_TRUE((*choked)
+                  ->Deploy([](ByteSpan input) -> Result<Bytes> {
+                    return Bytes(input.begin(), input.end());
+                  })
+                  .ok());
+  auto free = MakePool("free", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(free.ok()) << free.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*choked).ok());
+  ASSERT_TRUE((*agent)->RegisterFunction(*free).ok());
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+
+  auto hog = (*choked)->Lease();
+  ASSERT_TRUE(hog.ok()) << hog.status();
+  std::vector<std::shared_ptr<Completion>> waiters;
+  for (uint64_t token = 1; token <= 2; ++token) {
+    waiters.push_back(std::make_shared<Completion>());
+    ASSERT_TRUE(client
+                    ->StartStream("choked", rr::Buffer::FromString("queued"),
+                                  token, kEventBound,
+                                  waiters.back()->Arm(waiters.back()))
+                    .ok());
+  }
+  auto other = std::make_shared<Completion>();
+  const Stopwatch timer;
+  ASSERT_TRUE(client
+                  ->StartStream("free", rr::Buffer::FromString("unblocked"),
+                                /*token=*/3, kEventBound, other->Arm(other))
+                  .ok());
+  ASSERT_TRUE(other->WaitFor(kEventBound));
+  EXPECT_TRUE(other->Get().ok()) << other->Get();
+  EXPECT_LT(timer.Elapsed(), std::chrono::seconds(1))
+      << "an exhausted pool stalled another function's stream";
+
+  hog->Release();
+  for (size_t i = 0; i < waiters.size(); ++i) {
+    ASSERT_TRUE(waiters[i]->WaitFor(kEventBound)) << "waiter " << i;
+    EXPECT_TRUE(waiters[i]->Get().ok()) << "waiter " << i << ": "
+                                        << waiters[i]->Get();
+  }
+  EXPECT_EQ((*agent)->transfers_refused(), 0u);
+  EXPECT_EQ((*agent)->transfers_completed(), 3u);
+
+  client->Close();
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, WaiterOnAnotherConnectionLandsWhenAJobReturnsTheInstance) {
+  // One instance, two connections. Connection A's stream holds the instance
+  // through a gated invoke, so connection B's stream waits without one. When
+  // A's invoke returns the instance, B's stream lands at once — well inside
+  // the 500 ms sweep tick that would otherwise find it.
+  auto gate = std::make_shared<std::atomic<bool>>(false);
+  auto entered = std::make_shared<std::atomic<int>>(0);
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool(
+      "gated",
+      [gate, entered](ByteSpan input) -> Result<Bytes> {
+        entered->fetch_add(1);
+        while (!gate->load()) PreciseSleep(std::chrono::microseconds(200));
+        return Bytes(input.begin(), input.end());
+      },
+      /*instances=*/1);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client_a = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+  auto client_b = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+
+  auto first = std::make_shared<Completion>();
+  ASSERT_TRUE(client_a
+                  ->StartStream("gated", rr::Buffer::FromString("a"),
+                                /*token=*/1, kEventBound, first->Arm(first))
+                  .ok());
+  for (int i = 0; i < 500 && entered->load() == 0; ++i) {
+    PreciseSleep(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(entered->load(), 1) << "connection A's invoke never started";
+
+  auto second = std::make_shared<Completion>();
+  ASSERT_TRUE(client_b
+                  ->StartStream("gated", rr::Buffer::FromString("b"),
+                                /*token=*/2, kEventBound, second->Arm(second))
+                  .ok());
+  // B's stream enters the waiting room (counted as a pool wait).
+  for (int i = 0; i < 500 && (*pool)->metrics().waits == 0; ++i) {
+    PreciseSleep(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ((*pool)->metrics().waits, 1u)
+      << "connection B's stream never waited";
+
+  const Stopwatch timer;
+  gate->store(true);
+  ASSERT_TRUE(second->WaitFor(kEventBound));
+  const Nanos landed = timer.Elapsed();
+  EXPECT_TRUE(second->Get().ok()) << second->Get();
+  EXPECT_LT(landed, std::chrono::milliseconds(150))
+      << "the waiter landed on a sweep tick, not when the instance returned";
+  ASSERT_TRUE(first->WaitFor(kEventBound));
+  EXPECT_TRUE(first->Get().ok()) << first->Get();
+  EXPECT_EQ((*agent)->transfers_completed(), 2u);
+  EXPECT_EQ((*agent)->transfers_refused(), 0u);
+
+  client_a->Close();
+  client_b->Close();
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, LargeStreamLandsByteExactAndStallsAtMostOnce) {
+  // A 4 MiB body is received straight into its guest region and arrives
+  // byte-exact; the sender stalls on credit at most once, because the first
+  // due window update extends the stream's credit to its declared end.
+  struct Seen {
+    std::mutex mutex;
+    uint64_t hash = 0;
+  };
+  auto seen = std::make_shared<Seen>();
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("hash", [](ByteSpan input) -> Result<Bytes> {
+    Bytes out(8);
+    StoreLE<uint64_t>(out.data(), Fnv1a(input));
+    return out;
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)
+                  ->RegisterFunction(
+                      *pool,
+                      [seen](const std::string&, InvokeOutcome outcome,
+                             uint64_t, ShimLease instance) {
+                        MutexLock lock(instance->exec_mutex());
+                        auto view = instance->OutputView(outcome.output);
+                        std::lock_guard<std::mutex> seen_lock(seen->mutex);
+                        seen->hash = view.ok() && view->size() == 8
+                                         ? LoadLE<uint64_t>(view->data())
+                                         : 0;
+                        (void)instance->ReleaseRegion(outcome.output);
+                      })
+                  .ok());
+
+  obs::Counter* stalls =
+      obs::Registry::Get().counter("rr_agent_stream_stalls_total");
+  ASSERT_NE(stalls, nullptr);
+  const uint64_t stalls_before = stalls->Value();
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+  Bytes body(4 * 1024 * 1024);
+  Rng rng(17);
+  rng.Fill(body);
+  const uint64_t sent_hash = Fnv1a(body);
+  auto done = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("hash", rr::Buffer::Adopt(std::move(body)),
+                                /*token=*/1, kEventBound, done->Arm(done))
+                  .ok());
+  ASSERT_TRUE(done->WaitFor(kEventBound));
+  ASSERT_TRUE(done->Get().ok()) << done->Get();
+  {
+    std::lock_guard<std::mutex> lock(seen->mutex);
+    EXPECT_EQ(seen->hash, sent_hash) << "the body arrived altered";
+  }
+  EXPECT_LE(stalls->Value() - stalls_before, 1u)
+      << "the sender stalled on credit more than once";
 
   client->Close();
   (*agent)->Shutdown();
@@ -641,7 +841,10 @@ TEST(MuxWireTest, MixedSizeConcurrentStreamsArriveByteExact) {
   // reads slower than the client writes: the client's socket fills and
   // takes batches in short writes ending anywhere inside a frame. The
   // agent's handler hashes its input; every token's hash must be the
-  // sender's.
+  // sender's. The two-instance pool leaves most streams waiting for an
+  // instance, so bodies land both straight from the wire and from a waiting
+  // stream's prefix. Run once over dedicated-VM instances and once over
+  // modules of one shared VM.
   constexpr size_t kThreads = 3;
   constexpr size_t kRounds = 4;
   const std::vector<size_t> sizes = {0,     1,          1023,
@@ -651,88 +854,100 @@ TEST(MuxWireTest, MixedSizeConcurrentStreamsArriveByteExact) {
     std::mutex mutex;
     std::map<uint64_t, uint64_t> by_token;
   };
-  auto received = std::make_shared<Hashes>();
+  runtime::WasmVm vm("wf");
+  for (const bool shared_vm : {false, true}) {
+    SCOPED_TRACE(shared_vm ? "shared-VM pool" : "dedicated-VM pool");
+    auto received = std::make_shared<Hashes>();
 
-  auto agent = NodeAgent::Start(0);
-  ASSERT_TRUE(agent.ok()) << agent.status();
-  auto pool = MakePool("hash", [](ByteSpan input) -> Result<Bytes> {
-    Bytes out(8);
-    StoreLE<uint64_t>(out.data(), Fnv1a(input));
-    return out;
-  });
-  ASSERT_TRUE(pool.ok()) << pool.status();
-  ASSERT_TRUE((*agent)
-                  ->RegisterFunction(
-                      *pool,
-                      [received](const std::string&, InvokeOutcome outcome,
-                                 uint64_t token, ShimLease instance) {
-                        auto view = instance->OutputView(outcome.output);
-                        const uint64_t hash =
-                            view.ok() && view->size() == 8
-                                ? LoadLE<uint64_t>(view->data())
-                                : 0;
-                        (void)instance->ReleaseRegion(outcome.output);
-                        std::lock_guard<std::mutex> lock(received->mutex);
-                        received->by_token[token] = hash;
-                      })
-                  .ok());
+    auto agent = NodeAgent::Start(0);
+    ASSERT_TRUE(agent.ok()) << agent.status();
+    const runtime::NativeHandler hash = [](ByteSpan input) -> Result<Bytes> {
+      Bytes out(8);
+      StoreLE<uint64_t>(out.data(), Fnv1a(input));
+      return out;
+    };
+    runtime::PoolOptions options;
+    options.min_warm = 2;
+    options.max_instances = 2;
+    auto pool =
+        shared_vm
+            ? ShimPool::CreateInVm(vm, Spec("hash"), Binary(), {}, options)
+            : ShimPool::Create(Spec("hash"), Binary(), {}, options);
+    ASSERT_TRUE(pool.ok()) << pool.status();
+    ASSERT_TRUE((*pool)->Deploy(hash).ok());
+    ASSERT_TRUE((*agent)
+                    ->RegisterFunction(
+                        *pool,
+                        [received](const std::string&, InvokeOutcome outcome,
+                                   uint64_t token, ShimLease instance) {
+                          auto view = instance->OutputView(outcome.output);
+                          const uint64_t hash =
+                              view.ok() && view->size() == 8
+                                  ? LoadLE<uint64_t>(view->data())
+                                  : 0;
+                          (void)instance->ReleaseRegion(outcome.output);
+                          std::lock_guard<std::mutex> lock(received->mutex);
+                          received->by_token[token] = hash;
+                        })
+                    .ok());
 
-  netsim::LinkConfig shaping;
-  shaping.bandwidth_bytes_per_sec = 100e6;
-  shaping.one_way_delay = Nanos(0);
-  shaping.chunk_bytes = 4093;  // odd-sized relay reads
-  shaping.buffer_bytes = 64 * 1024;
-  auto link = netsim::ShapedLink::Start((*agent)->port(), shaping);
-  ASSERT_TRUE(link.ok()) << link.status();
+    netsim::LinkConfig shaping;
+    shaping.bandwidth_bytes_per_sec = 100e6;
+    shaping.one_way_delay = Nanos(0);
+    shaping.chunk_bytes = 4093;  // odd-sized relay reads
+    shaping.buffer_bytes = 64 * 1024;
+    auto link = netsim::ShapedLink::Start((*agent)->port(), shaping);
+    ASSERT_TRUE(link.ok()) << link.status();
 
-  auto reactor = TestReactor();
-  ASSERT_NE(reactor, nullptr);
-  auto client = MuxClient::Create(reactor, "127.0.0.1", (*link)->port());
+    auto reactor = TestReactor();
+    ASSERT_NE(reactor, nullptr);
+    auto client = MuxClient::Create(reactor, "127.0.0.1", (*link)->port());
 
-  std::mutex sent_mutex;
-  std::map<uint64_t, uint64_t> sent;  // token -> hash of the body
-  std::vector<std::shared_ptr<Completion>> done(kThreads * kRounds *
-                                               sizes.size());
-  std::vector<std::thread> starters;
-  for (size_t t = 0; t < kThreads; ++t) {
-    starters.emplace_back([&, t] {
-      Rng rng(100 + t);
-      for (size_t i = 0; i < kRounds * sizes.size(); ++i) {
-        const size_t slot = t * kRounds * sizes.size() + i;
-        const uint64_t token = slot + 1;
-        Bytes body(sizes[i % sizes.size()]);
-        rng.Fill(body);
-        {
-          std::lock_guard<std::mutex> lock(sent_mutex);
-          sent[token] = Fnv1a(body);
+    std::mutex sent_mutex;
+    std::map<uint64_t, uint64_t> sent;  // token -> hash of the body
+    std::vector<std::shared_ptr<Completion>> done(kThreads * kRounds *
+                                                 sizes.size());
+    std::vector<std::thread> starters;
+    for (size_t t = 0; t < kThreads; ++t) {
+      starters.emplace_back([&, t] {
+        Rng rng(100 + t);
+        for (size_t i = 0; i < kRounds * sizes.size(); ++i) {
+          const size_t slot = t * kRounds * sizes.size() + i;
+          const uint64_t token = slot + 1;
+          Bytes body(sizes[i % sizes.size()]);
+          rng.Fill(body);
+          {
+            std::lock_guard<std::mutex> lock(sent_mutex);
+            sent[token] = Fnv1a(body);
+          }
+          done[slot] = std::make_shared<Completion>();
+          const Status started = client->StartStream(
+              "hash", rr::Buffer::Adopt(std::move(body)), token, kEventBound,
+              done[slot]->Arm(done[slot]));
+          EXPECT_TRUE(started.ok()) << started;
         }
-        done[slot] = std::make_shared<Completion>();
-        const Status started = client->StartStream(
-            "hash", rr::Buffer::Adopt(std::move(body)), token, kEventBound,
-            done[slot]->Arm(done[slot]));
-        EXPECT_TRUE(started.ok()) << started;
-      }
-    });
-  }
-  for (std::thread& starter : starters) starter.join();
-  for (size_t slot = 0; slot < done.size(); ++slot) {
-    ASSERT_TRUE(done[slot]->WaitFor(kEventBound)) << "token " << slot + 1;
-    EXPECT_TRUE(done[slot]->Get().ok())
-        << "token " << slot + 1 << ": " << done[slot]->Get();
-  }
-  {
-    std::lock_guard<std::mutex> lock(received->mutex);
-    EXPECT_EQ(received->by_token.size(), sent.size());
-    for (const auto& [token, hash] : sent) {
-      const auto it = received->by_token.find(token);
-      ASSERT_NE(it, received->by_token.end()) << "token " << token;
-      EXPECT_EQ(it->second, hash) << "token " << token << " arrived altered";
+      });
     }
-  }
+    for (std::thread& starter : starters) starter.join();
+    for (size_t slot = 0; slot < done.size(); ++slot) {
+      ASSERT_TRUE(done[slot]->WaitFor(kEventBound)) << "token " << slot + 1;
+      EXPECT_TRUE(done[slot]->Get().ok())
+          << "token " << slot + 1 << ": " << done[slot]->Get();
+    }
+    {
+      std::lock_guard<std::mutex> lock(received->mutex);
+      EXPECT_EQ(received->by_token.size(), sent.size());
+      for (const auto& [token, hash] : sent) {
+        const auto it = received->by_token.find(token);
+        ASSERT_NE(it, received->by_token.end()) << "token " << token;
+        EXPECT_EQ(it->second, hash) << "token " << token << " arrived altered";
+      }
+    }
 
-  client->Close();
-  (*link)->Shutdown();
-  (*agent)->Shutdown();
+    client->Close();
+    (*link)->Shutdown();
+    (*agent)->Shutdown();
+  }
 }
 
 TEST(MuxWireTest, StreamEndedMidWriteStillLeavesItsWholeQuantum) {
@@ -1125,15 +1340,21 @@ TEST(MuxWireTest, StreamTableCapRefusesOpensTyped) {
 TEST(MuxWireTest, StalledStreamFailsTypedAndConnectionSurvives) {
   // A sender that stops mid-body must not pin its stream: the agent's sweep
   // fails the stream with kDeadlineExceeded once no data arrived for the
-  // transfer deadline, and the connection keeps serving.
+  // transfer deadline, and the connection keeps serving. The stream holds
+  // the pool's only instance from open until that sweep, which frees its
+  // region and returns the instance for the next stream.
   NodeAgent::Options options;
   options.transfer_deadline = std::chrono::milliseconds(200);
   auto agent = NodeAgent::Start(0, options);
   ASSERT_TRUE(agent.ok()) << agent.status();
-  auto pool = MakePool("echo", [](ByteSpan input) -> Result<Bytes> {
-    return Bytes(input.begin(), input.end());
-  });
+  auto pool = MakePool(
+      "echo",
+      [](ByteSpan input) -> Result<Bytes> {
+        return Bytes(input.begin(), input.end());
+      },
+      /*instances=*/1);
   ASSERT_TRUE(pool.ok()) << pool.status();
+  const size_t regions_before = PoolRegionCount(**pool, 1);
   ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
 
   auto conn = DialMux((*agent)->port());
@@ -1142,6 +1363,13 @@ TEST(MuxWireTest, StalledStreamFailsTypedAndConnectionSurvives) {
   const Stopwatch timer;
   ASSERT_TRUE(conn->Send(EncodeRawOpen(1, /*token=*/1, 100, "echo")).ok());
   ASSERT_TRUE(conn->Send(EncodeRawData(1, Bytes(10, 0x5a))).ok());
+  // The trickling stream pins the only instance until the sweep.
+  bool pinned = false;
+  for (int i = 0; i < 100 && !pinned; ++i) {
+    pinned = (*pool)->metrics().idle == 0;
+    if (!pinned) PreciseSleep(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(pinned) << "the admitted stream holds no instance";
   auto stalled = ReadCompletion(*conn);
   ASSERT_TRUE(stalled.ok()) << stalled.status();
   EXPECT_EQ(stalled->stream_id, 1u);
@@ -1157,6 +1385,7 @@ TEST(MuxWireTest, StalledStreamFailsTypedAndConnectionSurvives) {
 
   conn->Close();
   (*agent)->Shutdown();
+  EXPECT_EQ(PoolRegionCount(**pool, 1), regions_before);
 }
 
 TEST(MuxWireTest, CommitmentCapBoundsOpensAndCancelReleasesIt) {
@@ -1171,6 +1400,7 @@ TEST(MuxWireTest, CommitmentCapBoundsOpensAndCancelReleasesIt) {
     return Bytes(input.begin(), input.end());
   });
   ASSERT_TRUE(pool.ok()) << pool.status();
+  const size_t regions_before = PoolRegionCount(**pool, 2);
   ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
 
   auto conn = DialMux((*agent)->port());
@@ -1197,6 +1427,12 @@ TEST(MuxWireTest, CommitmentCapBoundsOpensAndCancelReleasesIt) {
   EXPECT_EQ(retried->stream_id, 4u);
   EXPECT_EQ(retried->code, StatusCode::kOk) << retried->detail;
 
+  // Each admitted stream placed a region in its own instance. Cancelling
+  // stream 2 as well frees the last one: once both instances are back, every
+  // region the cancelled streams held is gone.
+  ASSERT_TRUE(conn->Send(EncodeRawCancel(2)).ok());
+  EXPECT_EQ(PoolRegionCount(**pool, 2), regions_before);
+
   conn->Close();
   (*agent)->Shutdown();
 }
@@ -1217,6 +1453,7 @@ TEST(MuxWireTest, DataPastGrantedWindowIsConnectionFatal) {
     return Bytes(input.begin(), input.end());
   });
   ASSERT_TRUE(pool.ok()) << pool.status();
+  const size_t regions_before = PoolRegionCount(**pool, 2);
   ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
 
   auto conn = DialMux((*agent)->port());
@@ -1246,8 +1483,131 @@ TEST(MuxWireTest, DataPastGrantedWindowIsConnectionFatal) {
   const auto n = conn->ReceiveSome(sink);
   EXPECT_TRUE(!n.ok() || *n == 0) << "wire still open after teardown";
 
+  // The teardown came mid-body for both streams: their regions went back
+  // with their instances.
   conn->Close();
   (*agent)->Shutdown();
+  EXPECT_EQ(PoolRegionCount(**pool, 2), regions_before);
+}
+
+TEST(MuxWireTest, DeferredGrantFlushesWhenAnInvokeSettles) {
+  // The invoke worker settles a job's bytes itself and wakes the shard only
+  // when a grant waits on them. Cap 1.5 windows: stream 1 (one window plus a
+  // chunk) and stream 2 (half a window) fill it, so stream 1's due grant is
+  // deferred. Stream 2's invoke frees its half window, and the deferred
+  // grant must go out — credit to stream 1's declared end — with no other
+  // traffic to prompt it.
+  NodeAgent::Options options;
+  options.max_conn_staged_bytes = kMuxInitialWindow + kMuxInitialWindow / 2;
+  auto agent = NodeAgent::Start(0, options);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("echo", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto conn = DialMux((*agent)->port());
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  ASSERT_TRUE(conn->SetIoTimeouts(kEventBound).ok());
+  const uint64_t first_len = kMuxInitialWindow + kMuxMaxChunk;
+  ASSERT_TRUE(conn->Send(EncodeRawOpen(1, 1, first_len, "echo")).ok());
+  ASSERT_TRUE(
+      conn->Send(EncodeRawOpen(2, 2, kMuxInitialWindow / 2, "echo")).ok());
+  const Bytes chunk(kMuxMaxChunk, 0x3c);
+  for (size_t sent = 0; sent < kMuxInitialWindow; sent += kMuxMaxChunk) {
+    ASSERT_TRUE(conn->Send(EncodeRawData(1, chunk)).ok());
+  }
+  for (size_t sent = 0; sent < kMuxInitialWindow / 2; sent += kMuxMaxChunk) {
+    ASSERT_TRUE(conn->Send(EncodeRawData(2, chunk)).ok());
+  }
+
+  // Stream 2 completes; stream 1's deferred grant follows its settlement.
+  bool second_done = false;
+  uint64_t granted = 0;
+  while (!second_done || granted == 0) {
+    uint8_t header[kMuxFrameHeaderBytes];
+    ASSERT_TRUE(conn->Receive(MutableByteSpan(header, sizeof(header))).ok())
+        << "the deferred grant never went out";
+    const MuxFrameHeader h = DecodeMuxFrameHeader(header);
+    if (h.type == kMuxFrameWindowUpdate) {
+      ASSERT_EQ(h.stream_id, 1u);
+      granted += h.aux;
+      continue;
+    }
+    ASSERT_EQ(h.type, kMuxFrameCompletion);
+    ASSERT_EQ(h.stream_id, 2u);
+    EXPECT_EQ(static_cast<StatusCode>(h.aux), StatusCode::kOk);
+    Bytes detail(h.payload_length);
+    if (!detail.empty()) ASSERT_TRUE(conn->Receive(detail).ok());
+    second_done = true;
+  }
+  EXPECT_EQ(granted, first_len - kMuxInitialWindow)
+      << "the grant did not extend credit to the declared end";
+
+  ASSERT_TRUE(conn->Send(EncodeRawData(1, chunk)).ok());
+  auto first = ReadCompletion(*conn);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->stream_id, 1u);
+  EXPECT_EQ(first->code, StatusCode::kOk) << first->detail;
+
+  conn->Close();
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, ShutdownReleasesPlacedStreamsAndQueuedJobs) {
+  // Shutdown while one invoke runs, one fully received stream waits in the
+  // invoke queue, and one stream is mid-body: both placed regions go back
+  // and every instance returns to its pool.
+  auto gate = std::make_shared<std::atomic<bool>>(false);
+  auto entered = std::make_shared<std::atomic<int>>(0);
+  NodeAgent::Options options;
+  options.invoke_workers = 1;
+  options.shards = 1;
+  auto agent = NodeAgent::Start(0, options);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool(
+      "gated",
+      [gate, entered](ByteSpan input) -> Result<Bytes> {
+        entered->fetch_add(1);
+        while (!gate->load()) PreciseSleep(std::chrono::microseconds(200));
+        return Bytes(input.begin(), input.end());
+      },
+      /*instances=*/3);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  const size_t regions_before = PoolRegionCount(**pool, 3);
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto conn = DialMux((*agent)->port());
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  // Stream 1 occupies the only invoke worker.
+  ASSERT_TRUE(conn->Send(EncodeRawOpen(1, 1, 3, "gated")).ok());
+  ASSERT_TRUE(conn->Send(EncodeRawData(1, AsBytes("one"))).ok());
+  for (int i = 0; i < 500 && entered->load() == 0; ++i) {
+    PreciseSleep(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(entered->load(), 1);
+  // Stream 2 is received whole and queues behind it; stream 3 stops
+  // mid-body with its region placed.
+  ASSERT_TRUE(conn->Send(EncodeRawOpen(2, 2, 3, "gated")).ok());
+  ASSERT_TRUE(conn->Send(EncodeRawData(2, AsBytes("two"))).ok());
+  ASSERT_TRUE(conn->Send(EncodeRawOpen(3, 3, 100, "gated")).ok());
+  ASSERT_TRUE(conn->Send(EncodeRawData(3, Bytes(10, 0x5a))).ok());
+  for (int i = 0; i < 500 && (*pool)->metrics().idle > 0; ++i) {
+    PreciseSleep(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ((*pool)->metrics().idle, 0u) << "streams 2 and 3 never leased";
+
+  // The running invoke finishes while Shutdown joins the worker.
+  std::thread opener([gate] {
+    PreciseSleep(std::chrono::milliseconds(100));
+    gate->store(true);
+  });
+  (*agent)->Shutdown();
+  opener.join();
+  EXPECT_EQ(entered->load(), 1) << "the queued job ran after Shutdown";
+  EXPECT_EQ(PoolRegionCount(**pool, 3), regions_before);
+  conn->Close();
 }
 
 // The agent's connection-fatal verdict as the peer sees it: EOF — no bytes

@@ -10,6 +10,7 @@
 
 #include "api/runtime.h"
 #include "core/node_agent.h"
+#include "core/shim_pool.h"
 #include "dag/dag.h"
 #include "obs/metrics.h"
 #include "resilience/fault_injector.h"
@@ -463,14 +464,25 @@ TEST_F(DagExecutorTest, LateFirstAttemptCompletionRejectedByFreshToken) {
   api::Runtime rt("wf", options);
   auto a = AddFunction(rt, "a", {"n1", ""});
 
-  // Several invoke workers so the held first attempt does not serialize the
-  // retry behind it.
+  // Two instances and several invoke workers, so the held first attempt —
+  // which keeps its instance from open until its invoke — does not
+  // serialize the retry behind it.
   core::NodeAgent::Options agent_options;
   agent_options.invoke_workers = 4;
   auto agent = core::NodeAgent::Start(0, agent_options);
   ASSERT_TRUE(agent.ok()) << agent.status();
-  auto b = AddFunction(rt, "b", {"n2", ""}, nullptr, (*agent)->port());
-  ASSERT_TRUE((*agent)->RegisterFunction(b.get(), rt.DeliverySink()).ok());
+  runtime::PoolOptions pool_options;
+  pool_options.min_warm = 2;
+  pool_options.max_instances = 2;
+  auto b = core::ShimPool::Create(Spec("b"), Binary(), {}, pool_options);
+  ASSERT_TRUE(b.ok()) << b.status();
+  ASSERT_TRUE((*b)->Deploy(Tagger("b")).ok());
+  Endpoint remote;
+  remote.pool = *b;
+  remote.location = {"n2", ""};
+  remote.port = (*agent)->port();
+  ASSERT_TRUE(rt.Register(remote).ok());
+  ASSERT_TRUE((*agent)->RegisterFunction(*b, rt.DeliverySink()).ok());
 
   const uint64_t stale0 = resilience::StaleDeliveriesTotal().Value();
   const uint64_t retries0 = resilience::RetryAttemptsTotal().Value();
@@ -500,7 +512,7 @@ TEST_F(DagExecutorTest, LateFirstAttemptCompletionRejectedByFreshToken) {
   EXPECT_EQ(resilience::StaleDeliveriesTotal().Value() - stale0, 1u);
   // Both attempts invoked (the held one after the retry won), exactly once
   // each — a double-complete would have corrupted the join above.
-  EXPECT_EQ(b->invocations(), 2u);
+  EXPECT_EQ((*b)->invocations(), 2u);
 }
 
 TEST_F(DagExecutorTest, RepeatedExecutionsReuseHops) {

@@ -472,6 +472,9 @@ TEST_F(ChaosTest, StarveGrantStallsTransferIntoDeadline) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
       << result.status();
   EXPECT_GT(FaultInjector::Instance().fires(FaultSite::kAgentStarveGrant), 0u);
+  // A starved stream keeps the instance it leased — b's shim — until the
+  // agent reads its cancel: stop the agent while b is still alive.
+  (*agent)->Shutdown();
 }
 
 // Gateway mapping of the failure-recovery plane: a run shed with typed

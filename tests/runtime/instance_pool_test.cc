@@ -147,6 +147,45 @@ TEST(InstancePoolTest, ExhaustedAcquireTimesOut) {
   EXPECT_EQ(starved.status().code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST(InstancePoolTest, TryAcquireGrowsButNeverWaits) {
+  std::atomic<int> created{0};
+  PoolOptions options;
+  options.min_warm = 1;
+  options.max_instances = 2;
+  options.acquire_timeout = std::chrono::seconds(30);
+  auto pool = InstancePool::Create(CountingFactory(&created), options);
+  ASSERT_TRUE(pool.ok());
+
+  auto warm = (*pool)->TryAcquire();
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(*warm);
+  EXPECT_EQ(IdOf(*warm), 0);
+  auto grown = (*pool)->TryAcquire();  // below the cap: grows
+  ASSERT_TRUE(grown.ok());
+  ASSERT_TRUE(*grown);
+  EXPECT_EQ(created.load(), 2);
+
+  // At the cap with every instance out: an empty lease at once, not a wait
+  // for the 30 s acquire timeout. Only NoteWait counts a wait.
+  const Stopwatch timer;
+  auto none = (*pool)->TryAcquire();
+  ASSERT_TRUE(none.ok());
+  EXPECT_FALSE(*none);
+  EXPECT_LT(timer.Elapsed(), std::chrono::seconds(1));
+  EXPECT_EQ((*pool)->metrics().waits, 0u);
+  (*pool)->NoteWait();
+  EXPECT_EQ((*pool)->metrics().waits, 1u);
+
+  // A returned instance is handed out again (LIFO).
+  const int returned = IdOf(*grown);
+  grown->Release();
+  auto again = (*pool)->TryAcquire();
+  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE(*again);
+  EXPECT_EQ(IdOf(*again), returned);
+  EXPECT_EQ((*pool)->metrics().leases, 3u);
+}
+
 TEST(InstancePoolTest, ConcurrentAcquirersNeverShareAnInstance) {
   std::atomic<int> created{0};
   PoolOptions options;
