@@ -54,7 +54,8 @@ class NodeAgent {
     // Bounds how long a connection may sit mid-frame, and a stream mid-body,
     // without progress before it is dropped. The sender-side transfer
     // deadline is the other half of the bound; together they guarantee a
-    // wedged peer frees its staging state. Non-positive = unbounded.
+    // wedged peer frees its receive state and the instance its stream holds.
+    // Non-positive = unbounded.
     Nanos transfer_deadline = std::chrono::seconds(30);
 
     // Plane shape. 0 = pick from hardware concurrency. Shards are epoll
