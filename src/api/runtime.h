@@ -132,8 +132,8 @@ class Runtime {
  public:
   struct Options {
     // The DAG executor's worker pool, shared by every in-flight run: the
-    // only threads that execute runs. 0 = one per hardware thread, at
-    // least 2.
+    // only threads that execute runs. 0 = one per usable CPU (the affinity
+    // mask), at least 2.
     size_t dag_workers = 0;
     // BACKSTOP on one remote (NodeAgent) edge: dispatch to delivery
     // callback, including the remote invoke. On the default mux wire a

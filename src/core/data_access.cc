@@ -104,6 +104,16 @@ Status DataAccess::RegisterRegion(MemoryRegion region) {
   return Status::Ok();
 }
 
+Status DataAccess::TrimRegion(MemoryRegion region) {
+  const auto it = regions_.find(region.address);
+  if (it == regions_.end() || region.length > it->second.length) {
+    return PermissionDeniedError("trim outside the region registered at " +
+                                 std::to_string(region.address));
+  }
+  it->second.length = region.length;
+  return Status::Ok();
+}
+
 bool DataAccess::IsRegistered(uint32_t address, uint32_t len) const {
   return FindCovering(address, len) != nullptr;
 }

@@ -82,6 +82,9 @@ class DataAccess {
   // Registers an externally-created region (e.g. handler output located via
   // InvokeResult). Rejects regions outside the current memory bounds.
   Status RegisterRegion(MemoryRegion region);
+  // Re-registers the region that starts at region.address at the shorter
+  // region.length (an output the guest wrote over its input block).
+  Status TrimRegion(MemoryRegion region);
   bool IsRegistered(uint32_t address, uint32_t len) const;
   size_t registered_region_count() const { return regions_.size(); }
 

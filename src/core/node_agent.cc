@@ -16,6 +16,7 @@
 #include "core/region_guard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "osal/cpus.h"
 #include "osal/reactor.h"
 #include "resilience/fault_injector.h"
 
@@ -444,8 +445,7 @@ struct NodeAgent::ReactorPlane {
 
   Status Start() {
     RR_RETURN_IF_ERROR(osal::SetNonBlocking(agent->listener_.fd(), true));
-    const size_t hw =
-        std::max<size_t>(1, std::thread::hardware_concurrency());
+    const size_t hw = osal::UsableCpus();
     size_t nshards = agent->options_.shards;
     if (nshards == 0) nshards = std::min<size_t>(4, std::max<size_t>(1, hw / 4));
     size_t nworkers = agent->options_.invoke_workers;

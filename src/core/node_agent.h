@@ -58,10 +58,11 @@ class NodeAgent {
     // Non-positive = unbounded.
     Nanos transfer_deadline = std::chrono::seconds(30);
 
-    // Plane shape. 0 = pick from hardware concurrency. Shards are epoll
-    // loops (connections round-robin across them); invoke workers are the
-    // only threads that run Wasm. Total agent threads = shards +
-    // invoke_workers, independent of connection or stream count.
+    // Plane shape. 0 = pick from the CPUs this process may run on
+    // (osal::UsableCpus). Shards are epoll loops (connections round-robin
+    // across them); invoke workers are the only threads that run Wasm.
+    // Total agent threads = shards + invoke_workers, independent of
+    // connection or stream count.
     size_t shards = 0;
     size_t invoke_workers = 0;
 

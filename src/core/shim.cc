@@ -1,5 +1,7 @@
 #include "core/shim.h"
 
+#include "core/region_guard.h"
+
 namespace rr::core {
 
 Result<std::unique_ptr<Shim>> Shim::Create(runtime::FunctionSpec spec,
@@ -30,12 +32,12 @@ Result<InvokeOutcome> Shim::DeliverAndInvoke(const rr::BufferView& input) {
   }
   RR_ASSIGN_OR_RETURN(const MemoryRegion in_region,
                       PrepareInput(static_cast<uint32_t>(input.size())));
-  const Status written = WriteInput(in_region, input);
-  if (!written.ok()) {
-    (void)ReleaseRegion(in_region);
-    return written;
-  }
-  return InvokeOnRegion(in_region);
+  // A failed write or invoke leaves the input placed: release it.
+  RegionGuard guard(this, in_region);
+  RR_RETURN_IF_ERROR(WriteInput(in_region, input));
+  RR_ASSIGN_OR_RETURN(const InvokeOutcome outcome, InvokeOnRegion(in_region));
+  guard.Dismiss();
+  return outcome;
 }
 
 Status Shim::WriteInput(const MemoryRegion& region, const rr::BufferView& data) {
@@ -62,13 +64,18 @@ Result<InvokeOutcome> Shim::InvokeOnRegion(const MemoryRegion& region) {
   invocations_.fetch_add(1, std::memory_order_relaxed);
   RR_ASSIGN_OR_RETURN(const runtime::WasmSandbox::InvokeResult result,
                       sandbox_->InvokeInPlace(region.address, region.length));
-  // The function's output is a fresh allocator region; register it for shim
-  // egress (this is the locate_memory_region + send_to_host handshake).
+  // Register the output for shim egress (the locate_memory_region +
+  // send_to_host handshake). An output written over the consumed input is
+  // the input block itself: it stays allocated, now registered at the
+  // output's length. A fresh output leaves the input to be released.
   const MemoryRegion output{result.output_address, result.output_length};
-  RR_RETURN_IF_ERROR(data_.RegisterRegion(output));
+  if (output.address == region.address) {
+    RR_RETURN_IF_ERROR(data_.TrimRegion(output));
+  } else {
+    RR_RETURN_IF_ERROR(data_.RegisterRegion(output));
+    RR_RETURN_IF_ERROR(data_.deallocate_memory(region.address));
+  }
   RR_RETURN_IF_ERROR(data_.send_to_host(output.address, output.length));
-  // The input region was consumed by the call.
-  RR_RETURN_IF_ERROR(data_.deallocate_memory(region.address));
   return InvokeOutcome{output};
 }
 

@@ -50,6 +50,7 @@ class Shim {
   // and registers its output region. One guest-boundary copy in, zero out.
   // The BufferView overload gather-writes a segmented payload (shared chunks
   // of the zero-copy plane) without assembling a contiguous host copy first.
+  // On failure the input region is released: nothing stays placed.
   Result<InvokeOutcome> DeliverAndInvoke(ByteSpan input);
   Result<InvokeOutcome> DeliverAndInvoke(const rr::BufferView& input);
 
@@ -62,9 +63,14 @@ class Shim {
   // caller fill the returned span, then InvokeOnRegion.
   Result<MemoryRegion> PrepareInput(uint32_t length);
   Result<MutableByteSpan> InputSpan(const MemoryRegion& region);
+  // A successful invoke consumes `region`: the shim frees it, unless the
+  // guest returned the input block as its output (written over the input and
+  // trimmed), which stays allocated as the output region. Either way the
+  // output's holder releases the output and nobody releases the input. A
+  // failed invoke leaves `region` placed for the caller to release.
   Result<InvokeOutcome> InvokeOnRegion(const MemoryRegion& region);
 
-  // Releases a function's input region after it has been consumed.
+  // Releases a placed input or a consumed output region.
   Status ReleaseRegion(const MemoryRegion& region) {
     return data_.deallocate_memory(region.address);
   }

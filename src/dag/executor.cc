@@ -9,6 +9,7 @@
 #include "core/region_guard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "osal/cpus.h"
 #include "resilience/metrics.h"
 
 namespace rr::dag {
@@ -109,7 +110,7 @@ DagExecutor::DagExecutor(core::WorkflowManager* manager, size_t workers)
     : manager_(manager) {
   life_->owner = this;
   if (workers == 0) {
-    workers = std::max<size_t>(2, std::thread::hardware_concurrency());
+    workers = std::max<size_t>(2, osal::UsableCpus());
   }
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {

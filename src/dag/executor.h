@@ -111,9 +111,9 @@ namespace rr::dag {
 
 class DagExecutor {
  public:
-  // `manager` must outlive the executor. 0 workers = one per hardware
-  // thread, at least 2 (so a single-core host still overlaps a slow hop with
-  // an independent branch).
+  // `manager` must outlive the executor. 0 workers = one per CPU this
+  // process may run on (osal::UsableCpus), at least 2 (so a single-core host
+  // still overlaps a slow hop with an independent branch).
   explicit DagExecutor(core::WorkflowManager* manager, size_t workers = 0);
   // Joins the workers. Every started run must have finished (its `done`
   // returned) first.

@@ -1,5 +1,8 @@
 #include "runtime/wasm_sandbox.h"
 
+#include <algorithm>
+#include <string>
+
 #include "wasm/decoder.h"
 
 namespace rr::runtime {
@@ -59,19 +62,24 @@ Status WasmSandbox::Deploy(NativeHandler handler) {
         RR_ASSIGN_OR_RETURN(const ByteSpan input,
                             instance.memory()->Slice(in_ptr, in_len));
         RR_ASSIGN_OR_RETURN(Bytes output, handler(input));
+        const uint32_t out_len = static_cast<uint32_t>(output.size());
 
-        // Results are materialized in guest memory through the module's own
-        // allocator, then written via guest-visible stores.
-        RR_ASSIGN_OR_RETURN(
-            const uint32_t out_ptr,
-            allocator_->Allocate(
-                std::max<uint32_t>(1, static_cast<uint32_t>(output.size()))));
-        RR_ASSIGN_OR_RETURN(
-            MutableByteSpan dest,
-            instance.memory()->MutableSlice(out_ptr, output.size()));
+        // The handler has consumed its input, so an output that fits is
+        // written over the input block, trimmed to the output's length: the
+        // invocation touches no fresh guest pages. A larger output (or an
+        // input that is not a whole allocator block) takes a fresh block.
+        // Either way the bytes land through the module's own allocator and
+        // guest-visible stores.
+        uint32_t out_ptr = in_ptr;
+        if (out_len > in_len ||
+            !allocator_->Shrink(in_ptr, std::max<uint32_t>(1, out_len)).ok()) {
+          RR_ASSIGN_OR_RETURN(
+              out_ptr, allocator_->Allocate(std::max<uint32_t>(1, out_len)));
+        }
+        RR_ASSIGN_OR_RETURN(MutableByteSpan dest,
+                            instance.memory()->MutableSlice(out_ptr, out_len));
         std::copy(output.begin(), output.end(), dest.begin());
-        results[0] = wasm::Value::I64(
-            PackRegion(out_ptr, static_cast<uint32_t>(output.size())));
+        results[0] = wasm::Value::I64(PackRegion(out_ptr, out_len));
         return Status::Ok();
       });
 }
@@ -113,8 +121,11 @@ Result<WasmSandbox::InvokeResult> WasmSandbox::Invoke(ByteSpan input) {
       AllocateMemory(std::max<uint32_t>(1, static_cast<uint32_t>(input.size()))));
   RR_RETURN_IF_ERROR(WriteMemoryHost(in_ptr, input));
   auto result = InvokeInPlace(in_ptr, static_cast<uint32_t>(input.size()));
-  // Input region is consumed by the call in either outcome.
-  (void)DeallocateMemory(in_ptr);
+  // The call consumed the input block; it lives on only as an output the
+  // guest wrote over it.
+  if (!result.ok() || result->output_address != in_ptr) {
+    (void)DeallocateMemory(in_ptr);
+  }
   return result;
 }
 
@@ -126,6 +137,18 @@ Result<WasmSandbox::InvokeResult> WasmSandbox::InvokeInPlace(uint32_t address,
   RR_ASSIGN_OR_RETURN(const std::vector<wasm::Value> results,
                       instance_->CallExport(kExportHandle, args));
   const auto [out_ptr, out_len] = UnpackRegion(results[0].i64);
+  // An output is a fresh block, or the input block itself trimmed to the
+  // output; anything else sharing the input's bytes is out of contract. An
+  // empty region counts as its first byte: blocks hold at least one.
+  const bool in_place = out_ptr == address && out_len <= length;
+  const uint64_t out_end = uint64_t{out_ptr} + std::max<uint32_t>(1, out_len);
+  const uint64_t in_end = uint64_t{address} + std::max<uint32_t>(1, length);
+  if (!in_place && out_ptr < in_end && address < out_end) {
+    return FailedPreconditionError(
+        "guest output [" + std::to_string(out_ptr) + ", +" +
+        std::to_string(out_len) + ") overlaps its input [" +
+        std::to_string(address) + ", +" + std::to_string(length) + ")");
+  }
   return InvokeResult{out_ptr, out_len};
 }
 

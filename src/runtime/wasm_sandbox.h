@@ -44,7 +44,8 @@ class WasmSandbox {
   // (the AOT simulation; see README "Substitutions"). The handler sees the
   // input bytes *inside guest memory* via a bounds-checked view and returns
   // output bytes that are placed back into guest memory through the
-  // allocator.
+  // allocator: over the consumed input block when they fit (the block is
+  // trimmed with GuestAllocator::Shrink), else in a fresh block.
   Status Deploy(NativeHandler handler);
 
   // --- Table 1: shim-side data access --------------------------------------
@@ -61,7 +62,8 @@ class WasmSandbox {
 
   // --- invocation -----------------------------------------------------------
   // Places `input` into guest memory, calls `handle`, and returns the output
-  // region (locate_memory_region of the result).
+  // region (locate_memory_region of the result). The input block is freed
+  // unless the guest returned it as its output.
   struct InvokeResult {
     uint32_t output_address = 0;
     uint32_t output_length = 0;
@@ -69,7 +71,11 @@ class WasmSandbox {
   Result<InvokeResult> Invoke(ByteSpan input);
 
   // Calls `handle` on data already resident in guest memory (used by the
-  // channels after writing the payload in).
+  // channels after writing the payload in). The output is either a block
+  // disjoint from the input or the input block itself (same address, no
+  // longer than the input), trimmed by the guest; an output that overlaps
+  // the input any other way is FailedPrecondition, and the input is then
+  // the caller's to release.
   Result<InvokeResult> InvokeInPlace(uint32_t address, uint32_t length);
 
   wasm::Instance& instance() { return *instance_; }

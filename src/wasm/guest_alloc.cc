@@ -1,6 +1,7 @@
 #include "wasm/guest_alloc.h"
 
 #include <algorithm>
+#include <string>
 
 namespace rr::wasm {
 namespace {
@@ -139,21 +140,48 @@ Result<uint32_t> GuestAllocator::Allocate(uint32_t size) {
   return ResourceExhaustedError("guest heap exhausted");
 }
 
-Status GuestAllocator::Deallocate(uint32_t address) {
+Result<uint32_t> GuestAllocator::AllocatedHeader(uint32_t address,
+                                                 const char* op) const {
   if (address < heap_base_ + kHeaderSize) {
-    return InvalidArgumentError("deallocate: address below heap");
+    return InvalidArgumentError(std::string(op) + ": address below heap");
   }
   const uint32_t header = address - kHeaderSize;
   RR_ASSIGN_OR_RETURN(const uint32_t tag, ReadTag(header));
   if (tag != kAllocatedTag) {
     return InvalidArgumentError(
-        tag == kFreeTag ? "double free of guest block"
-                        : "deallocate: not an allocated block");
+        std::string(op) + (tag == kFreeTag
+                               ? ": guest block is free (double free?)"
+                               : ": not an allocated block"));
   }
+  return header;
+}
+
+Status GuestAllocator::Deallocate(uint32_t address) {
+  RR_ASSIGN_OR_RETURN(const uint32_t header,
+                      AllocatedHeader(address, "deallocate"));
   RR_ASSIGN_OR_RETURN(const uint32_t size, ReadSize(header));
   bytes_in_use_ -= size;
   --live_allocations_;
   return InsertFree(header);
+}
+
+Status GuestAllocator::Shrink(uint32_t address, uint32_t size) {
+  RR_ASSIGN_OR_RETURN(const uint32_t header,
+                      AllocatedHeader(address, "shrink"));
+  RR_ASSIGN_OR_RETURN(const uint32_t block_size, ReadSize(header));
+  if (size == 0 || size > block_size) {
+    return InvalidArgumentError("shrink: " + std::to_string(size) +
+                                " bytes does not fit a block of " +
+                                std::to_string(block_size));
+  }
+  const uint32_t keep = std::max(AlignUp(size, kAlign), kMinPayload);
+  const uint32_t remainder = block_size - keep;
+  if (remainder < kHeaderSize + kMinPayload) return Status::Ok();
+  const uint32_t tail = header + kHeaderSize + keep;
+  RR_RETURN_IF_ERROR(WriteHeader(header, keep, kAllocatedTag));
+  RR_RETURN_IF_ERROR(WriteHeader(tail, remainder - kHeaderSize, kFreeTag));
+  bytes_in_use_ -= remainder;
+  return InsertFree(tail);
 }
 
 }  // namespace rr::wasm

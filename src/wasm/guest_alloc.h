@@ -39,6 +39,13 @@ class GuestAllocator {
   // paper's shim performs before memory operations (§3.1).
   Status Deallocate(uint32_t address);
 
+  // Trims the allocated block at `address` to `size` bytes (1 up to its
+  // current size) in place. The tail returns to the free list, coalescing
+  // with a free successor, and bytes_in_use follows; a tail too small to
+  // hold a free block stays with the block. Validates `address` as
+  // Deallocate does.
+  Status Shrink(uint32_t address, uint32_t size);
+
   uint32_t heap_base() const { return heap_base_; }
   uint64_t bytes_in_use() const { return bytes_in_use_; }
   uint64_t live_allocations() const { return live_allocations_; }
@@ -57,6 +64,10 @@ class GuestAllocator {
   Status WriteHeader(uint32_t header, uint32_t size, uint32_t tag);
   Result<uint32_t> ReadNext(uint32_t header) const;
   Status WriteNext(uint32_t header, uint32_t next);
+
+  // The header of the allocated block whose payload starts at `address`;
+  // `op` names the caller in the error.
+  Result<uint32_t> AllocatedHeader(uint32_t address, const char* op) const;
 
   Status GrowHeap(uint32_t min_extra_bytes);
   Status InsertFree(uint32_t header);

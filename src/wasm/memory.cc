@@ -50,8 +50,16 @@ int32_t LinearMemory::Grow(uint32_t delta_pages) {
   const uint64_t target = static_cast<uint64_t>(pages_) + delta_pages;
   if (target > limits_.max_pages) return -1;
   const uint32_t old_pages = pages_;
-  if (delta_pages > 0 &&
-      mprotect(base_ + byte_size(),
+  if (delta_pages == 0) return static_cast<int32_t>(old_pages);
+  if (!huge_pages_advised_) {
+    // Advisory: a kernel without THP refuses it, and the memory works as
+    // before on base pages.
+    const size_t declared =
+        static_cast<size_t>(limits_.min_pages) * kWasmPageSize;
+    (void)madvise(base_ + declared, reserved_bytes() - declared, MADV_HUGEPAGE);
+    huge_pages_advised_ = true;
+  }
+  if (mprotect(base_ + byte_size(),
                static_cast<size_t>(delta_pages) * kWasmPageSize,
                PROT_READ | PROT_WRITE) != 0) {
     return -1;

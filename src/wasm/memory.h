@@ -14,6 +14,12 @@
 // anything, and an instance costs resident memory only for the guest pages
 // it has touched.
 //
+// Memory that grows is where payloads land, so the first Grow advises
+// transparent huge pages (madvise MADV_HUGEPAGE) over the reservation past
+// the module's declared minimum: on a host whose THP mode is `madvise` or
+// `always`, grown pages then fault in 2 MiB at a time. A memory that never
+// grows keeps base pages and makes no such call.
+//
 // The base never moves: a span from Slice/MutableSlice stays valid across
 // Grow for the memory's whole lifetime. Who may read or write a region's
 // bytes is still decided above this class (the shim's region registry and
@@ -49,7 +55,7 @@ class LinearMemory {
 
   // memory.grow semantics: returns the previous page count, or -1 when the
   // request exceeds the limit or the host refuses the pages (the size is
-  // then unchanged).
+  // then unchanged). The first growth advises huge pages (see above).
   int32_t Grow(uint32_t delta_pages);
 
   // True when [addr, addr+len) lies inside the current memory size.
@@ -111,6 +117,7 @@ class LinearMemory {
 
   Limits limits_;
   uint32_t pages_ = 0;
+  bool huge_pages_advised_ = false;
   // Start of the reservation; null when the maximum is 0 pages.
   uint8_t* base_ = nullptr;
   mutable std::atomic<uint64_t> host_bytes_read_{0};

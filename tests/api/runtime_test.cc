@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/mutex.h"
 #include "core/node_agent.h"
 #include "dag/dag.h"
 #include "obs/metrics.h"
@@ -247,6 +248,31 @@ TEST_F(RuntimeTest, WaitForTimesOutWhileInFlightThenCompletes) {
   const Result<rr::Buffer>& result = (*invocation)->Wait();
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(ToString(*result), "t|a");
+}
+
+TEST_F(RuntimeTest, FailingSourceRunsLeaveNoGuestRegionBehind) {
+  // A source's input is placed by the run itself: a failed invoke must hand
+  // it back, or every failing request leaks guest heap in a warm instance.
+  Runtime rt("wf");
+  auto a = AddFunction(rt, "a", {"n1", ""}, nullptr, 0,
+                       [](ByteSpan) -> Result<Bytes> {
+                         return InvalidArgumentError("rejected");
+                       });
+  const auto books = [&a] {
+    MutexLock lock(a->exec_mutex());
+    return std::make_pair(a->sandbox().allocator().live_allocations(),
+                          a->data().registered_region_count());
+  };
+  const auto before = books();
+  for (int i = 0; i < 3; ++i) {
+    auto invocation = rt.Submit(ChainSpec{{"a"}}, AsBytes("payload"));
+    ASSERT_TRUE(invocation.ok()) << invocation.status();
+    const Result<rr::Buffer>& result = (*invocation)->Wait();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status();
+  }
+  EXPECT_EQ(books(), before);
 }
 
 TEST_F(RuntimeTest, RemoteAgentTargetsUnderConcurrency) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "runtime/function.h"
+#include "wasm/builder.h"
 
 namespace rr::core {
 namespace {
@@ -20,6 +23,58 @@ std::unique_ptr<Shim> MakeShim(const std::string& name = "fn") {
   auto shim = Shim::Create(Spec(name), binary);
   EXPECT_TRUE(shim.ok()) << shim.status();
   return shim.ok() ? std::move(*shim) : nullptr;
+}
+
+// The function module ABI with an interpreted `handle` that returns its
+// input block as its output: (ptr + ptr_offset) << 32 | (len - len_cut).
+Bytes InputReturningModule(int32_t ptr_offset, int32_t len_cut) {
+  wasm::ModuleBuilder builder;
+  builder.SetMemory({.min_pages = 32, .has_max = true, .max_pages = 32768});
+  wasm::CodeEmitter stub;
+  stub.Unreachable().End();
+  const uint32_t alloc_fn = builder.AddFunction(
+      {{wasm::ValType::kI32}, {wasm::ValType::kI32}}, {}, stub);
+  const uint32_t dealloc_fn =
+      builder.AddFunction({{wasm::ValType::kI32}, {}}, {}, stub);
+  wasm::CodeEmitter handle;
+  handle.LocalGet(0).I32Const(ptr_offset).I32Add();
+  handle.Op(wasm::Opcode::kI64ExtendI32U).I64Const(32);
+  handle.Op(wasm::Opcode::kI64Shl);
+  handle.LocalGet(1).I32Const(len_cut).I32Sub();
+  handle.Op(wasm::Opcode::kI64ExtendI32U).Op(wasm::Opcode::kI64Or).End();
+  const uint32_t handle_fn = builder.AddFunction(
+      {{wasm::ValType::kI32, wasm::ValType::kI32}, {wasm::ValType::kI64}}, {},
+      handle);
+  builder.ExportFunction(std::string(runtime::kExportAllocate), alloc_fn);
+  builder.ExportFunction(std::string(runtime::kExportDeallocate), dealloc_fn);
+  builder.ExportFunction(std::string(runtime::kExportHandle), handle_fn);
+  builder.ExportMemory("memory");
+  return builder.Encode();
+}
+
+std::unique_ptr<Shim> MakeInputReturningShim(int32_t ptr_offset,
+                                             int32_t len_cut) {
+  auto shim = Shim::Create(Spec("in-place"),
+                           InputReturningModule(ptr_offset, len_cut));
+  EXPECT_TRUE(shim.ok()) << shim.status();
+  return shim.ok() ? std::move(*shim) : nullptr;
+}
+
+// Live guest allocations and registered regions of one shim.
+struct Books {
+  uint64_t allocations;
+  size_t regions;
+  bool operator==(const Books&) const = default;
+};
+
+Books BooksOf(Shim& shim) {
+  return {shim.sandbox().allocator().live_allocations(),
+          shim.data().registered_region_count()};
+}
+
+// The books with one more live output region.
+Books OneMore(const Books& books) {
+  return {books.allocations + 1, books.regions + 1};
 }
 
 TEST(ShimTest, DeliverAndInvokeRoundTrip) {
@@ -133,6 +188,123 @@ TEST(ShimTest, OutputViewSurvivesAGrowingInvocation) {
   // the memory.
   ASSERT_EQ(again->data(), kept->data());
   EXPECT_EQ(AsStringView(*kept), "first:1");
+}
+
+TEST(ShimTest, InterpretedGuestReturningItsInputBlockKeepsIt) {
+  auto shim = MakeInputReturningShim(/*ptr_offset=*/0, /*len_cut=*/2);
+  ASSERT_NE(shim, nullptr);
+  const Books before = BooksOf(*shim);
+  auto input = shim->PrepareInput(8);
+  ASSERT_TRUE(input.ok()) << input.status();
+  auto span = shim->InputSpan(*input);
+  ASSERT_TRUE(span.ok()) << span.status();
+  std::memcpy(span->data(), "abcdefgh", 8);
+
+  auto outcome = shim->InvokeOnRegion(*input);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(outcome->output, (MemoryRegion{input->address, 6}));
+  // The block lives on as the output, registered at the output's length.
+  EXPECT_EQ(BooksOf(*shim), OneMore(before));
+  EXPECT_TRUE(shim->data().IsRegistered(input->address, 6));
+  EXPECT_FALSE(shim->data().IsRegistered(input->address, 8));
+  auto view = shim->OutputView(outcome->output);
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(AsStringView(*view), "abcdef");
+
+  ASSERT_TRUE(shim->ReleaseRegion(outcome->output).ok());
+  EXPECT_EQ(BooksOf(*shim), before);
+}
+
+TEST(ShimTest, GuestOutputOverlappingItsInputIsRefusedAndLeaksNothing) {
+  auto shim = MakeInputReturningShim(/*ptr_offset=*/8, /*len_cut=*/8);
+  ASSERT_NE(shim, nullptr);
+  const Books before = BooksOf(*shim);
+
+  // Two-phase ingress: the refused invoke leaves the input to the caller.
+  auto input = shim->PrepareInput(64);
+  ASSERT_TRUE(input.ok()) << input.status();
+  auto refused = shim->InvokeOnRegion(*input);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
+      << refused.status();
+  EXPECT_TRUE(shim->data().IsRegistered(input->address, input->length));
+  ASSERT_TRUE(shim->ReleaseRegion(*input).ok());
+  EXPECT_EQ(BooksOf(*shim), before);
+
+  // DeliverAndInvoke placed the input itself, so it releases it.
+  auto delivered = shim->DeliverAndInvoke(Bytes(64, 0x11));
+  ASSERT_FALSE(delivered.ok());
+  EXPECT_EQ(delivered.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(BooksOf(*shim), before);
+}
+
+TEST(ShimTest, NativeOutputThatFitsIsWrittenOverItsInput) {
+  auto shim = MakeShim();
+  ASSERT_NE(shim, nullptr);
+  ASSERT_TRUE(shim->Deploy([](ByteSpan input) -> Result<Bytes> {
+                    return Bytes(input.begin(), input.begin() + 3);
+                  })
+                  .ok());
+  const Books before = BooksOf(*shim);
+  const uint64_t bytes_before = shim->sandbox().allocator().bytes_in_use();
+  auto input = shim->PrepareInput(4096);
+  ASSERT_TRUE(input.ok()) << input.status();
+  auto span = shim->InputSpan(*input);
+  ASSERT_TRUE(span.ok()) << span.status();
+  std::memset(span->data(), 'q', span->size());
+
+  auto outcome = shim->InvokeOnRegion(*input);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(outcome->output, (MemoryRegion{input->address, 3}));
+  EXPECT_EQ(BooksOf(*shim), OneMore(before));
+  // The block was trimmed: its 4 KiB tail went back to the free list.
+  EXPECT_LT(shim->sandbox().allocator().bytes_in_use() - bytes_before, 64u);
+  auto view = shim->OutputView(outcome->output);
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(AsStringView(*view), "qqq");
+  ASSERT_TRUE(shim->ReleaseRegion(outcome->output).ok());
+  EXPECT_EQ(BooksOf(*shim), before);
+}
+
+TEST(ShimTest, NativeOutputLargerThanItsInputTakesAFreshBlock) {
+  auto shim = MakeShim();
+  ASSERT_NE(shim, nullptr);
+  ASSERT_TRUE(shim->Deploy([](ByteSpan input) -> Result<Bytes> {
+                    return ToBytes("echo:" + std::string(AsStringView(input)));
+                  })
+                  .ok());
+  const Books before = BooksOf(*shim);
+  auto input = shim->PrepareInput(2);
+  ASSERT_TRUE(input.ok()) << input.status();
+  auto span = shim->InputSpan(*input);
+  ASSERT_TRUE(span.ok()) << span.status();
+  std::memcpy(span->data(), "hi", 2);
+
+  auto outcome = shim->InvokeOnRegion(*input);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_NE(outcome->output.address, input->address);
+  // The consumed input is freed; only the output stays.
+  EXPECT_EQ(BooksOf(*shim), OneMore(before));
+  EXPECT_FALSE(shim->data().IsRegistered(input->address, input->length));
+  auto view = shim->OutputView(outcome->output);
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(AsStringView(*view), "echo:hi");
+}
+
+TEST(ShimTest, FailedDeliverAndInvokeReleasesItsInput) {
+  auto shim = MakeShim();
+  ASSERT_NE(shim, nullptr);
+  ASSERT_TRUE(shim->Deploy([](ByteSpan) -> Result<Bytes> {
+                    return InvalidArgumentError("rejected");
+                  })
+                  .ok());
+  const Books before = BooksOf(*shim);
+  for (int i = 0; i < 3; ++i) {
+    auto outcome = shim->DeliverAndInvoke(AsBytes("payload"));
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(BooksOf(*shim), before);
 }
 
 TEST(ShimTest, CreateInVmSharesProcessButNotMemory) {

@@ -2,6 +2,7 @@
 #include "dag/executor.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <chrono>
@@ -191,11 +192,12 @@ TEST_F(DagExecutorTest, InternodeFanOutViaNodeAgent) {
   auto source = AddFunction(rt, "src", {"n1", ""});
 
   // The "remote" node: an in-process NodeAgent owning the target functions'
-  // ingress. Deliveries route back into the executor through its sink.
+  // ingress. Deliveries route back into the executor through its sink. The
+  // targets are declared first, so they outlive the agent serving them.
+  std::vector<std::unique_ptr<Shim>> targets;
   auto agent = core::NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
 
-  std::vector<std::unique_ptr<Shim>> targets;
   DagBuilder builder("internode");
   builder.AddNode("src");
   std::vector<std::string> names;
@@ -234,11 +236,12 @@ TEST_F(DagExecutorTest, InternodeDiamondJoinBehindNodeAgent) {
   auto b = AddFunction(rt, "b", {"n1", "vm1"}, &vm);
   auto c = AddFunction(rt, "c", {"n1", "vm1"}, &vm);
 
+  std::unique_ptr<Shim> d;  // declared first: outlives the agent serving it
   auto agent = core::NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
   // The join function lives on the remote node: its input is the merged
   // fan-in payload, delivered as one frame through the agent.
-  auto d = AddFunction(rt, "d", {"n2", ""}, nullptr, (*agent)->port());
+  d = AddFunction(rt, "d", {"n2", ""}, nullptr, (*agent)->port());
   ASSERT_TRUE((*agent)->RegisterFunction(d.get(), rt.DeliverySink()).ok());
 
   auto dag = DagBuilder("remote-join")
@@ -342,20 +345,20 @@ TEST_F(DagExecutorTest, RemoteBranchRetiresIntoARunItsSiblingCancelled) {
   // sibling c fails and cancels the run, so r's pending slot retires it into
   // a cancelled run. The run reports c's error, r runs once, d never runs.
   api::Runtime rt("wf");
+  std::unique_ptr<Shim> r;  // declared first: outlives the agent serving it
   auto agent = core::NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
   std::promise<void> failed;
   const std::shared_future<void> c_failed = failed.get_future().share();
 
   auto a = AddFunction(rt, "a", {"n1", ""});
-  auto r = AddFunction(rt, "r", {"n2", ""}, nullptr, (*agent)->port(),
-                       [c_failed](ByteSpan input) -> Result<Bytes> {
-                         c_failed.wait();
-                         // Let c's worker retire it before r answers.
-                         std::this_thread::sleep_for(
-                             std::chrono::milliseconds(20));
-                         return Bytes(input.begin(), input.end());
-                       });
+  r = AddFunction(rt, "r", {"n2", ""}, nullptr, (*agent)->port(),
+                  [c_failed](ByteSpan input) -> Result<Bytes> {
+                    c_failed.wait();
+                    // Let c's worker retire it before r answers.
+                    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                    return Bytes(input.begin(), input.end());
+                  });
   ASSERT_TRUE((*agent)->RegisterFunction(r.get(), rt.DeliverySink()).ok());
   auto c = AddFunction(rt, "c", {"n1", ""}, nullptr, 0,
                        [&failed](ByteSpan) -> Result<Bytes> {
@@ -400,11 +403,12 @@ TEST_F(DagExecutorTest, RemoteDeliveryTimesOutWhenAgentDropsFunction) {
   api::Runtime rt("wf", options);
   auto a = AddFunction(rt, "a", {"n1", ""});
 
+  std::unique_ptr<Shim> b;  // declared first: outlives the agent
   auto agent = core::NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
   // "b" is addressed through the agent but never registered there: the agent
   // drops the connection, no delivery callback ever fires.
-  auto b = AddFunction(rt, "b", {"n2", ""}, nullptr, (*agent)->port());
+  b = AddFunction(rt, "b", {"n2", ""}, nullptr, (*agent)->port());
 
   auto dag = DagBuilder().Chain({"a", "b"}).Build();
   ASSERT_TRUE(dag.ok()) << dag.status();
@@ -533,6 +537,24 @@ TEST_F(DagExecutorTest, RepeatedExecutionsReuseHops) {
   EXPECT_EQ(rt.manager().hops().size(), 2u);  // one kernel hop per fan-out edge
   EXPECT_EQ(a->invocations(), 3u);
   EXPECT_EQ(b->invocations(), 3u);
+}
+
+TEST(DagExecutorSizingTest, AOneCpuThreadGetsTwoWorkers) {
+  // The default pool follows the affinity mask, not the machine: built on a
+  // thread confined to one CPU, the executor starts its floor of 2.
+  std::thread([] {
+    cpu_set_t current;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(current), &current), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &current)) ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    WorkflowManager manager("wf");
+    DagExecutor executor(&manager);
+    EXPECT_EQ(executor.worker_count(), 2u);
+  }).join();
 }
 
 }  // namespace

@@ -138,9 +138,10 @@ TEST_F(ChaosTest, MuxConnResetRetriesToSuccess) {
   api::Runtime rt("wf", options);
 
   auto a = AddFunction(rt, "a", {"n1", ""});
+  std::unique_ptr<Shim> b;  // declared first: outlives the agent serving it
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
-  auto b = AddFunction(rt, "b", {"n2", ""}, (*agent)->port());
+  b = AddFunction(rt, "b", {"n2", ""}, (*agent)->port());
   ASSERT_TRUE((*agent)->RegisterFunction(b.get(), rt.DeliverySink()).ok());
 
   FaultInjector::Instance().Arm(FaultSite::kMuxConnReset,
@@ -164,9 +165,10 @@ TEST_F(ChaosTest, AgentDropCompletionBackstopRetries) {
   api::Runtime rt("wf", options);
 
   auto a = AddFunction(rt, "a", {"n1", ""});
+  std::unique_ptr<Shim> b;  // declared first: outlives the agent serving it
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
-  auto b = AddFunction(rt, "b", {"n2", ""}, (*agent)->port());
+  b = AddFunction(rt, "b", {"n2", ""}, (*agent)->port());
   ASSERT_TRUE((*agent)->RegisterFunction(b.get(), rt.DeliverySink()).ok());
 
   FaultInjector::Instance().Arm(FaultSite::kAgentDropCompletion,
@@ -192,9 +194,10 @@ TEST_F(ChaosTest, BackstopRetryKeepsTheRemoteFunctionsLocalHops) {
   api::Runtime rt("wf", options);
 
   auto a = AddFunction(rt, "a", {"n1", ""});
+  std::unique_ptr<Shim> b;  // declared first: outlives the agent serving it
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
-  auto b = AddFunction(rt, "b", {"n2", ""}, (*agent)->port());
+  b = AddFunction(rt, "b", {"n2", ""}, (*agent)->port());
   ASSERT_TRUE((*agent)->RegisterFunction(b.get(), rt.DeliverySink()).ok());
   auto c = AddFunction(rt, "c", {"n2", ""});
 
@@ -238,10 +241,11 @@ TEST_F(ChaosTest, DeadPrimaryFailsOverOnceItsAttemptsAreSpent) {
   api::Runtime rt("wf", options);
 
   auto a = AddFunction(rt, "a", {"n1", ""});
+  std::unique_ptr<Shim> b;  // declared first: outlives the agent serving it
   auto replica = NodeAgent::Start(0);
   ASSERT_TRUE(replica.ok()) << replica.status();
-  auto b = AddFunction(rt, "b", {"n2", ""}, DeadPort(),
-                       {{"127.0.0.1", (*replica)->port()}});
+  b = AddFunction(rt, "b", {"n2", ""}, DeadPort(),
+                  {{"127.0.0.1", (*replica)->port()}});
   ASSERT_TRUE((*replica)->RegisterFunction(b.get(), rt.DeliverySink()).ok());
 
   auto result = RunChain(rt, AsBytes("x"));
@@ -265,11 +269,6 @@ void KillAgentFailsOverToReplica(uint64_t failovers_before) {
   options.remote_deadline = std::chrono::seconds(5);
   api::Runtime rt("wf", options);
 
-  auto primary = NodeAgent::Start(0);
-  ASSERT_TRUE(primary.ok()) << primary.status();
-  auto replica = NodeAgent::Start(0);
-  ASSERT_TRUE(replica.ok()) << replica.status();
-
   auto a_shim = Shim::Create(Spec("a"), Binary());
   ASSERT_TRUE(a_shim.ok()) << a_shim.status();
   ASSERT_TRUE((*a_shim)
@@ -291,6 +290,11 @@ void KillAgentFailsOverToReplica(uint64_t failovers_before) {
                     return ToBytes(out + "|b");
                   })
                   .ok());
+  // Started after the shims they serve, so they stop first.
+  auto primary = NodeAgent::Start(0);
+  ASSERT_TRUE(primary.ok()) << primary.status();
+  auto replica = NodeAgent::Start(0);
+  ASSERT_TRUE(replica.ok()) << replica.status();
   Endpoint b_endpoint;
   b_endpoint.shim = b_shim->get();
   b_endpoint.location = {"n2", ""};
@@ -346,10 +350,11 @@ TEST_F(ChaosTest, BreakerProbeHealsAfterAgentRestart) {
   api::Runtime rt("wf", options);
 
   auto a = AddFunction(rt, "a", {"n1", ""});
+  std::unique_ptr<Shim> b;  // declared first: outlives both agents serving it
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
   const uint16_t port = (*agent)->port();
-  auto b = AddFunction(rt, "b", {"n2", ""}, port);
+  b = AddFunction(rt, "b", {"n2", ""}, port);
   ASSERT_TRUE((*agent)->RegisterFunction(b.get(), rt.DeliverySink()).ok());
 
   ASSERT_TRUE(RunChain(rt, AsBytes("warm")).ok());
@@ -459,9 +464,12 @@ TEST_F(ChaosTest, StarveGrantStallsTransferIntoDeadline) {
                        [](ByteSpan) -> Result<Bytes> {
                          return Bytes(600 * 1024, 'x');
                        });
+  // A starved stream keeps the instance it leased — b's shim — until the
+  // agent reads its cancel, so b is declared first and outlives the agent.
+  std::unique_ptr<Shim> b;
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
-  auto b = AddFunction(rt, "b", {"n2", ""}, (*agent)->port());
+  b = AddFunction(rt, "b", {"n2", ""}, (*agent)->port());
   ASSERT_TRUE((*agent)->RegisterFunction(b.get(), rt.DeliverySink()).ok());
 
   FaultInjector::Instance().Arm(FaultSite::kAgentStarveGrant,
@@ -472,9 +480,6 @@ TEST_F(ChaosTest, StarveGrantStallsTransferIntoDeadline) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
       << result.status();
   EXPECT_GT(FaultInjector::Instance().fires(FaultSite::kAgentStarveGrant), 0u);
-  // A starved stream keeps the instance it leased — b's shim — until the
-  // agent reads its cancel: stop the agent while b is still alive.
-  (*agent)->Shutdown();
 }
 
 // Gateway mapping of the failure-recovery plane: a run shed with typed

@@ -50,6 +50,23 @@ class RawMutexTest(unittest.TestCase):
         self.assertEqual(rr_lint.lint_file(path, ["raw-mutex"]), [])
 
 
+class HardwareConcurrencyTest(unittest.TestCase):
+    def test_fires_on_calls(self):
+        findings = run_on("hardware_concurrency_bad.cc", "hardware-concurrency")
+        self.assertEqual(sorted(f.line for f in findings), [6, 10], findings)
+        self.assertTrue(all(f.rule == "hardware-concurrency" for f in findings))
+
+    def test_suppression_and_bare_names_are_clean(self):
+        self.assertEqual(
+            run_on("hardware_concurrency_allowed.cc", "hardware-concurrency"),
+            [])
+
+    def test_the_helper_is_exempt(self):
+        path = os.path.join(REPO, "src", "osal", "cpus.cc")
+        self.assertEqual(
+            rr_lint.lint_file(path, ["hardware-concurrency"]), [])
+
+
 class ReactorBlockingTest(unittest.TestCase):
     def test_fires_through_the_call_graph(self):
         findings = run_on("reactor_blocking_bad.cc", "reactor-blocking")

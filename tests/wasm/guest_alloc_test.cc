@@ -118,6 +118,67 @@ TEST_F(GuestAllocatorTest, ExhaustionReportedNotCrashed) {
   EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST_F(GuestAllocatorTest, ShrinkReturnsTheTailToTheFreeList) {
+  auto a = alloc_.Allocate(1000);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(alloc_.Shrink(*a, 100).ok());
+  EXPECT_EQ(alloc_.bytes_in_use(), 104u);  // 100 rounded to the alignment
+  EXPECT_EQ(alloc_.live_allocations(), 1u);
+  // First fit finds the freed tail right behind the trimmed block.
+  auto b = alloc_.Allocate(800);
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(*b, *a + 104 + 8);
+  ASSERT_TRUE(alloc_.Deallocate(*a).ok());
+  ASSERT_TRUE(alloc_.Deallocate(*b).ok());
+  EXPECT_EQ(alloc_.bytes_in_use(), 0u);
+}
+
+TEST_F(GuestAllocatorTest, ShrinkKeepsAnUnsplittableRemainder) {
+  auto a = alloc_.Allocate(64);
+  ASSERT_TRUE(a.ok()) << a.status();
+  // 8 bytes cannot hold a header and a free-list link: the block keeps them.
+  ASSERT_TRUE(alloc_.Shrink(*a, 56).ok());
+  EXPECT_EQ(alloc_.bytes_in_use(), 64u);
+  ASSERT_TRUE(alloc_.Shrink(*a, 64).ok());
+  EXPECT_EQ(alloc_.bytes_in_use(), 64u);
+  // 1 byte keeps the minimum payload and frees the other 56 (a 48-byte
+  // free block behind its own header).
+  ASSERT_TRUE(alloc_.Shrink(*a, 1).ok());
+  EXPECT_EQ(alloc_.bytes_in_use(), 8u);
+  ASSERT_TRUE(alloc_.Deallocate(*a).ok());
+  EXPECT_EQ(alloc_.live_allocations(), 0u);
+}
+
+TEST_F(GuestAllocatorTest, ShrinkCoalescesWithAFreeNeighbour) {
+  auto a = alloc_.Allocate(1000);
+  auto b = alloc_.Allocate(1000);
+  auto barrier = alloc_.Allocate(8);  // keeps b apart from the heap's tail
+  ASSERT_TRUE(a.ok() && b.ok() && barrier.ok());
+  ASSERT_TRUE(alloc_.Deallocate(*b).ok());
+  ASSERT_TRUE(alloc_.Shrink(*a, 100).ok());
+  // a's 888-byte tail and b's 1000 bytes merged into one free block.
+  const uint32_t pages_before = memory_->pages();
+  auto merged = alloc_.Allocate(1800);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_EQ(*merged, *a + 104 + 8);
+  EXPECT_EQ(memory_->pages(), pages_before);
+}
+
+TEST_F(GuestAllocatorTest, ShrinkRejectsWhatIsNotAnAllocatedBlock) {
+  auto a = alloc_.Allocate(64);
+  ASSERT_TRUE(a.ok()) << a.status();
+  EXPECT_FALSE(alloc_.Shrink(4, 1).ok());       // below the heap
+  EXPECT_FALSE(alloc_.Shrink(*a + 8, 1).ok());  // interior pointer
+  EXPECT_FALSE(alloc_.Shrink(*a, 0).ok());      // nothing left
+  EXPECT_FALSE(alloc_.Shrink(*a, 65).ok());     // larger than the block
+  EXPECT_EQ(alloc_.bytes_in_use(), 64u);
+  ASSERT_TRUE(alloc_.Deallocate(*a).ok());
+  const Status freed = alloc_.Shrink(*a, 1);    // a free block
+  ASSERT_FALSE(freed.ok());
+  EXPECT_EQ(freed.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(alloc_.live_allocations(), 0u);
+}
+
 // Property test: a randomized alloc/free workload maintains the invariants
 // (no overlap, accounting correct, all frees succeed).
 TEST(GuestAllocatorPropertyTest, RandomizedWorkloadKeepsInvariants) {
@@ -160,6 +221,64 @@ TEST(GuestAllocatorPropertyTest, RandomizedWorkloadKeepsInvariants) {
   }
   EXPECT_EQ(alloc.live_allocations(), 0u);
   EXPECT_EQ(alloc.bytes_in_use(), 0u);
+}
+
+// Property test: shrinking live blocks mid-workload keeps blocks disjoint,
+// bytes_in_use between the live sizes and their rounded blocks, and the heap
+// whole: once everything is freed, one allocation spans it without growth.
+TEST(GuestAllocatorPropertyTest, RandomizedShrinksKeepInvariants) {
+  auto memory = MakeMemory({.min_pages = 2});
+  ASSERT_NE(memory, nullptr);
+  GuestAllocator alloc(memory.get(), 256);
+  Rng rng(2029);
+
+  std::map<uint32_t, uint32_t> live;  // addr -> size
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t roll = rng.NextBelow(100);
+    if (live.empty() || roll < 50) {
+      const uint32_t size = 1 + static_cast<uint32_t>(rng.NextBelow(4096));
+      auto addr = alloc.Allocate(size);
+      ASSERT_TRUE(addr.ok()) << addr.status();
+      const auto next = live.lower_bound(*addr);
+      if (next != live.end()) {
+        ASSERT_LE(*addr + size, next->first);
+      }
+      if (next != live.begin()) {
+        const auto prev = std::prev(next);
+        ASSERT_LE(prev->first + prev->second, *addr);
+      }
+      live[*addr] = size;
+    } else {
+      auto it = live.begin();
+      std::advance(it, rng.NextBelow(live.size()));
+      if (roll < 80) {
+        const uint32_t size =
+            1 + static_cast<uint32_t>(rng.NextBelow(it->second));
+        ASSERT_TRUE(alloc.Shrink(it->first, size).ok());
+        it->second = size;
+      } else {
+        ASSERT_TRUE(alloc.Deallocate(it->first).ok());
+        live.erase(it);
+      }
+    }
+    uint64_t sizes = 0;
+    for (const auto& [addr, size] : live) sizes += size;
+    ASSERT_EQ(alloc.live_allocations(), live.size());
+    ASSERT_GE(alloc.bytes_in_use(), sizes);
+    // A block rounds its size up by under 8 and may keep an unsplittable
+    // tail of under 16.
+    ASSERT_LE(alloc.bytes_in_use(), sizes + 24 * live.size());
+  }
+
+  for (const auto& [addr, size] : live) {
+    ASSERT_TRUE(alloc.Deallocate(addr).ok());
+  }
+  EXPECT_EQ(alloc.bytes_in_use(), 0u);
+  const uint32_t pages = memory->pages();
+  auto whole = alloc.Allocate(static_cast<uint32_t>(memory->byte_size()) -
+                              alloc.heap_base() - 8);
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  EXPECT_EQ(memory->pages(), pages);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,53 @@ TEST(LinearMemoryTest, UntouchedPagesStayUncommitted) {
   for (const unsigned char r : residency) resident += r & 1;
   // The touched page, or at most one 2 MiB transparent huge page.
   EXPECT_LE(resident * page, size_t{2} << 20) << resident << " pages resident";
+}
+
+// The VmFlags of the mapping that holds `addr`, split into its two-letter
+// codes, from /proc/self/smaps.
+std::vector<std::string> VmFlagsAt(const void* addr) {
+  const uintptr_t target = reinterpret_cast<uintptr_t>(addr);
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    unsigned long start = 0;
+    unsigned long end = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &start, &end) == 2) {
+      inside = start <= target && target < end;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      std::vector<std::string> flags;
+      std::istringstream codes(line.substr(8));
+      for (std::string code; codes >> code;) flags.push_back(code);
+      return flags;
+    }
+  }
+  return {};
+}
+
+bool HasFlag(const std::vector<std::string>& flags, const std::string& flag) {
+  return std::find(flags.begin(), flags.end(), flag) != flags.end();
+}
+
+TEST(LinearMemoryTest, GrowAdvisesHugePagesPastTheDeclaredMinimum) {
+  if (access("/sys/kernel/mm/transparent_hugepage", F_OK) != 0) {
+    GTEST_SKIP() << "kernel without transparent huge pages";
+  }
+  auto mem = MakeMemory({.min_pages = 32});  // 2 MiB declared
+  ASSERT_NE(mem, nullptr);
+  auto declared = mem->Slice(0, 1);
+  ASSERT_TRUE(declared.ok());
+  ASSERT_FALSE(VmFlagsAt(declared->data()).empty()) << "no smaps entry";
+  EXPECT_FALSE(HasFlag(VmFlagsAt(declared->data()), "hg"));
+
+  ASSERT_EQ(mem->Grow(64), 32);
+  auto grown = mem->Slice(32 * kWasmPageSize, 64 * kWasmPageSize);
+  ASSERT_TRUE(grown.ok());
+  EXPECT_TRUE(HasFlag(VmFlagsAt(grown->data()), "hg"));
+  EXPECT_TRUE(HasFlag(VmFlagsAt(grown->data() + grown->size() - 1), "hg"));
+  EXPECT_FALSE(HasFlag(VmFlagsAt(declared->data()), "hg"));
+  EXPECT_FALSE(
+      HasFlag(VmFlagsAt(declared->data() + 32 * kWasmPageSize - 1), "hg"));
 }
 
 TEST(LinearMemoryTest, GrownPagesReadZero) {

@@ -34,6 +34,13 @@ raw-mutex
     thread-safety capability annotations; a raw std::mutex is invisible
     to the analysis, so everything it guards silently loses checking.
 
+hardware-concurrency
+    No std::thread::hardware_concurrency() in src/ outside osal/cpus.cc.
+    It counts the machine's CPUs, not the ones the process may run on: a
+    pool sized from it starts one thread per CPU even under taskset or a
+    cpuset. Pools size themselves from osal::UsableCpus(), the affinity
+    mask.
+
 metric-doc
     Every "rr_..." series name literal must appear in the README.md of
     the nearest ancestor directory — an operator reads the metrics table
@@ -91,6 +98,10 @@ RULES = {
     "raw-mutex": (
         "raw std:: synchronization primitive outside common/mutex.h"
     ),
+    "hardware-concurrency": (
+        "hardware_concurrency() outside osal/cpus.cc (size pools from "
+        "osal::UsableCpus)"
+    ),
     "metric-doc": (
         "rr_* series name missing from the nearest ancestor README.md"
     ),
@@ -144,6 +155,8 @@ RAW_MUTEX_RE = re.compile(
     r"\bstd::(?:mutex|timed_mutex|recursive_mutex|shared_mutex|"
     r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock)\b"
 )
+
+HARDWARE_CONCURRENCY_RE = re.compile(r"\bhardware_concurrency\s*\(")
 
 # A whole string literal naming a series, e.g. "rr_submit_total".
 SERIES_LITERAL_RE = re.compile(r'"(rr_[a-z0-9_]+)"')
@@ -392,6 +405,23 @@ def check_raw_mutex(sf: SourceFile) -> Iterable[Finding]:
             )
 
 
+def check_hardware_concurrency(sf: SourceFile) -> Iterable[Finding]:
+    if sf.path.replace(os.sep, "/").endswith("osal/cpus.cc"):
+        return
+    for idx, line in enumerate(sf.code_lines, start=1):
+        if HARDWARE_CONCURRENCY_RE.search(line) and not allowed(
+            sf, idx, "hardware-concurrency"
+        ):
+            yield Finding(
+                "hardware-concurrency",
+                sf.path,
+                idx,
+                "hardware_concurrency() counts the machine's CPUs, not the "
+                "affinity mask — size the pool from osal::UsableCpus() "
+                "(or // rr-lint: allow(hardware-concurrency))",
+            )
+
+
 def check_lease_member(sf: SourceFile) -> Iterable[Finding]:
     # Track whether a line sits inside a class/struct body but outside any
     # function body. Heuristic: member declarations match LEASE_DECL_RE and
@@ -601,6 +631,7 @@ CHECKS = {
     "lease-member": check_lease_member,
     "region-guard": check_region_guard,
     "raw-mutex": check_raw_mutex,
+    "hardware-concurrency": check_hardware_concurrency,
     "metric-doc": check_metric_doc,
 }
 
