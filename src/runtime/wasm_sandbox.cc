@@ -70,11 +70,10 @@ Status WasmSandbox::Deploy(NativeHandler handler) {
         // input that is not a whole allocator block) takes a fresh block.
         // Either way the bytes land through the module's own allocator and
         // guest-visible stores.
+        const uint32_t block = std::max<uint32_t>(1, out_len);
         uint32_t out_ptr = in_ptr;
-        if (out_len > in_len ||
-            !allocator_->Shrink(in_ptr, std::max<uint32_t>(1, out_len)).ok()) {
-          RR_ASSIGN_OR_RETURN(
-              out_ptr, allocator_->Allocate(std::max<uint32_t>(1, out_len)));
+        if (out_len > in_len || !allocator_->Shrink(in_ptr, block).ok()) {
+          RR_ASSIGN_OR_RETURN(out_ptr, allocator_->Allocate(block));
         }
         RR_ASSIGN_OR_RETURN(MutableByteSpan dest,
                             instance.memory()->MutableSlice(out_ptr, out_len));

@@ -51,13 +51,11 @@ int32_t LinearMemory::Grow(uint32_t delta_pages) {
   if (target > limits_.max_pages) return -1;
   const uint32_t old_pages = pages_;
   if (delta_pages == 0) return static_cast<int32_t>(old_pages);
-  if (!huge_pages_advised_) {
-    // Advisory: a kernel without THP refuses it, and the memory works as
-    // before on base pages.
-    const size_t declared =
-        static_cast<size_t>(limits_.min_pages) * kWasmPageSize;
+  if (old_pages == limits_.min_pages) {
+    // The first growth. Advisory: a kernel without THP refuses it, and the
+    // memory works as before on base pages.
+    const size_t declared = byte_size();
     (void)madvise(base_ + declared, reserved_bytes() - declared, MADV_HUGEPAGE);
-    huge_pages_advised_ = true;
   }
   if (mprotect(base_ + byte_size(),
                static_cast<size_t>(delta_pages) * kWasmPageSize,

@@ -117,7 +117,6 @@ class LinearMemory {
 
   Limits limits_;
   uint32_t pages_ = 0;
-  bool huge_pages_advised_ = false;
   // Start of the reservation; null when the maximum is 0 pages.
   uint8_t* base_ = nullptr;
   mutable std::atomic<uint64_t> host_bytes_read_{0};
